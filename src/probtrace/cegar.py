@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 
 from .cfa import (
     PCFA,
+    _to_pcfa,
     difference_all,
     difference_nfa,
     intersect,
@@ -136,7 +137,7 @@ def verify(
             bases = [q.base for q in qs]
             if a_lang is not None and not is_empty(a_lang):
                 bases.append(a_lang)
-            uncovered = difference_nfa(p, bases, sigma)
+            uncovered = difference_nfa(p, bases)
             if nfa_is_empty(uncovered):
                 events.append(("sat", last_bound))
                 return Sat(last_bound, iters)
@@ -153,7 +154,7 @@ def verify(
                 events.append(("counterexample", cex))
                 return Unsat(_checked(p, spec, beta, cex, solver), iters)
             gv = generalize_violating(tau, spec, sigma, solver)
-            cand = gv.base if a_lang is None else union(a_lang, gv.base, sigma)
+            cand = gv.base if a_lang is None else union(a_lang, gv.base)
             a_cand = normalize(minimize(intersect(cand, p)))
             outcome, cover_aut, new_q = examine(
                 a_cand,
@@ -260,7 +261,8 @@ def verify_refutational(
             bases = [q.base for q in qs]
             if found:
                 bases.append(_trie([t for t, _ in found]))
-            residual = difference_all(p, bases, sigma)
+            uncovered = difference_nfa(p, bases)
+            residual = _to_pcfa(uncovered)
             if is_empty(residual):
                 bound = found_mass
             else:
@@ -275,7 +277,7 @@ def verify_refutational(
                     "not jointly realizable above the threshold",
                     iters,
                 )
-            tau = nfa_shortest(difference_nfa(p, bases, sigma))
+            tau = nfa_shortest(uncovered)
             iters += 1
             events.append(("pick", iters, tau))
             cls = classify(tau, spec, solver)
@@ -335,11 +337,10 @@ def check_decomposition(
                     f"component {i}: accepting proposition satisfiable "
                     "but not implying the postcondition"
                 )
-        sigma = frozenset(p.alphabet) | frozenset(a.alphabet)
         bases = [q.base for q in qs]
-        if not nfa_is_empty(difference_nfa(p, bases + [a], sigma)):
+        if not nfa_is_empty(difference_nfa(p, bases + [a])):
             return Rejected("program traces escape the certified union")
-        residual = difference_all(a, bases, sigma) if bases else a
+        residual = difference_all(a, bases) if bases else a
         core = intersect(residual, p)
         if is_empty(core):
             bound = Fraction(0)

@@ -6,7 +6,11 @@ initial and a single accepting location, labelled by program labels
 nondeterministic branches).  Program trace languages are prefix-free, which
 is what makes the single-accepting shape closed under the operations here;
 boolean combinations are computed on an internal multi-accepting
-representation and coerced back at the end.
+representation and coerced back at the end.  Intersection and difference
+are one on-the-fly product: the subset construction of the left operand
+runs in lockstep with that of the right operands' union, and only the
+pairs that words of the left operand reach are built, so neither side is
+determinized or completed over the alphabet up front.
 
 Also here: the normalization procedure that forces paired probabilistic
 branches to target distinct locations (needed by the strategy
@@ -95,10 +99,6 @@ def label_key(lab: Label):
 
 def trace_key(trace: Sequence[Label]):
     return tuple(label_key(l) for l in trace)
-
-
-def is_probabilistic(lab: Label) -> bool:
-    return isinstance(lab, Pb)
 
 
 def action_of(lab: Label):
@@ -225,7 +225,7 @@ class PCFA:
         )
 
 
-def empty_pcfa(alphabet: Iterable[Label] = ()) -> PCFA:
+def empty_pcfa() -> PCFA:
     """The empty-language automaton (accepting unreachable)."""
     return PCFA((), 0, 1)
 
@@ -333,86 +333,75 @@ def _nfa_union(parts: list[_NFA]) -> _NFA:
     return _NFA(trans, inits, accs, states)
 
 
+def _adjacency(transitions) -> dict[int, dict[Label, set[int]]]:
+    adj: dict[int, dict[Label, set[int]]] = {}
+    for s, lab, t in transitions:
+        adj.setdefault(s, {}).setdefault(lab, set()).add(t)
+    return adj
+
+
+def _step(adj: dict[int, dict[Label, set[int]]], states) -> dict[Label, set[int]]:
+    """The successor set of a state set under every label leaving it."""
+    table: dict[Label, set[int]] = {}
+    for s in states:
+        for lab, ts in adj.get(s, {}).items():
+            table.setdefault(lab, set()).update(ts)
+    return table
+
+
 def _nfa_determinize(n: _NFA) -> _NFA:
     """Subset construction; result states are renumbered ints."""
     start = frozenset(n.initials)
     index = {start: 0}
     todo = [start]
-    out: dict[int, dict[Label, int]] = {}
-    adj: dict[int, dict[Label, set[int]]] = {}
-    for s, lab, t in n.transitions:
-        adj.setdefault(s, {}).setdefault(lab, set()).add(t)
+    adj = _adjacency(n.transitions)
+    trans: set[tuple[int, Label, int]] = set()
     while todo:
         cur = todo.pop()
-        ci = index[cur]
-        table: dict[Label, set[int]] = {}
-        for s in cur:
-            for lab, ts in adj.get(s, {}).items():
-                table.setdefault(lab, set()).update(ts)
-        row = {}
-        for lab, ts in table.items():
+        for lab, ts in _step(adj, cur).items():
             key = frozenset(ts)
             if key not in index:
                 index[key] = len(index)
                 todo.append(key)
-            row[lab] = index[key]
-        out[ci] = row
-    trans = {(s, lab, t) for s, row in out.items() for lab, t in row.items()}
+            trans.add((index[cur], lab, index[key]))
     accs = {i for subset, i in index.items() if subset & n.accepting}
     return _NFA(trans, {0}, accs, set(index.values()))
 
 
-def _nfa_product(a: _NFA, b: _NFA, accept_pair) -> _NFA:
-    """Synchronous product of two deterministic _NFAs (b complete-ized by the
-    caller when needed); accept_pair decides acceptance from memberships."""
-    a_adj: dict[int, dict[Label, int]] = {}
-    for s, lab, t in a.transitions:
-        a_adj.setdefault(s, {})[lab] = t
-    b_adj: dict[int, dict[Label, int]] = {}
-    for s, lab, t in b.transitions:
-        b_adj.setdefault(s, {})[lab] = t
-    ai = next(iter(a.initials))
-    bi = next(iter(b.initials))
-    index = {(ai, bi): 0}
-    todo = [(ai, bi)]
+def _subset_product(a: PCFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
+    """The subset construction of `a` run in lockstep with that of the
+    disjoint union of the `bs`, built on the fly from the initial pair.
+
+    Only labels leaving `a`'s current state set are followed, so just the
+    pairs that words of `a` reach are built.  A label no state of the b-side
+    reads leads to the empty set, which is the sink: no completion over the
+    alphabet is needed.  accept_pair decides acceptance from whether each
+    side's set holds an accepting state; when it rejects every pair with an
+    empty b-side, those pairs are not entered at all."""
+    b = _nfa_union([_nfa_of(x) for x in bs])
+    a_adj, b_adj = _adjacency(a.transitions), _adjacency(b.transitions)
+    sink_live = accept_pair(True, False)
+    start = (frozenset({a.initial}), frozenset(b.initials))
+    index = {start: 0}
+    todo = [start]
     trans: set[tuple[int, Label, int]] = set()
     accs: set[int] = set()
     while todo:
         pair = todo.pop()
-        pa, pb = pair
-        if accept_pair(pa in a.accepting, pb in b.accepting):
-            accs.add(index[pair])
-        for lab, ta in a_adj.get(pa, {}).items():
-            tb = b_adj.get(pb, {}).get(lab)
-            if tb is None:
+        sa, sb = pair
+        i = index[pair]
+        if accept_pair(a.accepting in sa, not b.accepting.isdisjoint(sb)):
+            accs.add(i)
+        for lab, ta in _step(a_adj, sa).items():
+            tb = frozenset(t for s in sb for t in b_adj.get(s, {}).get(lab, ()))
+            if not tb and not sink_live:
                 continue
-            npair = (ta, tb)
+            npair = (frozenset(ta), tb)
             if npair not in index:
                 index[npair] = len(index)
                 todo.append(npair)
-            trans.add((index[pair], lab, index[npair]))
+            trans.add((i, lab, index[npair]))
     return _NFA(trans, {0}, accs, set(index.values()))
-
-
-def _nfa_complete(n: _NFA, alphabet: frozenset[Label]) -> _NFA:
-    """Add a dead sink so every state has a transition for every label."""
-    sink = max(n.states, default=-1) + 1
-    adj: dict[int, set[Label]] = {}
-    for s, lab, _ in n.transitions:
-        adj.setdefault(s, set()).add(lab)
-    trans = set(n.transitions)
-    states = set(n.states)
-    used_sink = False
-    for s in list(states):
-        for lab in alphabet:
-            if lab not in adj.get(s, set()):
-                trans.add((s, lab, sink))
-                used_sink = True
-    if used_sink:
-        states.add(sink)
-        for lab in alphabet:
-            trans.add((sink, lab, sink))
-    return _NFA(trans, set(n.initials), set(n.accepting), states)
 
 
 def _nfa_trim(n: _NFA) -> _NFA:
@@ -504,35 +493,27 @@ def determinize(a: PCFA) -> PCFA:
 
 
 def intersect(a: PCFA, b: PCFA) -> PCFA:
-    da = _nfa_determinize(_nfa_of(a))
-    db = _nfa_determinize(_nfa_of(b))
-    return _to_pcfa(_nfa_product(da, db, lambda x, y: x and y))
+    return _to_pcfa(_subset_product(a, [b], lambda x, y: x and y))
 
 
-def union(a: PCFA, b: PCFA, alphabet: Iterable[Label] = ()) -> PCFA:
+def union(a: PCFA, b: PCFA) -> PCFA:
     return _to_pcfa(
         _nfa_determinize(_nfa_union([_nfa_of(a), _nfa_of(b)]))
     )
 
 
-def difference(a: PCFA, b: PCFA, alphabet: Iterable[Label] = ()) -> PCFA:
-    return _to_pcfa(difference_nfa(a, [b], alphabet))
+def difference(a: PCFA, b: PCFA) -> PCFA:
+    return _to_pcfa(difference_nfa(a, [b]))
 
 
-def difference_all(a: PCFA, bs: list["PCFA"], alphabet: Iterable[Label] = ()) -> PCFA:
+def difference_all(a: PCFA, bs: list["PCFA"]) -> PCFA:
     """L(a) minus the union of the bs."""
-    return _to_pcfa(difference_nfa(a, bs, alphabet))
+    return _to_pcfa(difference_nfa(a, bs))
 
 
-def difference_nfa(a: PCFA, bs: list[PCFA], alphabet: Iterable[Label] = ()) -> _NFA:
+def difference_nfa(a: PCFA, bs: list[PCFA]) -> _NFA:
     """L(a) minus the union of the bs, as a deterministic internal value."""
-    sigma = frozenset(alphabet) | a.alphabet
-    for b in bs:
-        sigma |= b.alphabet
-    da = _nfa_determinize(_nfa_of(a))
-    db = _nfa_determinize(_nfa_union([_nfa_of(b) for b in bs])) if bs else _NFA(set(), {0}, set(), {0})
-    db = _nfa_complete(db, sigma)
-    return _nfa_product(da, db, lambda x, y: x and not y)
+    return _subset_product(a, bs, lambda x, y: x and not y)
 
 
 def nfa_is_empty(n: _NFA) -> bool:

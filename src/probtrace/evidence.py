@@ -27,7 +27,7 @@ from .cfa import (
     Assume,
     Label,
     Pb,
-    difference,
+    difference_all,
     is_empty,
     minimize,
     normalize,
@@ -198,10 +198,9 @@ def _linear(trace: Sequence[Label]) -> PCFA:
 
 
 def _erase_traces(aut: PCFA, traces: Sequence[Trace]) -> PCFA:
-    out = aut
-    for tr in traces:
-        out = difference(out, _linear(tr))
-    return out
+    if not traces:
+        return aut
+    return difference_all(aut, [_linear(tr) for tr in traces])
 
 
 def _optimal_subcfmdp(aut: PCFA, optimal_actions: dict) -> PCFA:
@@ -351,10 +350,7 @@ def examine(
             for c in cells:
                 if is_empty(c.aut):
                     continue
-                out = c.aut
-                for f in fresh_fhas:
-                    out = difference(out, f.base)
-                c.aut = _tidy(out)
+                c.aut = _tidy(difference_all(c.aut, [f.base for f in fresh_fhas]))
 
         # split on the mainstream's shared precondition, erasing each trace
         # only from compartments whose states cannot run it

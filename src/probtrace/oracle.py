@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
-from .cfa import Assign, Assume, Label, PCFA, Pb, action_of
+from .cfa import Assign, Assume, PCFA, Pb, action_of
 from .formula import Formula, IntTerm, bool_vars, feval, int_vars
 
 DEFAULT_RANGE = (-4, 4)
@@ -166,7 +166,3 @@ def exact_violation_probability(
     if not seen_any:
         return _ZERO
     return best
-
-
-def enumerate_traces(P: PCFA, max_len: int) -> list[tuple[Label, ...]]:
-    return P.enumerate_traces(max_len)

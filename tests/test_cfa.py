@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from probtrace import cfa
 from probtrace.cfa import (
     PCFA,
     Assign,
@@ -196,6 +197,66 @@ def test_difference_nfa_empty_and_shortest_agree():
             assert a.accepts(w) and not b.accepts(w)
             if lang:
                 assert len(w) <= min(len(t) for t in lang)
+
+
+def nfa_language(n, depth: int) -> set:
+    """Accepted words of length <= depth of an internal automaton."""
+    out = set()
+    frontier = {(s, ()) for s in n.initials}
+    for _ in range(depth + 1):
+        out |= {tr for s, tr in frontier if s in n.accepting}
+        frontier = {
+            (t, tr + (lab,))
+            for s, tr in frontier
+            if len(tr) < depth
+            for src, lab, t in n.transitions
+            if src == s
+        }
+    return out
+
+
+def random_nondeterministic_nfa(rng: random.Random) -> PCFA:
+    while True:
+        a = random_nfa(rng)
+        if not a.is_deterministic():
+            return a
+
+
+def test_difference_nfa_of_nondeterministic_left_operand_randomized():
+    rng = random.Random(707)
+    for _ in range(30):
+        a = random_nondeterministic_nfa(rng)
+        bs = [random_nfa(rng) for _ in range(3)]
+        n = difference_nfa(a, bs)
+        want = bounded_language(a, 5) - set().union(
+            *(bounded_language(b, 5) for b in bs)
+        )
+        assert nfa_language(n, 5) == want
+        labels_out = [(s, lab) for s, lab, _ in n.transitions]
+        assert len(labels_out) == len(set(labels_out))  # deterministic
+
+
+def test_difference_nfa_explores_only_the_left_operand(monkeypatch):
+    def whole_subset_construction(n):
+        raise AssertionError("an operand was determinized up front")
+
+    monkeypatch.setattr(cfa, "_nfa_determinize", whole_subset_construction)
+    rng = random.Random(808)
+    for _ in range(30):
+        word = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 6))]
+        a = PCFA({(i, lab, i + 1) for i, lab in enumerate(word)}, 0, len(word))
+        bs = [random_nfa(rng) for _ in range(rng.randint(0, 3))]
+        assert len(difference_nfa(a, bs).states) <= len(word) + 1
+
+
+def test_intersect_of_nondeterministic_pair_randomized():
+    rng = random.Random(909)
+    for _ in range(30):
+        a = random_nondeterministic_nfa(rng)
+        b = random_nondeterministic_nfa(rng)
+        depth = 5
+        la, lb = bounded_language(a, depth), bounded_language(b, depth)
+        assert bounded_language(intersect(a, b), depth) == la & lb
 
 
 def test_products_keep_accepting_a_sink():

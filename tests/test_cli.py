@@ -327,3 +327,14 @@ def test_module_invocation():
     assert proc.returncode == EXIT_SAT
     data = json.loads(proc.stdout)
     assert Fraction(data["lo_num"], data["lo_den"]) == Fraction(15, 32)
+
+
+def test_package_invocation_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "probtrace", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    for command in ("verify", "check", "oracle", "bench"):
+        assert command in proc.stdout
