@@ -7,6 +7,11 @@ so every formula built through the smart constructors is in negation normal
 form with complement-free atoms.  That makes syntactic deduplication do a
 lot of semantic work for free, which the proof-generalisation code relies
 on when it merges equal propositions.
+
+Constructor output is canonical: ``simplify``, which rebuilds a formula
+through the constructors, returns every formula they built unchanged.  So
+code that only combines constructor output never needs to call it; it is
+for formulas whose nodes were made directly.
 """
 
 from __future__ import annotations

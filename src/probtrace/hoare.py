@@ -5,6 +5,13 @@ per location such that every edge (l, sigma, l') is a valid Hoare triple
 {lam(l)} sigma {lam(l')}.  Generalization turns one classified trace into
 such an automaton in three phases: proposition insertion along the trace,
 merging of locations that carry the same proposition, and edge saturation.
+
+Propositions come from the formula smart constructors, which build canonical
+formulas, so merging compares them as built.  Saturation adds every valid
+edge but asks the solver once per distinct weakest precondition: for a
+target t, skip, coin and nondeterministic labels, and assignments to
+variables lam(t) does not mention, all leave !lam(t) unchanged and share one
+query per source.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cfa import PCFA, Label
-from .formula import FALSE, Formula, fand, fnot, simplify
+from .formula import FALSE, Formula, fand, fnot
 from .semantics import (
     NonViolating,
     Violating,
@@ -72,15 +79,12 @@ def _chain(props: Sequence[Formula], labels: Sequence[Label]) -> FloydHoareAutom
 
 
 def merge_same_proposition(fha: FloydHoareAutomaton) -> FloydHoareAutomaton:
-    """Quotient locations whose propositions are syntactically equal after
-    simplification.  Preserves every accepted trace (may add more)."""
+    """Quotient locations whose propositions are syntactically equal.
+    Preserves every accepted trace (may add more)."""
     rep: dict[Formula, int] = {}
-    remap: dict[int, int] = {}
-    for loc in sorted(fha.base.locations):
-        f = simplify(fha.lam[loc])
-        if f not in rep:
-            rep[f] = loc
-        remap[loc] = rep[f]
+    remap = {
+        loc: rep.setdefault(fha.lam[loc], loc) for loc in sorted(fha.base.locations)
+    }
     base = PCFA(
         {(remap[s], lab, remap[t]) for s, lab, t in fha.base.transitions},
         remap[fha.base.initial],
@@ -94,17 +98,29 @@ def merge_same_proposition(fha: FloydHoareAutomaton) -> FloydHoareAutomaton:
 def saturate_edges(
     fha: FloydHoareAutomaton, alphabet: Iterable[Label], solver: Solver
 ) -> FloydHoareAutomaton:
-    """Add every edge (l, sigma, l') whose Hoare triple holds.  Idempotent."""
+    """Add every edge (l, sigma, l') whose Hoare triple holds.  Idempotent.
+
+    The triple {lam(s)} sigma {lam(t)} fails exactly when
+    lam(s) && pre_exists(sigma, !lam(t)) is satisfiable.  For each target t
+    the labels are grouped by that weakest precondition w, so each (s, w)
+    pair is one query, asked only while one of its edges is missing; when it
+    is unsat, every missing edge of the group is added.  Validity of a triple
+    does not depend on which edges already exist, so the edge set is the one
+    checking each triple on its own would give.
+    """
     labels = sorted(set(alphabet) | set(fha.base.alphabet), key=_label_sort)
     trans = set(fha.base.transitions)
     locs = sorted(fha.base.locations)
-    for s in locs:
+    for t in locs:
+        nq = fnot(fha.lam[t])
+        groups: dict[Formula, list[Label]] = {}
         for lab in labels:
-            for t in locs:
-                if (s, lab, t) not in trans and hoare_valid(
-                    fha.lam[s], lab, fha.lam[t], solver
-                ):
-                    trans.add((s, lab, t))
+            groups.setdefault(pre_exists(lab, nq), []).append(lab)
+        for s in locs:
+            for w, labs in groups.items():
+                missing = [(s, lab, t) for lab in labs if (s, lab, t) not in trans]
+                if missing and not solver.is_sat(fand(fha.lam[s], w)):
+                    trans.update(missing)
     base = PCFA(trans, fha.base.initial, fha.base.accepting, fha.base.locations)
     return FloydHoareAutomaton(base, dict(fha.lam))
 
@@ -132,7 +148,7 @@ def generalize_nonviolating(
     if not isinstance(classify(trace, spec, solver), NonViolating):
         raise ValueError("trace does not satisfy the contract")
     labels = list(trace)
-    head = simplify(spec.pre)
+    head = spec.pre
     if not labels:
         fha = FloydHoareAutomaton(PCFA((), 0, 0), {0: head})
         return saturate_edges(merge_same_proposition(fha), alphabet, solver)
@@ -141,7 +157,7 @@ def generalize_nonviolating(
     if hoare_valid(last, labels[-1], FALSE, solver):
         acc = FALSE
     else:
-        acc = simplify(spec.post)
+        acc = spec.post
     props = [head] + interiors + [acc]
     fha = _chain(props, labels)
     return saturate_edges(merge_same_proposition(fha), alphabet, solver)
@@ -161,13 +177,13 @@ def generalize_violating(
     if not isinstance(classify(trace, spec, solver), Violating):
         raise ValueError("trace does not violate the contract")
     labels = list(trace)
-    acc = simplify(fnot(spec.post))
+    acc = fnot(spec.post)
     props = [acc]
     cur = acc
     for lab in reversed(labels):
-        cur = simplify(pre_exists(lab, cur))
+        cur = pre_exists(lab, cur)
         props.append(cur)
     props.reverse()
-    props[0] = simplify(fand(spec.pre, props[0]))
+    props[0] = fand(spec.pre, props[0])
     fha = _chain(props, labels)
     return saturate_edges(merge_same_proposition(fha), alphabet, solver)

@@ -22,7 +22,6 @@ from .formula import (
     fand,
     fimplies,
     fnot,
-    simplify,
     subst_bool,
     subst_int,
 )
@@ -90,7 +89,7 @@ def wp_demonic_trace(trace: Sequence[Label], phi: Formula) -> Formula:
 def path_condition(trace: Sequence[Label], spec) -> Formula:
     """Initial states satisfying the precondition from which the trace runs
     to completion and ends in violation of the postcondition."""
-    return simplify(fand(spec.pre, pre_exists_trace(trace, fnot(spec.post))))
+    return fand(spec.pre, pre_exists_trace(trace, fnot(spec.post)))
 
 
 @dataclass(frozen=True)

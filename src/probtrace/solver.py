@@ -863,7 +863,9 @@ class Solver:
             self.time_spent += time.monotonic() - t0
 
     def is_sat(self, f: Formula) -> bool:
-        f = simplify(f)
+        """Satisfiability of `f`, cached on the formula as built: the smart
+        constructors already return canonical formulas, and the backend
+        simplifies whatever it is given."""
         if f == TRUE:
             return True
         if f == FALSE:
@@ -880,7 +882,6 @@ class Solver:
         return result
 
     def get_model(self, f: Formula) -> Optional[dict]:
-        f = simplify(f)
         if f == FALSE:
             return None
         if f in self._model_cache:

@@ -191,6 +191,41 @@ def test_simplify_idempotent_randomized():
         assert simplify(g) == g
 
 
+def _random_built(rng: random.Random, depth: int = 3):
+    """A formula built only through the smart constructors and substitution.
+    Terms often share a linear base, so interval absorption gets exercised."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.2:
+            return bvar(rng.choice(["B", "C"]))
+        base = rng.choice([{"X": 1}, {"Y": 1}, {"X": 1, "Y": 1}, {"X": -2}, None])
+        if base is None:
+            base = {v: rng.randint(-3, 3) for v in ("X", "Y")}
+        t = IntTerm.make(base, rng.randint(-3, 3))
+        return rng.choice([le, lt, eq, ne])(t, rng.randint(-3, 3))
+    kind = rng.random()
+    if kind < 0.3:
+        return fand(*(_random_built(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if kind < 0.6:
+        return for_(*(_random_built(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if kind < 0.75:
+        return fnot(_random_built(rng, depth - 1))
+    if kind < 0.9:
+        repl = IntTerm.make({v: rng.randint(-2, 2) for v in ("X", "Y")}, rng.randint(-3, 3))
+        return subst_int(_random_built(rng, depth - 1), rng.choice("XY"), repl)
+    return subst_bool(
+        _random_built(rng, depth - 1), rng.choice("BC"), _random_built(rng, depth - 1)
+    )
+
+
+def test_constructor_output_is_canonical_randomized():
+    # the solver facade and the Hoare layer use constructor output as built,
+    # which is sound only while simplify leaves it unchanged
+    rng = random.Random(4404)
+    for _ in range(2500):
+        f = _random_built(rng)
+        assert simplify(f) == f, f"{f}  simplifies to  {simplify(f)}"
+
+
 def test_simplify_orders_deterministically():
     f1 = fand(le(X, 3), bvar("B"), ge(Y, 0))
     f2 = fand(ge(Y, 0), bvar("B"), le(X, 3))

@@ -1,6 +1,8 @@
 """Trace generalization: proposition-annotated automata whose every edge is
 a valid Hoare triple, built from a single classified trace."""
 
+import random
+
 import pytest
 
 from probtrace.cfa import PCFA, Assign, Assume, Pb, SkipL, intersect
@@ -8,9 +10,11 @@ from probtrace.formula import (
     FALSE,
     TRUE,
     as_term,
+    bvar,
     eq,
     fand,
     fnot,
+    for_,
     ge,
     ivar,
     le,
@@ -25,7 +29,14 @@ from probtrace.hoare import (
     saturate_edges,
 )
 from probtrace.lang import parse_label, to_pcfa
-from probtrace.semantics import NonViolating, Violating, classify, path_condition
+from probtrace.semantics import (
+    NonViolating,
+    Violating,
+    classify,
+    hoare_valid,
+    path_condition,
+    pre_exists,
+)
 
 from helpers import load_program
 
@@ -145,6 +156,85 @@ def test_saturate_is_idempotent(solver):
     once = saturate_edges(fha, alphabet, solver)
     twice = saturate_edges(once, alphabet, solver)
     assert once.base.transitions == twice.base.transitions
+
+
+SAT_SORTS = {"X": "int", "Y": "int", "Z": "int", "B": "bool"}
+PROP_POOL = [
+    TRUE,
+    FALSE,
+    eq(X, 0),
+    le(X, 1),
+    ge(ivar("Y"), 2),
+    fand(eq(X, 0), ge(ivar("Y"), 0)),
+    for_(bvar("B"), le(X, -1)),
+    bvar("B"),
+]
+LABEL_POOL = [
+    parse_label(text, SAT_SORTS)
+    for text in [
+        "skip",
+        "pb(0,L)",
+        "pb(0,R)",
+        "pb(1,L)",
+        "nd(0)",
+        "nd(1)",
+        "X := 0",
+        "X := X + 1",
+        "Y := X",
+        "Z := Z + 1",
+        "B := X >= 0",
+        "assume X >= 1",
+        "assume B",
+    ]
+]
+
+
+def _saturate_naive(fha, alphabet, solver):
+    labels = set(alphabet) | set(fha.base.alphabet)
+    locs = fha.base.locations
+    return set(fha.base.transitions) | {
+        (s, lab, t)
+        for s in locs
+        for lab in labels
+        for t in locs
+        if hoare_valid(fha.lam[s], lab, fha.lam[t], solver)
+    }
+
+
+def test_saturate_matches_the_per_triple_check_randomized(solver):
+    rng = random.Random(2013)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        edges = {
+            (rng.randrange(n), rng.choice(LABEL_POOL), rng.randrange(n))
+            for _ in range(rng.randint(0, 3))
+        }
+        base = PCFA(edges, 0, n - 1, locations=set(range(n)))
+        fha = FloydHoareAutomaton(base, {l: rng.choice(PROP_POOL) for l in range(n)})
+        alphabet = rng.sample(LABEL_POOL, rng.randint(1, len(LABEL_POOL)))
+        fat = saturate_edges(fha, alphabet, solver)
+        assert fat.base.transitions == _saturate_naive(fha, alphabet, solver)
+        assert fat.lam == fha.lam
+
+
+def test_saturate_asks_one_query_per_weakest_precondition(solver, monkeypatch):
+    # skip and both coin sides leave every proposition unchanged, so for each
+    # (source, target) pair they share one query
+    calls = []
+    is_sat = solver.is_sat
+    monkeypatch.setattr(solver, "is_sat", lambda f: calls.append(f) or is_sat(f))
+    base = PCFA({(0, lab("X := 0"), 1), (1, lab("X := X + 1"), 2)}, 0, 2)
+    fha = FloydHoareAutomaton(base, {0: TRUE, 1: eq(X, 0), 2: ge(X, 1)})
+    alphabet = [lab(s) for s in ["skip", "pb(0,L)", "pb(0,R)", "X := 0", "X := X + 1"]]
+    fat = saturate_edges(fha, alphabet, solver)
+    locs = fha.base.locations
+    groups = sum(
+        len({pre_exists(a, fnot(fha.lam[t])) for a in alphabet}) for t in locs
+    )
+    assert groups == 7
+    assert len(calls) <= len(locs) * groups
+    monkeypatch.undo()
+    assert fat.base.transitions == _saturate_naive(fha, alphabet, solver)
 
 
 # ---------------------------------------------------------------------------
