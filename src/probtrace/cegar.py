@@ -63,7 +63,7 @@ from .evidence import (
     examine,
     validate_counterexample,
 )
-from .formula import Formula, fand, simplify
+from .formula import Formula, fand
 from .hoare import FloydHoareAutomaton, check_floyd_hoare, generalize_nonviolating, generalize_violating
 from .lang import ParseError, parse_formula, parse_label
 from .markov import mdp_upper_bound, merge_traces
@@ -117,7 +117,6 @@ def verify(
     *,
     max_iters: int = 500,
     trace_budget: int = 10_000,
-    round_cap: int = 64,
     events: Optional[list] = None,
 ) -> Verdict:
     """Decide whether the probability of violating the contract is at most
@@ -163,7 +162,6 @@ def verify(
                 solver,
                 alphabet=sigma,
                 trace_budget=trace_budget,
-                round_cap=round_cap,
                 events=events,
             )
             qs.extend(new_q)
@@ -222,7 +220,7 @@ def _greedy_counterexample(
         for j, (tr, pc) in enumerate(order):
             if j == i:
                 continue
-            joint = simplify(fand(pre, pc))
+            joint = fand(pre, pc)
             if not solver.is_sat(joint):
                 continue
             if merge_traces(traces + [tr]) is None:

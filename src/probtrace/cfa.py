@@ -280,23 +280,7 @@ def is_empty(a: PCFA) -> bool:
 
 def shortest_accepted_trace(a: PCFA) -> Optional[tuple[Label, ...]]:
     """Minimal-length accepted trace; ties broken by the label order."""
-    if is_empty(a):
-        return None
-    # BFS where each frontier state remembers the best (lexicographically
-    # least) trace reaching it at the current depth.
-    best: dict[int, tuple] = {a.initial: ()}
-    while True:
-        if a.accepting in best:
-            return best[a.accepting]
-        nxt: dict[int, tuple] = {}
-        for s, tr in best.items():
-            for lab, t in a.out_edges(s):
-                cand = tr + (lab,)
-                if t not in nxt or trace_key(cand) < trace_key(nxt[t]):
-                    nxt[t] = cand
-        best = nxt
-        if not best:
-            return None
+    return nfa_shortest(_nfa_of(a))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +506,15 @@ def nfa_is_empty(n: _NFA) -> bool:
 
 
 def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:
-    """Shortest accepted word of an internal automaton, same tie-break as
-    shortest_accepted_trace."""
+    """Shortest accepted word of an internal automaton, ties broken by the
+    label order; None when no accepting state is reachable.
+
+    Breadth-first, each frontier state keeping the least trace reaching it
+    at the current depth.  A state is expanded at the first depth it is
+    reached only: a shortest word never revisits a state, so this changes
+    no answer and bounds the search by the number of states."""
     best: dict[int, tuple] = {s: () for s in n.initials}
+    seen = set(best)
     adj: dict[int, list[tuple[Label, int]]] = {}
     for s, lab, t in n.transitions:
         adj.setdefault(s, []).append((lab, t))
@@ -537,9 +527,12 @@ def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:
         nxt: dict[int, tuple] = {}
         for s, tr in best.items():
             for lab, t in adj.get(s, ()):
+                if t in seen:
+                    continue
                 cand = tr + (lab,)
                 if t not in nxt or trace_key(cand) < trace_key(nxt[t]):
                     nxt[t] = cand
+        seen.update(nxt)
         best = nxt
     return None
 

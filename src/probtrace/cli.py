@@ -70,10 +70,6 @@ def render_fraction(f: Fraction) -> str:
     return f"{f} (~{float(f):.6g})"
 
 
-def render_trace(trace) -> str:
-    return "; ".join(str(lab) for lab in trace)
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)

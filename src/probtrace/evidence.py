@@ -35,7 +35,7 @@ from .cfa import (
     trim,
     union,
 )
-from .formula import Formula, fand, fnot, simplify
+from .formula import Formula, fand, fnot
 from .hoare import FloydHoareAutomaton, generalize_nonviolating
 from .markov import analyze_mdp, check_cfmdp, merge_traces
 from .semantics import path_condition, pre_exists_trace, weight
@@ -157,7 +157,6 @@ def add_split_condition(a: PCFA, h: Formula, solver: Solver) -> PCFA:
     module is already split this way, the existing assumption edges are
     refined in place (each guard g becomes g and h / g and not h) instead of
     stacking another layer."""
-    h = simplify(h)
     if not solver.is_sat(h) or not solver.is_sat(fnot(h)):
         raise ValueError("split condition must be neither valid nor unsatisfiable")
     out_labels = a.out_edges(a.initial)
@@ -169,14 +168,13 @@ def add_split_condition(a: PCFA, h: Formula, solver: Solver) -> PCFA:
         for lab, tgt in out_labels:
             trans.discard((a.initial, lab, tgt))
             for part in (fand(lab.cond, h), fand(lab.cond, fnot(h))):
-                part = simplify(part)
                 if solver.is_sat(part):
                     trans.add((a.initial, Assume(part), tgt))
         return PCFA(trans, a.initial, a.accepting).renumber()
     fresh = max(a.locations) + 1
     trans = set(a.transitions)
     trans.add((fresh, Assume(h), a.initial))
-    trans.add((fresh, Assume(simplify(fnot(h))), a.initial))
+    trans.add((fresh, Assume(fnot(h)), a.initial))
     return PCFA(trans, fresh, a.accepting).renumber()
 
 
@@ -247,7 +245,7 @@ def examine(
     if events is None:
         events = []
     sigma = frozenset(alphabet) if alphabet is not None else a.alphabet
-    cells = [_Cell(simplify(spec.pre), _tidy(a))]
+    cells = [_Cell(spec.pre, _tidy(a))]
     q_new: list[FloydHoareAutomaton] = []
 
     def cover() -> PCFA:
@@ -279,7 +277,7 @@ def examine(
         sub = _optimal_subcfmdp(cell.aut, analysis.optimal_actions)
         mainstream_traces: list[Trace] = []
         mainstream_pcs: list[Formula] = []
-        total_pre = simplify(fand(spec.pre, cell.guard))
+        total_pre = fand(spec.pre, cell.guard)
         pc_core: Optional[Formula] = None  # conjunction of mainstream pcs
         mainstream_mass = Fraction(0)
         incompat: list[tuple[Trace, Formula]] = []
@@ -292,7 +290,7 @@ def examine(
             for tr in batch:
                 w = weight(tr)
                 pc = path_condition(tr, spec)
-                guarded = simplify(fand(cell.guard, pc))
+                guarded = fand(cell.guard, pc)
                 if not solver.is_sat(guarded):
                     if solver.is_sat(pc):
                         # violating outside this compartment only
@@ -309,8 +307,8 @@ def examine(
                 ) is not None:
                     mainstream_traces.append(tr)
                     mainstream_pcs.append(pc)
-                    total_pre = simplify(fand(total_pre, pc))
-                    pc_core = pc if pc_core is None else simplify(fand(pc_core, pc))
+                    total_pre = fand(total_pre, pc)
+                    pc_core = pc if pc_core is None else fand(pc_core, pc)
                     mainstream_mass += w
                     events.append(("mainstream", tr, pc, mainstream_mass))
                     if mainstream_mass > beta:
@@ -356,11 +354,11 @@ def examine(
         # only from compartments whose states cannot run it
         incompat_traces = [tr for tr, _ in incompat]
         if mainstream_traces:
-            h = simplify(fand(cell.guard, pc_core))
+            h = fand(cell.guard, pc_core)
             events.append(("split", pc_core))
             mined_aut = _tidy(_erase_traces(cells[idx].aut, incompat_traces))
             new_cells = [_Cell(h, mined_aut, mined=True)]
-            other_guard = simplify(fand(cell.guard, fnot(pc_core)))
+            other_guard = fand(cell.guard, fnot(pc_core))
             if solver.is_sat(other_guard):
                 erasable = [
                     tr

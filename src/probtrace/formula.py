@@ -8,10 +8,13 @@ form with complement-free atoms.  That makes syntactic deduplication do a
 lot of semantic work for free, which the proof-generalisation code relies
 on when it merges equal propositions.
 
-Constructor output is canonical: ``simplify``, which rebuilds a formula
-through the constructors, returns every formula they built unchanged.  So
-code that only combines constructor output never needs to call it; it is
-for formulas whose nodes were made directly.
+Constructor output is canonical, and this module is the only one that
+knows the canonical form: no code elsewhere in the package builds a node
+directly (parsed programs, certificates and solver replies all go through
+the constructors), so every formula is used as built.  ``simplify``, which
+rebuilds a formula through the constructors, returns every formula they
+built unchanged; it is the reference the tests hold the constructors to,
+and no verifier code calls it.
 """
 
 from __future__ import annotations

@@ -107,12 +107,6 @@ class Program:
     declarations: tuple[tuple[str, str], ...]  # (name, "int"|"bool")
     body: Stmt
 
-    def sort_of(self, name: str) -> Optional[str]:
-        for n, s in self.declarations:
-            if n == name:
-                return s
-        return None
-
     @property
     def int_vars(self) -> tuple[str, ...]:
         return tuple(n for n, s in self.declarations if s == "int")

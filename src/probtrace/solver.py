@@ -56,7 +56,6 @@ from .formula import (
     int_vars,
     ivar,
     le,
-    simplify,
     smt2_decls,
     subst_bool,
     subst_int,
@@ -437,8 +436,9 @@ class BuiltinSolver:
     name = "builtin"
     supports_interpolation = False
 
-    def check(self, formula: Formula) -> tuple[str, Optional[dict]]:
-        f = simplify(formula)
+    def check(self, f: Formula) -> tuple[str, Optional[dict]]:
+        """Decide `f` as given: branching splits on its atoms and the theory
+        step decides any cube of linear atoms, canonical or not."""
         model = self._search(f, {}, [])
         if model is None:
             return ("unsat", None)
@@ -568,7 +568,7 @@ def sexp_to_formula(s, bool_names: frozenset[str]) -> Formula:
         if s == "false":
             return FALSE
         if s in bool_names:
-            return BoolLit(s, True)
+            return bvar(s)
         raise SolverError(f"unknown symbol {s!r}")
     head = s[0]
     if head == "and":
@@ -718,8 +718,7 @@ class ExternalSolver:
 
     # -- queries ------------------------------------------------------------
 
-    def check(self, formula: Formula) -> tuple[str, Optional[dict]]:
-        f = simplify(formula)
+    def check(self, f: Formula) -> tuple[str, Optional[dict]]:
         self._send("(push 1)")
         try:
             for d in smt2_decls(f):
@@ -797,7 +796,7 @@ class ExternalSolver:
                 return None
             try:
                 sexp, _ = parse_sexp(sexp_tokens(text))
-                out = [simplify(sexp_to_formula(s, bools)) for s in sexp]
+                out = [sexp_to_formula(s, bools) for s in sexp]
             except (SolverError, IndexError, ValueError):
                 self.supports_interpolation = False
                 return None
@@ -834,6 +833,9 @@ def find_solver_binary() -> Optional[str]:
     return None
 
 
+_UNASKED = object()  # cache miss; a cached None means unsat
+
+
 class Solver:
     """Caching facade over a backend; all verifier queries go through here."""
 
@@ -844,8 +846,7 @@ class Solver:
             self.backend = ExternalSolver(path, timeout=timeout)
         else:
             self.backend = BuiltinSolver()
-        self._sat_cache: dict[Formula, bool] = {}
-        self._model_cache: dict[Formula, Optional[dict]] = {}
+        self._cache: dict[Formula, Optional[dict]] = {}  # None: unsat
         self.queries = 0
         self.cache_hits = 0
         self.time_spent = 0.0
@@ -862,36 +863,30 @@ class Solver:
         finally:
             self.time_spent += time.monotonic() - t0
 
+    def _lookup(self, f: Formula) -> Optional[dict]:
+        """A model of `f`, or None when it is unsat; one cache, keyed on the
+        formula as built, answers both `is_sat` and `get_model`."""
+        out = self._cache.get(f, _UNASKED)
+        if out is not _UNASKED:
+            self.cache_hits += 1
+            return out
+        status, model = self._check(f)
+        out = self._cache[f] = model if status == "sat" else None
+        return out
+
     def is_sat(self, f: Formula) -> bool:
-        """Satisfiability of `f`, cached on the formula as built: the smart
-        constructors already return canonical formulas, and the backend
-        simplifies whatever it is given."""
+        """Satisfiability of `f`, cached on the formula as built (the smart
+        constructors already return canonical formulas)."""
         if f == TRUE:
             return True
         if f == FALSE:
             return False
-        hit = self._sat_cache.get(f)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit
-        status, model = self._check(f)
-        result = status == "sat"
-        self._sat_cache[f] = result
-        if result:
-            self._model_cache[f] = model
-        return result
+        return self._lookup(f) is not None
 
     def get_model(self, f: Formula) -> Optional[dict]:
         if f == FALSE:
             return None
-        if f in self._model_cache:
-            self.cache_hits += 1
-            return self._model_cache[f]
-        status, model = self._check(f)
-        self._sat_cache[f] = status == "sat"
-        out = model if status == "sat" else None
-        self._model_cache[f] = out
-        return out
+        return self._lookup(f)
 
     def check_sat(self, f: Formula) -> tuple[str, Optional[dict]]:
         """("sat", model) / ("unsat", None); SolverUnknown propagates."""
@@ -1023,7 +1018,7 @@ def project_int_var(f: Formula, var: str) -> Optional[Formula]:
     within unit-coefficient elimination."""
     if var not in int_vars(f):
         return f
-    cubes = _dnf(simplify(f))
+    cubes = _dnf(f)
     if cubes is None:
         return None
     out: list[Formula] = []
@@ -1032,7 +1027,7 @@ def project_int_var(f: Formula, var: str) -> Optional[Formula]:
         if sub is None:
             return None
         out.extend(fand(*c) for c in sub)
-    return simplify(for_(*out))
+    return for_(*out)
 
 
 def strongest_post(lab, phi: Formula) -> Optional[Formula]:
@@ -1041,7 +1036,7 @@ def strongest_post(lab, phi: Formula) -> Optional[Formula]:
     from .cfa import Assign, Assume  # local import: cfa must not need solver
 
     if isinstance(lab, Assume):
-        return simplify(fand(phi, lab.cond))
+        return fand(phi, lab.cond)
     if not isinstance(lab, Assign):
         return phi
     if isinstance(lab.expr, IntTerm):
@@ -1051,11 +1046,11 @@ def strongest_post(lab, phi: Formula) -> Optional[Formula]:
             projected = project_int_var(phi, x)
             if projected is None:
                 return None
-            return simplify(fand(projected, eq(ivar(x), e)))
+            return fand(projected, eq(ivar(x), e))
         if abs(a) == 1:
             # x_new = a*x_old + r  =>  x_old = a*(x_new - r)
             r = IntTerm.make({v: k for v, k in e.coeffs if v != x}, e.const)
-            return simplify(subst_int(phi, x, (ivar(x) - r).scale(a)))
+            return subst_int(phi, x, (ivar(x) - r).scale(a))
         return None
     # boolean assignment: finite-domain elimination of the old value
     b, g = lab.var, lab.expr
@@ -1063,9 +1058,7 @@ def strongest_post(lab, phi: Formula) -> Optional[Formula]:
     phi_f = subst_bool(phi, b, FALSE)
     g_t = subst_bool(g, b, TRUE)
     g_f = subst_bool(g, b, FALSE)
-    return simplify(
-        for_(fand(phi_t, _iff(bvar(b), g_t)), fand(phi_f, _iff(bvar(b), g_f)))
-    )
+    return for_(fand(phi_t, _iff(bvar(b), g_t)), fand(phi_f, _iff(bvar(b), g_f)))
 
 
 def sequence_interpolants(
@@ -1111,7 +1104,7 @@ def sequence_interpolants(
     out: list[Formula] = []
     cur = target
     for lab in reversed(labels[1:]):
-        cur = simplify(wp_demonic(lab, cur))
+        cur = wp_demonic(lab, cur)
         out.append(cur)
     out.reverse()
     return out
@@ -1125,8 +1118,7 @@ def _interpolants_via_backend(
     from .cfa import Assign, Assume
     from . import formula as F
 
-    if not getattr(solver.backend, "supports_interpolation", False) and \
-            solver.backend.supports_interpolation is False:
+    if solver.backend.supports_interpolation is False:
         return None
 
     ints: set[str] = set(int_vars(prefix) | int_vars(suffix))
@@ -1197,5 +1189,5 @@ def _interpolants_via_backend(
             if idx != str(k):
                 return None
             f = subst_bool(f, v, bvar(base))
-        out.append(simplify(f))
+        out.append(f)
     return out

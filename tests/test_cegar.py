@@ -1,5 +1,6 @@
 """End-to-end verification loop and the decomposition certificate format."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from probtrace.evidence import validate_counterexample
 from probtrace.formula import eq, fand, ge, ivar, le, simplify
 from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
+from probtrace.solver import Solver
 
-from helpers import DATA_DIR, load_program
+from helpers import BENCH_DIR, DATA_DIR, load_program
 
 C = ivar("C")
 X = ivar("X")
@@ -196,6 +198,27 @@ def test_certificate_certifies_its_stated_threshold(motivating, certificate, sol
     outcome = check_decomposition(p, spec, beta, qs, a, solver)
     assert isinstance(outcome, Certified)
     assert outcome.upper_bound == Fraction(1, 2)
+
+
+def test_pipeline_uses_formulas_as_built(motivating, certificate, monkeypatch):
+    # the constructors build canonical formulas, so no verifier path, the
+    # solver backend included, may need simplify
+    def boom(f):
+        raise AssertionError("simplify called on a verifier path")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("probtrace") and hasattr(mod, "simplify"):
+            monkeypatch.setattr(mod, "simplify", boom)
+    for name, verdict in (("coupon.prob", Sat), ("counter_over.prob", Unsat)):
+        program, spec = parse((BENCH_DIR / name).read_text())
+        for run_loop in (verify, verify_refutational):
+            got = run_loop(to_pcfa(program), spec, None, Solver())
+            assert isinstance(got, verdict), (name, got)
+    program, spec, p = motivating
+    for run_loop in (verify, verify_refutational):
+        assert isinstance(run_loop(p, spec, None, Solver()), Unsat)
+    beta, a, qs = certificate
+    assert check_decomposition(p, spec, beta, qs, a, Solver()) == Certified(Fraction(1, 2))
 
 
 def test_certificate_rejected_below_true_mass(motivating, certificate, solver):

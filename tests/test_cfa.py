@@ -6,6 +6,7 @@ exactly, so randomized comparisons against Python set algebra are decisive.
 """
 
 import random
+import signal
 
 import pytest
 
@@ -108,6 +109,33 @@ def test_is_empty_and_shortest():
     assert shortest_accepted_trace(a) == (INC, SKIP)
     assert is_empty(empty_pcfa())
     assert shortest_accepted_trace(empty_pcfa()) is None
+
+
+def test_shortest_word_search_ends_without_a_reachable_accepting_state():
+    def hang(signum, frame):
+        raise TimeoutError("nfa_shortest did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        assert nfa_shortest(cfa._NFA({(0, SKIP, 0)}, {0}, {1}, {0, 1})) is None
+        looping = nfa((0, INC, 1), (1, SKIP, 0), (2, RESET, 9))
+        assert shortest_accepted_trace(looping) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_shortest_accepted_trace_is_the_least_shortest_word_randomized():
+    rng = random.Random(2203)
+    for _ in range(150):
+        a = random_nfa(rng)
+        words = bounded_language(a, len(a.locations))
+        got = shortest_accepted_trace(a)
+        if not words:
+            assert got is None
+        else:
+            assert got == min(words, key=lambda tr: (len(tr), trace_key(tr)))
 
 
 def test_label_and_trace_keys_are_total_orders():

@@ -13,6 +13,7 @@ from probtrace.formula import (
     TRUE,
     IntTerm,
     as_term,
+    bool_vars,
     bvar,
     eq,
     fand,
@@ -26,6 +27,7 @@ from probtrace.formula import (
     lt,
     ne,
     simplify,
+    to_smt2,
 )
 from probtrace.cfa import Assign, Assume, SkipL
 from probtrace.semantics import hoare_valid, interpret_label
@@ -36,10 +38,15 @@ from probtrace.solver import (
     SolverError,
     SolverUnknown,
     find_solver_binary,
+    parse_sexp,
     project_int_var,
     sequence_interpolants,
+    sexp_to_formula,
+    sexp_tokens,
     strongest_post,
 )
+
+from test_formula import _random_built
 
 X, Y = ivar("X"), ivar("Y")
 B = bvar("B")
@@ -150,6 +157,15 @@ def test_solver_caches_repeated_queries():
     assert s.cache_hits >= 2
 
 
+def test_model_after_unsat_check_comes_from_the_cache():
+    s = Solver()
+    f = fand(le(X + Y, 0), ge(X, 1), ge(Y, 0))
+    assert not s.is_sat(f)
+    assert s.get_model(f) is None
+    assert s.check_sat(f) == ("unsat", None)
+    assert s.queries == 1
+
+
 def test_default_backend_without_binary_is_builtin(monkeypatch):
     import probtrace.solver as solver_mod
 
@@ -157,6 +173,16 @@ def test_default_backend_without_binary_is_builtin(monkeypatch):
     assert find_solver_binary() is None
     s = Solver()
     assert s.backend_name == "builtin"
+
+
+def test_smt2_round_trip_returns_constructor_output_unchanged():
+    # interpolants are read back through sexp_to_formula and used as read,
+    # so printing and reading a built formula must give the same formula
+    rng = random.Random(8808)
+    for _ in range(2000):
+        f = _random_built(rng)
+        sexp, _ = parse_sexp(sexp_tokens(to_smt2(f)))
+        assert sexp_to_formula(sexp, bool_vars(f)) == f, to_smt2(f)
 
 
 # ---------------------------------------------------------------------------
