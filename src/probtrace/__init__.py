@@ -31,7 +31,6 @@ from .evidence import (
     Counterexample,
     CounterexampleFound,
     Exhausted,
-    Mainstream,
     Verified,
     examine,
     validate_counterexample,
@@ -53,7 +52,6 @@ __all__ = [
     "CounterexampleFound",
     "Exhausted",
     "Inconclusive",
-    "Mainstream",
     "Nd",
     "ParseError",
     "Pb",

@@ -53,7 +53,6 @@ from .cfa import (
     minimize,
     nfa_is_empty,
     nfa_shortest,
-    normalize,
     union,
 )
 from .evidence import (
@@ -154,7 +153,7 @@ def verify(
                 return Unsat(_checked(p, spec, beta, cex, solver), iters)
             gv = generalize_violating(tau, spec, sigma, solver)
             cand = gv.base if a_lang is None else union(a_lang, gv.base)
-            a_cand = normalize(minimize(intersect(cand, p)))
+            a_cand = minimize(intersect(cand, p))
             outcome, cover_aut, new_q = examine(
                 a_cand,
                 spec,
@@ -264,7 +263,7 @@ def verify_refutational(
             if is_empty(residual):
                 bound = found_mass
             else:
-                bound, _ = mdp_upper_bound(normalize(minimize(residual)))
+                bound, _ = mdp_upper_bound(minimize(residual))
                 bound += found_mass
             if bound <= beta:
                 events.append(("sat", bound))
@@ -343,7 +342,7 @@ def check_decomposition(
         if is_empty(core):
             bound = Fraction(0)
         else:
-            bound, _ = mdp_upper_bound(normalize(minimize(core)))
+            bound, _ = mdp_upper_bound(minimize(core))
         if bound <= beta:
             return Certified(bound)
         return Rejected(f"violating mass bound {bound} exceeds threshold {beta}")

@@ -13,14 +13,15 @@ pairs that words of the left operand reach are built, so neither side is
 determinized or completed over the alphabet up front.
 
 Also here: the normalization procedure that forces paired probabilistic
-branches to target distinct locations (needed by the strategy
-constructions), and the fixed total order on labels that makes every
-enumeration in the package reproducible.
+branches to target distinct locations, and the fixed total order on labels
+that makes every enumeration in the package reproducible.  Only the
+strategy constructions need normalization; the verifier never applies it,
+since it splits locations into bisimilar copies and so changes no maximal
+reachability probability.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -151,9 +152,6 @@ class PCFA:
     def alphabet(self) -> frozenset[Label]:
         return frozenset(lab for _, lab, _ in self.transitions)
 
-    def successors(self, loc: int, lab: Label) -> list[int]:
-        return [t for l, t in self.out_edges(loc) if l == lab]
-
     def is_deterministic(self) -> bool:
         for loc in self.locations:
             seen = set()
@@ -178,7 +176,7 @@ class PCFA:
     def accepts(self, trace: Sequence[Label]) -> bool:
         states = {self.initial}
         for lab in trace:
-            states = {t for s in states for t in self.successors(s, lab)}
+            states = {t for s in states for l, t in self.out_edges(s) if l == lab}
             if not states:
                 return False
         return self.accepting in states
@@ -420,48 +418,31 @@ class NotRepresentable(Exception):
 
 
 def _to_pcfa(n: _NFA) -> PCFA:
-    """Coerce a trimmed multi-accepting automaton to the single-accepting
-    shape.  Exact when accepted words are prefix-free (accepting states are
-    dead ends after trimming) — the case for program trace languages; general
+    """Coerce a multi-accepting automaton with one initial state to the
+    single-accepting shape (every producer here starts from state 0 alone).
+    Exact when accepted words are prefix-free (accepting states are dead
+    ends after trimming) — the case for program trace languages; general
     ε-free languages are handled with a fresh final (may lose determinism,
     fine for membership/emptiness uses)."""
     n = _nfa_trim(n)
     if not n.accepting or not n.initials:
         return empty_pcfa()
-    has_out = {s for s, _, _ in n.transitions}
-    eps = bool(n.initials & n.accepting)
-    if eps and (n.transitions or len(n.accepting - n.initials) > 0):
-        # ε together with other words cannot be expressed with one
-        # accepting location that equals the initial one only when the
-        # language is exactly {ε}.
-        if any(s in has_out for s in n.initials):
+    (init,) = n.initials
+    trans, accs = n.transitions, n.accepting
+    has_out = {s for s, _, _ in trans}
+    if init in accs:
+        # one accepting location equal to the initial one carries exactly {ε}
+        if init in has_out:
             raise NotRepresentable("language contains ε and longer words")
-    # single initial?
-    inits = sorted(n.initials)
-    trans = set(n.transitions)
-    states = set(n.states)
-    if len(inits) > 1:
-        fresh = max(states) + 1
-        for s, lab, t in list(trans):
-            if s in n.initials:
-                trans.add((fresh, lab, t))
-        states.add(fresh)
-        init = fresh
-        if n.initials & n.accepting:
-            n.accepting.add(fresh)
-    else:
-        init = inits[0]
-    accs = set(n.accepting)
-    if init in accs and not trans:
         return PCFA((), init, init, locations={init})
     if all(s not in has_out for s in accs):
         # merge accepting dead-ends (exact, determinism-preserving)
         target = min(accs)
-        remap = {s: (target if s in accs else s) for s in states}
+        remap = {s: (target if s in accs else s) for s in n.states}
         out = {(remap[s], lab, remap[t]) for s, lab, t in trans}
         return PCFA(out, remap[init], target).renumber()
     # fresh final with duplicated in-edges
-    final = max(states) + 1
+    final = max(n.states) + 1
     extra = {(s, lab, final) for s, lab, t in trans if t in accs}
     return PCFA(trans | extra, init, final).renumber()
 
@@ -600,7 +581,10 @@ def is_normalized(a: PCFA) -> bool:
 
 def normalize(a: PCFA) -> PCFA:
     """Appendix procedure: first rewrite self-loop coin pairs (case 1), then
-    duplicate shared non-self targets (case 2) until none remain."""
+    duplicate shared non-self targets (case 2) until none remain.
+
+    Only the strategy constructions (``markov.strategy_for_sublanguage``)
+    need a normalized CFMDP; the verifier never calls this."""
     if not a.is_cfmdp():
         raise ValueError("normalize expects a CFMDP")
     trans = set(a.transitions)

@@ -18,19 +18,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cfa import (
     PCFA,
-    Assume,
     Label,
     Pb,
     difference_all,
     is_empty,
     minimize,
-    normalize,
     trace_key,
     trim,
     union,
@@ -47,15 +45,6 @@ Trace = tuple[Label, ...]
 # ---------------------------------------------------------------------------
 # outcome types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Mainstream:
-    """Mutually compatible violating traces with their shared precondition."""
-
-    traces: tuple[Trace, ...]
-    total_pre: Formula
-    total_weight: Fraction
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -148,37 +137,6 @@ def compatible(solver: Solver, total_pre: Formula, pc: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# split conditions (materialized form)
-# ---------------------------------------------------------------------------
-
-def add_split_condition(a: PCFA, h: Formula, solver: Solver) -> PCFA:
-    """Partition the module's initial states on a predicate: a fresh initial
-    location with assume(h) / assume(not h) edges into the old one.  If the
-    module is already split this way, the existing assumption edges are
-    refined in place (each guard g becomes g and h / g and not h) instead of
-    stacking another layer."""
-    if not solver.is_sat(h) or not solver.is_sat(fnot(h)):
-        raise ValueError("split condition must be neither valid nor unsatisfiable")
-    out_labels = a.out_edges(a.initial)
-    already_split = bool(out_labels) and all(
-        isinstance(lab, Assume) for lab, _ in out_labels
-    ) and not any(t == a.initial for _, t in out_labels)
-    if already_split:
-        trans = set(a.transitions)
-        for lab, tgt in out_labels:
-            trans.discard((a.initial, lab, tgt))
-            for part in (fand(lab.cond, h), fand(lab.cond, fnot(h))):
-                if solver.is_sat(part):
-                    trans.add((a.initial, Assume(part), tgt))
-        return PCFA(trans, a.initial, a.accepting).renumber()
-    fresh = max(a.locations) + 1
-    trans = set(a.transitions)
-    trans.add((fresh, Assume(h), a.initial))
-    trans.add((fresh, Assume(fnot(h)), a.initial))
-    return PCFA(trans, fresh, a.accepting).renumber()
-
-
-# ---------------------------------------------------------------------------
 # the examine loop
 # ---------------------------------------------------------------------------
 
@@ -213,13 +171,6 @@ def _optimal_subcfmdp(aut: PCFA, optimal_actions: dict) -> PCFA:
     return trim(PCFA(keep, aut.initial, aut.accepting))
 
 
-def _tidy(aut: PCFA) -> PCFA:
-    aut = trim(aut)
-    if is_empty(aut):
-        return aut
-    return normalize(minimize(aut))
-
-
 def examine(
     a: PCFA,
     spec,
@@ -233,6 +184,9 @@ def examine(
 ) -> tuple[ExamineOutcome, PCFA, list[FloydHoareAutomaton]]:
     """Decide the violating module quantitatively.
 
+    The module may be any CFMDP: paired coin branches may share a target,
+    since maximal reachability and the mined traces do not depend on it.
+
     Returns (outcome, cover automaton, certified non-violating automata).
     The cover automaton is the union of all surviving compartments with
     guards stripped: erasures only ever remove words that are infeasible
@@ -245,7 +199,7 @@ def examine(
     if events is None:
         events = []
     sigma = frozenset(alphabet) if alphabet is not None else a.alphabet
-    cells = [_Cell(spec.pre, _tidy(a))]
+    cells = [_Cell(spec.pre, minimize(a))]
     q_new: list[FloydHoareAutomaton] = []
 
     def cover() -> PCFA:
@@ -255,7 +209,7 @@ def examine(
         out = live[0]
         for part in live[1:]:
             out = union(out, part)
-        return _tidy(out)
+        return minimize(out)
 
     for round_no in range(1, round_cap + 1):
         analyses = [
@@ -348,7 +302,7 @@ def examine(
             for c in cells:
                 if is_empty(c.aut):
                     continue
-                c.aut = _tidy(difference_all(c.aut, [f.base for f in fresh_fhas]))
+                c.aut = minimize(difference_all(c.aut, [f.base for f in fresh_fhas]))
 
         # split on the mainstream's shared precondition, erasing each trace
         # only from compartments whose states cannot run it
@@ -356,7 +310,7 @@ def examine(
         if mainstream_traces:
             h = fand(cell.guard, pc_core)
             events.append(("split", pc_core))
-            mined_aut = _tidy(_erase_traces(cells[idx].aut, incompat_traces))
+            mined_aut = minimize(_erase_traces(cells[idx].aut, incompat_traces))
             new_cells = [_Cell(h, mined_aut, mined=True)]
             other_guard = fand(cell.guard, fnot(pc_core))
             if solver.is_sat(other_guard):
@@ -365,11 +319,11 @@ def examine(
                     for tr, pc in zip(mainstream_traces, mainstream_pcs)
                     if not solver.is_sat(fand(other_guard, pc))
                 ]
-                other_aut = _tidy(_erase_traces(cells[idx].aut, erasable))
+                other_aut = minimize(_erase_traces(cells[idx].aut, erasable))
                 new_cells.append(_Cell(other_guard, other_aut, mined=False))
             cells[idx : idx + 1] = new_cells
         else:
-            cells[idx].aut = _tidy(_erase_traces(cells[idx].aut, incompat_traces))
+            cells[idx].aut = minimize(_erase_traces(cells[idx].aut, incompat_traces))
             cells[idx].mined = True
 
     reason = f"round cap ({round_cap}) exhausted"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cfa import PCFA, Label
+from .cfa import PCFA, Label, label_key
 from .formula import FALSE, Formula, fand, fnot
 from .semantics import (
     NonViolating,
@@ -36,9 +36,6 @@ class FloydHoareAutomaton:
     base: PCFA
     lam: dict  # location -> Formula
 
-    def proposition(self, loc: int) -> Formula:
-        return self.lam[loc]
-
     def renumbered(self) -> "FloydHoareAutomaton":
         order = sorted(self.base.locations)
         remap = {loc: i for i, loc in enumerate(order)}
@@ -51,12 +48,6 @@ class FloydHoareAutomaton:
             ),
             {remap[l]: f for l, f in self.lam.items()},
         )
-
-    def dump(self) -> str:
-        lines = [self.base.dump()]
-        for loc in sorted(self.base.locations):
-            lines.append(f"lam({loc}) = {self.lam[loc]}")
-        return "\n".join(lines)
 
 
 def check_floyd_hoare(fha: FloydHoareAutomaton, solver: Solver) -> bool:
@@ -108,7 +99,7 @@ def saturate_edges(
     does not depend on which edges already exist, so the edge set is the one
     checking each triple on its own would give.
     """
-    labels = sorted(set(alphabet) | set(fha.base.alphabet), key=_label_sort)
+    labels = sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
     trans = set(fha.base.transitions)
     locs = sorted(fha.base.locations)
     for t in locs:
@@ -123,12 +114,6 @@ def saturate_edges(
                     trans.update(missing)
     base = PCFA(trans, fha.base.initial, fha.base.accepting, fha.base.locations)
     return FloydHoareAutomaton(base, dict(fha.lam))
-
-
-def _label_sort(lab: Label):
-    from .cfa import label_key
-
-    return label_key(lab)
 
 
 def generalize_nonviolating(

@@ -107,14 +107,6 @@ class Program:
     declarations: tuple[tuple[str, str], ...]  # (name, "int"|"bool")
     body: Stmt
 
-    @property
-    def int_vars(self) -> tuple[str, ...]:
-        return tuple(n for n, s in self.declarations if s == "int")
-
-    @property
-    def bool_vars(self) -> tuple[str, ...]:
-        return tuple(n for n, s in self.declarations if s == "bool")
-
 
 @dataclass(frozen=True)
 class Specification:
@@ -546,63 +538,6 @@ def parse(text: str) -> tuple[Program, Specification]:
     if not (0 <= beta <= 1):
         raise ParseError(f"@beta {beta} is outside [0,1]", beta_line, 1)
     return program, Specification(pre, post, beta)
-
-
-# ---------------------------------------------------------------------------
-# pretty-printing
-# ---------------------------------------------------------------------------
-
-def _stmt_lines(s: Stmt, indent: str) -> list[str]:
-    if isinstance(s, SSeq):
-        return _stmt_lines(s.first, indent) + _stmt_lines(s.second, indent)
-    if isinstance(s, SAssign):
-        return [f"{indent}{s.var} := {s.expr};"]
-    if isinstance(s, SSkip):
-        return [f"{indent}skip;"]
-    if isinstance(s, SIf):
-        out = [f"{indent}if ({s.cond}) {{"]
-        out += _stmt_lines(s.then, indent + "  ")
-        if isinstance(s.els, SSkip):
-            out.append(f"{indent}}}")
-        else:
-            out.append(f"{indent}}} else {{")
-            out += _stmt_lines(s.els, indent + "  ")
-            out.append(f"{indent}}}")
-        return out
-    if isinstance(s, SWhile):
-        out = [f"{indent}while ({s.cond}) {{"]
-        out += _stmt_lines(s.body, indent + "  ")
-        out.append(f"{indent}}}")
-        return out
-    if isinstance(s, (SProb, SNd)):
-        op = "<+>" if isinstance(s, SProb) else "<*>"
-        out = [f"{indent}{{"]
-        out += _stmt_lines(s.left, indent + "  ")
-        out.append(f"{indent}}} {op} {{")
-        out += _stmt_lines(s.right, indent + "  ")
-        out.append(f"{indent}}}")
-        return out
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def print_program(program: Program, spec: Optional[Specification] = None) -> str:
-    lines: list[str] = []
-    if spec is not None:
-        lines.append(f"@pre {spec.pre}")
-        lines.append(f"@post {spec.post}")
-        beta = spec.beta
-        lines.append(
-            f"@beta {beta.numerator}/{beta.denominator}"
-            if beta.denominator != 1
-            else f"@beta {beta.numerator}"
-        )
-        lines.append("")
-    for name, sort in program.declarations:
-        lines.append(f"{sort} {name};")
-    if program.declarations:
-        lines.append("")
-    lines += _stmt_lines(program.body, "")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,6 @@ class Strategy:
     q0: object
     dead: frozenset = frozenset()  # {(loc, q)}
 
-    def states(self) -> set:
-        qs = {self.q0}
-        for (_, q), (_, q2) in self.delta.items():
-            qs.add(q)
-            qs.add(q2)
-        return qs
-
 
 def memoryless(policy: dict) -> Strategy:
     """Lift a location -> action map to a single-memory-state strategy."""
@@ -377,11 +370,6 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
 def mdp_upper_bound(a: PCFA) -> tuple[Fraction, Strategy]:
     r = analyze_mdp(a)
     return r.bound, memoryless(r.policy)
-
-
-def reason_cfmc(a: PCFA) -> PCFA:
-    bound, psi = mdp_upper_bound(a)
-    return apply_strategy(a, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Two backends sit behind the :class:`Solver` facade:
   is decided with an exact integer Omega test (equality elimination by
   unit substitution / coefficient shrinking, inequality elimination by
   real+dark shadows with splinter fallback).  All arithmetic is bignum
-  integer arithmetic, so answers are exact.
+  integer arithmetic, so answers are exact.  A witness point is searched
+  for only when a caller asks for a model.
 
 * :class:`ExternalSolver` — an SMT-LIB 2 session over a solver subprocess
   (persistent, push/pop scoped, sentinel-framed, restarted on hang).  Used
@@ -24,13 +25,14 @@ the builtin procedure otherwise.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import shutil
 import subprocess
 import threading
 import time
-from typing import Iterable, Optional
+from typing import Optional
 
 from .formula import (
     EQ,
@@ -52,10 +54,8 @@ from .formula import (
     fand,
     fnot,
     for_,
-    ge,
     int_vars,
     ivar,
-    le,
     smt2_decls,
     subst_bool,
     subst_int,
@@ -101,19 +101,6 @@ def _subst_lin(lin: Lin, var: str, repl: Lin) -> Lin:
     return (out, const + c * rconst)
 
 
-def _gcd_all(vals: Iterable[int]) -> int:
-    g = 0
-    for v in vals:
-        g = _gcd(g, abs(v))
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _tighten(lin: Lin) -> Optional[Lin]:
     """Normalise an inequality (<= 0); None means trivially true."""
     coeffs, const = lin
@@ -122,7 +109,7 @@ def _tighten(lin: Lin) -> Optional[Lin]:
         if const <= 0:
             return None
         return ({}, 1)  # canonical false
-    g = _gcd_all(coeffs.values())
+    g = math.gcd(*coeffs.values())
     if g > 1:
         coeffs = {v: c // g for v, c in coeffs.items()}
         const = -((-const) // g)
@@ -166,7 +153,7 @@ def omega_feasible(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> bool:
             if const != 0:
                 return False
             continue
-        g = _gcd_all(coeffs.values())
+        g = math.gcd(*coeffs.values())
         if const % g != 0:
             return False
         if g > 1:
@@ -396,7 +383,11 @@ def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
     return f
 
 
-def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
+def _theory_cube(cmps: list[tuple[Cmp, bool]]) -> Optional[list[tuple[Lin, str]]]:
+    """The first integer-feasible cube of a branch's comparisons, as (lin, op)
+    constraints with op in {LE, EQ} and each disequality split into one of
+    its strict sides; None when no cube is feasible.  The Omega test alone
+    decides: no witness point is searched for here."""
     les: list[Lin] = []
     eqs: list[Lin] = []
     nes: list[Lin] = []
@@ -412,7 +403,7 @@ def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
         else:  # NE
             (nes if val else eqs).append(lin)
 
-    def attempt(les_: list[Lin], nes_: list[Lin]) -> Optional[dict]:
+    def attempt(les_: list[Lin], nes_: list[Lin]) -> Optional[list[tuple[Lin, str]]]:
         if nes_:
             cs, k = nes_[0]
             rest = nes_[1:]
@@ -423,9 +414,7 @@ def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
             return attempt(les_ + [({v: -c for v, c in cs.items()}, -k + 1)], rest)
         if not omega_feasible(eqs, les_):
             return None
-        cons = [((cs, k), EQ) for cs, k in eqs] + [((cs, k), LE) for cs, k in les_]
-        variables = sorted({v for (cs, _), _ in cons for v in cs})
-        return _find_point(cons, variables)
+        return [((cs, k), EQ) for cs, k in eqs] + [((cs, k), LE) for cs, k in les_]
 
     return attempt(les, nes)
 
@@ -437,32 +426,40 @@ class BuiltinSolver:
     supports_interpolation = False
 
     def check(self, f: Formula) -> tuple[str, Optional[dict]]:
-        """Decide `f` as given: branching splits on its atoms and the theory
-        step decides any cube of linear atoms, canonical or not."""
-        model = self._search(f, {}, [])
-        if model is None:
-            return ("unsat", None)
+        """Decide `f` as given: branching splits on its atoms and the Omega
+        test decides any cube of linear atoms, canonical or not.  A sat
+        answer carries no model; `model` searches for one on request."""
+        return ("unsat", None) if self._search(f, {}, []) is None else ("sat", None)
+
+    def model(self, f: Formula) -> Optional[dict]:
+        """A satisfying assignment of `f`, or None when it is unsat: the
+        search of `check`, then a witness point of the cube it decided."""
+        found = self._search(f, {}, [])
+        if found is None:
+            return None
+        bools, cube = found
+        model = _find_point(cube, sorted({v for (cs, _), _ in cube for v in cs}))
+        model.update(bools)
         for v in sorted(int_vars(f)):
             model.setdefault(v, 0)
         for v in sorted(bool_vars(f)):
             model.setdefault(v, False)
         # Omega may have introduced auxiliary variables; hide them
-        return ("sat", {k: v for k, v in model.items() if not k.startswith("_w")})
+        return {k: v for k, v in model.items() if not k.startswith("_w")}
 
     def _search(
         self,
         f: Formula,
         bools: dict,
         cmps: list[tuple[Cmp, bool]],
-    ) -> Optional[dict]:
+    ) -> Optional[tuple[dict, list[tuple[Lin, str]]]]:
+        """(boolean assignment, feasible theory cube) of the first branch
+        that satisfies `f`, or None."""
         if f == FALSE:
             return None
         if f == TRUE:
-            theory = _theory_model(cmps)
-            if theory is None:
-                return None
-            theory.update(bools)
-            return theory
+            cube = _theory_cube(cmps)
+            return None if cube is None else (bools, cube)
         atom = atoms(f)[0]
         for value in (True, False):
             g = _replace_atom(f, atom, value)
@@ -834,6 +831,7 @@ def find_solver_binary() -> Optional[str]:
 
 
 _UNASKED = object()  # cache miss; a cached None means unsat
+_SAT = object()  # cached sat answer whose model nobody has asked for yet
 
 
 class Solver:
@@ -846,7 +844,7 @@ class Solver:
             self.backend = ExternalSolver(path, timeout=timeout)
         else:
             self.backend = BuiltinSolver()
-        self._cache: dict[Formula, Optional[dict]] = {}  # None: unsat
+        self._cache: dict[Formula, object] = {}  # None (unsat), _SAT or a model
         self.queries = 0
         self.cache_hits = 0
         self.time_spent = 0.0
@@ -855,24 +853,27 @@ class Solver:
     def backend_name(self) -> str:
         return self.backend.name
 
-    def _check(self, f: Formula) -> tuple[str, Optional[dict]]:
+    def _ask(self, call, f: Formula):
         self.queries += 1
         t0 = time.monotonic()
         try:
-            return self.backend.check(f)
+            return call(f)
         finally:
             self.time_spent += time.monotonic() - t0
 
-    def _lookup(self, f: Formula) -> Optional[dict]:
-        """A model of `f`, or None when it is unsat; one cache, keyed on the
-        formula as built, answers both `is_sat` and `get_model`."""
+    def _lookup(self, f: Formula) -> object:
+        """None when `f` is unsat, else its model or `_SAT` when the backend
+        decided it without one; one cache, keyed on the formula as built,
+        answers both `is_sat` and `get_model`."""
         out = self._cache.get(f, _UNASKED)
         if out is not _UNASKED:
             self.cache_hits += 1
             return out
-        status, model = self._check(f)
-        out = self._cache[f] = model if status == "sat" else None
-        return out
+        status, model = self._ask(self.backend.check, f)
+        if status == "sat" and model is None:
+            model = _SAT
+        self._cache[f] = model
+        return model
 
     def is_sat(self, f: Formula) -> bool:
         """Satisfiability of `f`, cached on the formula as built (the smart
@@ -884,9 +885,14 @@ class Solver:
         return self._lookup(f) is not None
 
     def get_model(self, f: Formula) -> Optional[dict]:
+        """A model of `f`, or None when it is unsat.  A backend that decides
+        sat without a model (the builtin one) is asked for it here only."""
         if f == FALSE:
             return None
-        return self._lookup(f)
+        out = self._lookup(f)
+        if out is _SAT:
+            out = self._cache[f] = self._ask(self.backend.model, f)
+        return out
 
     def check_sat(self, f: Formula) -> tuple[str, Optional[dict]]:
         """("sat", model) / ("unsat", None); SolverUnknown propagates."""
@@ -1073,7 +1079,7 @@ def sequence_interpolants(
     computation, falls back to the demonic weakest-precondition chain
     (always valid, weakest useful generalization).
     """
-    from .semantics import pre_exists, pre_exists_trace, wp_demonic  # no cycle
+    from .semantics import pre_exists_trace, wp_demonic  # no cycle
 
     labels = list(labels)
     vc = fand(prefix, pre_exists_trace(labels, suffix))

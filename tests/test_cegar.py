@@ -202,13 +202,16 @@ def test_certificate_certifies_its_stated_threshold(motivating, certificate, sol
 
 def test_pipeline_uses_formulas_as_built(motivating, certificate, monkeypatch):
     # the constructors build canonical formulas, so no verifier path, the
-    # solver backend included, may need simplify
-    def boom(f):
-        raise AssertionError("simplify called on a verifier path")
+    # solver backend included, may need simplify; and normalization only
+    # splits locations into bisimilar copies, so no bound or mined trace
+    # needs it either (only the strategy constructions do)
+    for helper in ("simplify", "normalize"):
+        def boom(*args, helper=helper):
+            raise AssertionError(f"{helper} called on a verifier path")
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("probtrace") and hasattr(mod, "simplify"):
-            monkeypatch.setattr(mod, "simplify", boom)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("probtrace") and hasattr(mod, helper):
+                monkeypatch.setattr(mod, helper, boom)
     for name, verdict in (("coupon.prob", Sat), ("counter_over.prob", Unsat)):
         program, spec = parse((BENCH_DIR / name).read_text())
         for run_loop in (verify, verify_refutational):

@@ -5,19 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from probtrace.cfa import PCFA, Assume, SkipL, intersect, minimize, normalize
+from probtrace.cfa import PCFA, SkipL, intersect, minimize, normalize
 from probtrace.evidence import (
     Certificate,
     Counterexample,
     CounterexampleFound,
     Exhausted,
     Verified,
-    add_split_condition,
     enumerate_by_weight,
     examine,
     validate_counterexample,
 )
-from probtrace.formula import FALSE, TRUE, eq, fand, ge, ivar, le, simplify
+from probtrace.formula import FALSE, eq, fand, ge, ivar, le, simplify
 from probtrace.hoare import check_floyd_hoare
 from probtrace.lang import Specification
 from probtrace.markov import mdp_upper_bound
@@ -190,47 +189,6 @@ def test_examine_exhausts_round_cap(setting, solver):
     )
     assert isinstance(outcome, Exhausted)
     assert "round cap" in outcome.reason
-
-
-# ---------------------------------------------------------------------------
-# splitting the initial-state space
-
-
-def test_split_adds_a_guard_layer(solver):
-    a = PCFA({(0, SkipL(), 1)}, 0, 1)
-    split = add_split_condition(a, eq(C, 1), solver)
-    guards = sorted(str(lab.cond) for lab, _ in split.out_edges(split.initial))
-    assert len(guards) == 2
-    assert all(isinstance(lab, Assume) for lab, _ in split.out_edges(split.initial))
-    assert solver.equivalent(
-        next(
-            lab.cond
-            for lab, _ in split.out_edges(split.initial)
-            if solver.is_sat(fand(lab.cond, eq(C, 1)))
-        ),
-        eq(C, 1),
-    )
-
-
-def test_split_refines_in_place(solver):
-    a = PCFA({(0, SkipL(), 1)}, 0, 1)
-    once = add_split_condition(a, eq(C, 1), solver)
-    twice = add_split_condition(once, ge(C, 1), solver)
-    heads = list(twice.out_edges(twice.initial))
-    # one unsatisfiable combination (C = 1 and C < 1) is dropped
-    assert len(heads) == 3
-    assert all(isinstance(lab, Assume) for lab, _ in heads)
-    # still a single guard layer: every guard edge leads straight to skip
-    for _, tgt in heads:
-        assert {str(lab) for lab, _ in twice.out_edges(tgt)} == {"skip"}
-
-
-def test_split_rejects_trivial_conditions(solver):
-    a = PCFA({(0, SkipL(), 1)}, 0, 1)
-    with pytest.raises(ValueError, match="split condition"):
-        add_split_condition(a, TRUE, solver)
-    with pytest.raises(ValueError, match="split condition"):
-        add_split_condition(a, FALSE, solver)
 
 
 # ---------------------------------------------------------------------------

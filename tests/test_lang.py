@@ -12,7 +12,6 @@ from probtrace.lang import (
     parse_formula,
     parse_label,
     parse_term,
-    print_program,
     to_pcfa,
 )
 
@@ -156,16 +155,6 @@ def test_parse_label_roundtrip():
         parse_label("Z := 0", sorts)
     with pytest.raises(ParseError):
         parse_label("what is this", sorts)
-
-
-def test_print_program_reparses():
-    program, spec = parse(MOTIVATING)
-    text = print_program(program, spec)
-    program2, spec2 = parse(text)
-    assert spec2.beta == spec.beta
-    p1, p2 = to_pcfa(program), to_pcfa(program2)
-    assert {str(l) for l in p1.alphabet} == {str(l) for l in p2.alphabet}
-    assert len(p1.locations) == len(p2.locations)
 
 
 def test_nested_choice_numbering_stable():

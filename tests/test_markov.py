@@ -18,7 +18,6 @@ from probtrace.markov import (
     mdp_upper_bound,
     memoryless,
     merge_traces,
-    reason_cfmc,
     strategy_for_sublanguage,
 )
 from probtrace.semantics import weight
@@ -127,8 +126,8 @@ def test_reason_cfmc_attains_the_bound():
         a = random_cfmdp(rng, max_locs=6)
         if a.initial == a.accepting:
             continue
-        bound, _ = mdp_upper_bound(a)
-        reason = reason_cfmc(a)
+        bound, psi = mdp_upper_bound(a)
+        reason = apply_strategy(a, psi)
         assert reason.is_cfmc()
         got = analyze_mdp(reason).bound if reason.transitions else Fraction(0)
         assert got == bound

@@ -3,6 +3,7 @@ the external SMT-LIB subprocess protocol (driven by fake solver scripts)."""
 
 import os
 import random
+import signal
 import stat
 from itertools import product
 
@@ -163,6 +164,27 @@ def test_model_after_unsat_check_comes_from_the_cache():
     assert not s.is_sat(f)
     assert s.get_model(f) is None
     assert s.check_sat(f) == ("unsat", None)
+    assert s.queries == 1
+
+
+def test_decided_query_searches_no_witness(monkeypatch):
+    # the Omega test proves the cube feasible at once; the witness search,
+    # which would walk millions of points here, runs only for a model
+    import probtrace.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "find_solver_binary", lambda: None)
+    s = Solver()
+
+    def hang(signum, frame):
+        raise TimeoutError("is_sat did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        assert s.is_sat(eq(X + Y + ivar("Z"), 1000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
     assert s.queries == 1
 
 
