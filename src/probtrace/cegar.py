@@ -153,7 +153,7 @@ def verify(
                 return Unsat(_checked(p, spec, beta, cex, solver), iters)
             gv = generalize_violating(tau, spec, sigma, solver)
             cand = gv.base if a_lang is None else union(a_lang, gv.base)
-            a_cand = minimize(intersect(cand, p))
+            a_cand = intersect(cand, p)  # examine minimizes its input
             outcome, cover_aut, new_q = examine(
                 a_cand,
                 spec,

@@ -14,13 +14,13 @@ no transformers, no solver, no automata algebra beyond walking edges.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .cfa import Assign, Assume, PCFA, Pb, action_of
-from .formula import Formula, IntTerm, bool_vars, feval, int_vars
+from .cfa import Assign, Assume, PCFA, action_of
+from .formula import IntTerm, bool_vars, feval, int_vars
 
 DEFAULT_RANGE = (-4, 4)
 

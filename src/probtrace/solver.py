@@ -9,8 +9,9 @@ Two backends sit behind the :class:`Solver` facade:
   is decided with an exact integer Omega test (equality elimination by
   unit substitution / coefficient shrinking, inequality elimination by
   real+dark shadows with splinter fallback).  All arithmetic is bignum
-  integer arithmetic, so answers are exact.  A witness point is searched
-  for only when a caller asks for a model.
+  integer arithmetic, so answers are exact.  The eliminations fix an
+  integer solution, read back in reverse order as the model of every sat
+  answer.
 
 * :class:`ExternalSolver` — an SMT-LIB 2 session over a solver subprocess
   (persistent, push/pop scoped, sentinel-framed, restarted on hang).  Used
@@ -25,6 +26,7 @@ the builtin procedure otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import queue
@@ -123,23 +125,34 @@ def _modhat(a: int, m: int) -> int:
     return r
 
 
-class _Fresh:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def __call__(self) -> str:
-        self.n += 1
-        return f"_w{self.n}"
+def _eval(coeffs: dict, const: int, model: dict) -> int:
+    """Value of sum(coeff * var) + const under `model`.  A variable the model
+    lacks was left unconstrained by the eliminations: it is fixed at 0 here,
+    once, so every later read-back sees the same value."""
+    return const + sum(c * model.setdefault(v, 0) for v, c in coeffs.items())
 
 
-def omega_feasible(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> bool:
-    """Does the conjunction of eqs (= 0) and ineqs (<= 0) have an integer
-    solution?  Complete; raises SolverUnknown only on absurd blowup."""
+# One counter for the module: a splinter's recursive call receives the outer
+# call's auxiliary variables, and a second "#1" there would merge with the
+# first.  No program identifier contains "#".
+_aux = itertools.count(1)
+
+
+def omega_model(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> Optional[dict]:
+    """An integer solution of the conjunction of eqs (= 0) and ineqs (<= 0),
+    or None when it has none.  Complete; raises SolverUnknown only on absurd
+    blowup.
+
+    The solution is read back from the eliminations in reverse order: a
+    variable solved out of an equality takes the value of its replacement,
+    one eliminated from inequalities its least value over its lower bounds.
+    It may assign auxiliary variables ``#k``, which Pugh's step introduces
+    for equalities without a unit coefficient; callers drop them."""
     if _depth > _MAX_SPLINTER_DEPTH:
         raise SolverUnknown("omega: splinter recursion too deep")
     eqs = [({v: c for v, c in cs.items() if c != 0}, k) for cs, k in eqs]
     ineqs = list(ineqs)
-    fresh = _Fresh()
+    solved: list[tuple[str, Lin]] = []  # (var, replacement) in elimination order
 
     # --- phase 1: eliminate equalities ------------------------------------
     rounds = 0
@@ -151,11 +164,11 @@ def omega_feasible(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> bool:
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
         if not coeffs:
             if const != 0:
-                return False
+                return None
             continue
         g = math.gcd(*coeffs.values())
         if const % g != 0:
-            return False
+            return None
         if g > 1:
             coeffs = {v: c // g for v, c in coeffs.items()}
             const //= g
@@ -165,6 +178,7 @@ def omega_feasible(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> bool:
             # a*unit = -(const + rest)  =>  unit = -a * (const + rest)
             repl_coeffs = {v: -a * c for v, c in coeffs.items() if v != unit}
             repl: Lin = (repl_coeffs, -a * const)
+            solved.append((unit, repl))
             eqs = [_subst_lin(e, unit, repl) for e in eqs]
             ineqs = [_subst_lin(i, unit, repl) for i in ineqs]
             continue
@@ -176,13 +190,14 @@ def omega_feasible(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> bool:
         ak = coeffs[k]
         m = abs(ak) + 1
         u = -1 if ak > 0 else 1  # = _modhat(ak, m)
-        s = fresh()
+        s = f"#{next(_aux)}"
         repl_coeffs = {
             v: -u * _modhat(c, m) for v, c in coeffs.items() if v != k
         }
         repl_coeffs = {v: c for v, c in repl_coeffs.items() if c != 0}
         repl_coeffs[s] = u * m
         repl = (repl_coeffs, -u * _modhat(const, m))
+        solved.append((k, repl))
         eqs.append(_subst_lin((coeffs, const), k, repl))
         eqs = [_subst_lin(e, k, repl) for e in eqs]
         ineqs = [_subst_lin(i, k, repl) for i in ineqs]
@@ -194,12 +209,35 @@ def omega_feasible(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> bool:
         if t is None:
             continue
         if not t[0]:
-            return False
+            return None
         work.append(t)
-    return _ineqs_feasible(work, _depth)
+    model = _ineqs_model(work, _depth)
+    if model is not None:
+        for var, (cs, k) in reversed(solved):
+            model[var] = _eval(cs, k, model)
+    return model
 
 
-def _ineqs_feasible(ineqs: list[Lin], depth: int) -> bool:
+# A variable eliminated from inequalities, with its lower bounds b <= beta*x
+# and its upper bounds alpha*x <= A, as (coeffs, const, beta or alpha).
+_Step = tuple[str, list[tuple[dict, int, int]], list[tuple[dict, int, int]]]
+
+
+def _read_back(model: dict, steps: list[_Step]) -> dict:
+    """Extend a model of the system left after `steps` to their variables,
+    latest first.  Each takes its least value meeting its lower bounds, or
+    with none its greatest under its upper bounds.  Exact elimination and
+    the dark shadow guarantee that this value meets the other side too."""
+    for x, low, up in reversed(steps):
+        if low:
+            model[x] = max(-(-_eval(b, bk, model) // beta) for b, bk, beta in low)
+        else:
+            model[x] = min(_eval(a, ak, model) // alpha for a, ak, alpha in up)
+    return model
+
+
+def _ineqs_model(ineqs: list[Lin], depth: int) -> Optional[dict]:
+    steps: list[_Step] = []
     rounds = 0
     while True:
         rounds += 1
@@ -212,14 +250,14 @@ def _ineqs_feasible(ineqs: list[Lin], depth: int) -> bool:
             if t is None:
                 continue
             if not t[0]:
-                return False
+                return None
             key = (tuple(sorted(t[0].items())), t[1])
             if key not in seen:
                 seen.add(key)
                 clean.append(t)
         ineqs = clean
         if not ineqs:
-            return True
+            return _read_back({}, steps)
         variables = sorted({v for cs, _ in ineqs for v in cs})
 
         def score(v: str) -> tuple:
@@ -242,7 +280,9 @@ def _ineqs_feasible(ineqs: list[Lin], depth: int) -> bool:
             else:
                 a = {v: -q for v, q in cs.items() if v != x}
                 up.append((a, -k, c))
+        step = (x, low, up)
         if not low or not up:
+            steps.append(step)
             ineqs = rest
             continue
 
@@ -265,105 +305,26 @@ def _ineqs_feasible(ineqs: list[Lin], depth: int) -> bool:
             return out
 
         if exact:
+            steps.append(step)
             ineqs = combine(False)
             continue
-        if not _ineqs_feasible(combine(False), depth):
-            return False
-        if _ineqs_feasible(combine(True), depth):
-            return True
-        # splinters: some lower bound must be nearly tight
+        if _ineqs_model(combine(False), depth) is None:
+            return None
+        dark = _ineqs_model(combine(True), depth)
+        if dark is not None:
+            return _read_back(dark, steps + [step])
+        # splinters: some lower bound must be nearly tight; a splinter's
+        # model already fixes x
         alpha_hat = max(alpha for _, _, alpha in up)
-        original = ineqs
         for b, bk, beta in low:
             top = (alpha_hat * beta - alpha_hat - beta) // alpha_hat
             for i in range(top + 1):
                 eq_coeffs = dict(b)
                 eq_coeffs[x] = eq_coeffs.get(x, 0) - beta
-                if omega_feasible([(eq_coeffs, bk + i)], original, depth + 1):
-                    return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# witness search (only called once feasibility is established)
-# ---------------------------------------------------------------------------
-
-_MAX_WITNESS_POINTS = 4_000_000
-
-
-def _find_point(constraints: list[tuple[Lin, str]], variables: list[str]) -> dict:
-    """Concrete integer point satisfying constraints ((lin, op) with op in
-    {LE, EQ}).  Expanding-shell search centred on single-variable bounds;
-    the caller guarantees a solution exists."""
-    if not variables:
-        return {}
-    centre = {}
-    for v in variables:
-        lo, hi = None, None
-        for (cs, k), op in constraints:
-            if set(cs) == {v}:
-                c = cs[v]
-                if op == EQ and k % c == 0:
-                    lo = hi = -k // c
-                    break
-                if c > 0:
-                    bound = (-k) // c
-                    hi = bound if hi is None else min(hi, bound)
-                else:
-                    # c*v + k <= 0 with c < 0  =>  v >= k / (-c), rounded up
-                    q, r = divmod(k, -c)
-                    bound = q + (1 if r else 0)
-                    lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None:
-            centre[v] = min(max(0, lo), hi)
-        elif lo is not None:
-            centre[v] = max(0, lo)
-        elif hi is not None:
-            centre[v] = min(0, hi)
-        else:
-            centre[v] = 0
-
-    def ok(pt: dict) -> bool:
-        for (cs, k), op in constraints:
-            total = k + sum(c * pt[v] for v, c in cs.items() if v in pt)
-            if any(v not in pt for v in cs):
-                return False
-            if op == LE and total > 0:
-                return False
-            if op == EQ and total != 0:
-                return False
-        return True
-
-    tried = 0
-    r = 0
-    while True:
-        for offs in _shell(len(variables), r):
-            pt = {v: centre[v] + o for v, o in zip(variables, offs)}
-            tried += 1
-            if tried > _MAX_WITNESS_POINTS:
-                raise SolverUnknown("witness search exceeded point budget")
-            if ok(pt):
-                return pt
-        r = r + 1 if r < 8 else r + max(1, r // 2)
-
-
-def _shell(n: int, r: int):
-    """All offset tuples with max-norm exactly r (all tuples when r == 0)."""
-    if r == 0:
-        yield (0,) * n
-        return
-
-    def rec(i: int, on_shell: bool, acc: list[int]):
-        if i == n:
-            if on_shell:
-                yield tuple(acc)
-            return
-        for o in range(-r, r + 1):
-            acc.append(o)
-            yield from rec(i + 1, on_shell or abs(o) == r, acc)
-            acc.pop()
-
-    yield from rec(0, False, [])
+                model = omega_model([(eq_coeffs, bk + i)], ineqs, depth + 1)
+                if model is not None:
+                    return _read_back(model, steps)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +344,10 @@ def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
     return f
 
 
-def _theory_cube(cmps: list[tuple[Cmp, bool]]) -> Optional[list[tuple[Lin, str]]]:
-    """The first integer-feasible cube of a branch's comparisons, as (lin, op)
-    constraints with op in {LE, EQ} and each disequality split into one of
-    its strict sides; None when no cube is feasible.  The Omega test alone
-    decides: no witness point is searched for here."""
+def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
+    """An integer model of a branch's comparisons, or None when they are
+    infeasible.  Each disequality is split into its strict sides, and the
+    first side the Omega test solves gives the model."""
     les: list[Lin] = []
     eqs: list[Lin] = []
     nes: list[Lin] = []
@@ -403,7 +363,7 @@ def _theory_cube(cmps: list[tuple[Cmp, bool]]) -> Optional[list[tuple[Lin, str]]
         else:  # NE
             (nes if val else eqs).append(lin)
 
-    def attempt(les_: list[Lin], nes_: list[Lin]) -> Optional[list[tuple[Lin, str]]]:
+    def attempt(les_: list[Lin], nes_: list[Lin]) -> Optional[dict]:
         if nes_:
             cs, k = nes_[0]
             rest = nes_[1:]
@@ -412,9 +372,7 @@ def _theory_cube(cmps: list[tuple[Cmp, bool]]) -> Optional[list[tuple[Lin, str]]
             if m is not None:
                 return m
             return attempt(les_ + [({v: -c for v, c in cs.items()}, -k + 1)], rest)
-        if not omega_feasible(eqs, les_):
-            return None
-        return [((cs, k), EQ) for cs, k in eqs] + [((cs, k), LE) for cs, k in les_]
+        return omega_model(eqs, les_)
 
     return attempt(les, nes)
 
@@ -427,39 +385,29 @@ class BuiltinSolver:
 
     def check(self, f: Formula) -> tuple[str, Optional[dict]]:
         """Decide `f` as given: branching splits on its atoms and the Omega
-        test decides any cube of linear atoms, canonical or not.  A sat
-        answer carries no model; `model` searches for one on request."""
-        return ("unsat", None) if self._search(f, {}, []) is None else ("sat", None)
-
-    def model(self, f: Formula) -> Optional[dict]:
-        """A satisfying assignment of `f`, or None when it is unsat: the
-        search of `check`, then a witness point of the cube it decided."""
-        found = self._search(f, {}, [])
-        if found is None:
-            return None
-        bools, cube = found
-        model = _find_point(cube, sorted({v for (cs, _), _ in cube for v in cs}))
-        model.update(bools)
-        for v in sorted(int_vars(f)):
-            model.setdefault(v, 0)
-        for v in sorted(bool_vars(f)):
-            model.setdefault(v, False)
-        # Omega may have introduced auxiliary variables; hide them
-        return {k: v for k, v in model.items() if not k.startswith("_w")}
+        test solves any cube of linear atoms, canonical or not.  A sat
+        answer carries the Omega test's model of the first satisfying branch,
+        over the variables that branch constrains.  Auxiliary variables are
+        dropped here only: a splinter's recursive call still needs them."""
+        model = self._search(f, {}, [])
+        if model is None:
+            return ("unsat", None)
+        return ("sat", {v: x for v, x in model.items() if not v.startswith("#")})
 
     def _search(
         self,
         f: Formula,
         bools: dict,
         cmps: list[tuple[Cmp, bool]],
-    ) -> Optional[tuple[dict, list[tuple[Lin, str]]]]:
-        """(boolean assignment, feasible theory cube) of the first branch
-        that satisfies `f`, or None."""
+    ) -> Optional[dict]:
+        """A model of the first branch that satisfies `f`, or None."""
         if f == FALSE:
             return None
         if f == TRUE:
-            cube = _theory_cube(cmps)
-            return None if cube is None else (bools, cube)
+            model = _theory_model(cmps)
+            if model is not None:
+                model.update(bools)
+            return model
         atom = atoms(f)[0]
         for value in (True, False):
             g = _replace_atom(f, atom, value)
@@ -831,7 +779,6 @@ def find_solver_binary() -> Optional[str]:
 
 
 _UNASKED = object()  # cache miss; a cached None means unsat
-_SAT = object()  # cached sat answer whose model nobody has asked for yet
 
 
 class Solver:
@@ -844,7 +791,7 @@ class Solver:
             self.backend = ExternalSolver(path, timeout=timeout)
         else:
             self.backend = BuiltinSolver()
-        self._cache: dict[Formula, object] = {}  # None (unsat), _SAT or a model
+        self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
         self.queries = 0
         self.cache_hits = 0
         self.time_spent = 0.0
@@ -853,25 +800,20 @@ class Solver:
     def backend_name(self) -> str:
         return self.backend.name
 
-    def _ask(self, call, f: Formula):
-        self.queries += 1
-        t0 = time.monotonic()
-        try:
-            return call(f)
-        finally:
-            self.time_spent += time.monotonic() - t0
-
-    def _lookup(self, f: Formula) -> object:
-        """None when `f` is unsat, else its model or `_SAT` when the backend
-        decided it without one; one cache, keyed on the formula as built,
-        answers both `is_sat` and `get_model`."""
+    def _lookup(self, f: Formula) -> Optional[dict]:
+        """None when `f` is unsat, else the backend's model of it; one cache,
+        keyed on the formula as built, answers both `is_sat` and
+        `get_model`."""
         out = self._cache.get(f, _UNASKED)
         if out is not _UNASKED:
             self.cache_hits += 1
             return out
-        status, model = self._ask(self.backend.check, f)
-        if status == "sat" and model is None:
-            model = _SAT
+        self.queries += 1
+        t0 = time.monotonic()
+        try:
+            _, model = self.backend.check(f)
+        finally:
+            self.time_spent += time.monotonic() - t0
         self._cache[f] = model
         return model
 
@@ -885,14 +827,15 @@ class Solver:
         return self._lookup(f) is not None
 
     def get_model(self, f: Formula) -> Optional[dict]:
-        """A model of `f`, or None when it is unsat.  A backend that decides
-        sat without a model (the builtin one) is asked for it here only."""
+        """A model of every variable of `f`, or None when it is unsat.  The
+        variables the backend's model leaves out are unconstrained on the
+        branch it solved, so they read 0 or False."""
         if f == FALSE:
             return None
-        out = self._lookup(f)
-        if out is _SAT:
-            out = self._cache[f] = self._ask(self.backend.model, f)
-        return out
+        model = self._lookup(f)
+        if model is None:
+            return None
+        return {**dict.fromkeys(int_vars(f), 0), **dict.fromkeys(bool_vars(f), False), **model}
 
     def check_sat(self, f: Formula) -> tuple[str, Optional[dict]]:
         """("sat", model) / ("unsat", None); SolverUnknown propagates."""

@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from probtrace.cfa import PCFA, Assign, Assume, Pb, SkipL, trim
 from probtrace.formula import as_term, eq, ge, ivar, le

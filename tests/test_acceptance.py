@@ -35,7 +35,6 @@ from probtrace.formula import eq, fand, ge, ivar, le, simplify
 from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.markov import (
     apply_strategy,
-    mdp_upper_bound,
     strategy_for_sublanguage,
 )
 from probtrace.oracle import StateDomain, exact_violation_probability

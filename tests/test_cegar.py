@@ -119,6 +119,21 @@ def test_certain_violation(solver):
     assert verdict.counterexample.total_vp == 1
 
 
+def test_precondition_decided_through_a_splinter_is_refuted(solver):
+    # the Omega test needs Pugh's equality step inside a splinter to see that
+    # the precondition holds (X = 0, Y = -3, Z = -1); an unsat answer there
+    # would make the violated program Sat with bound 0
+    pre = "X >= 0 && X <= 4 && Y >= -4 && Y <= -2 && Z >= -4 && Z <= 4 && 5*X + 4*Z = 2*Y + 2"
+    text = f"@pre {pre}\n@post 5*X + 4*Z != 2*Y + 2\n@beta 0\nint X;\nint Y;\nint Z;\nskip;\n"
+    verdict, (program, spec) = run(text, solver=solver)
+    assert isinstance(verdict, Unsat)
+    assert verdict.counterexample.total_vp == 1
+    ok, reasons = validate_counterexample(
+        to_pcfa(program), spec, spec.beta, verdict.counterexample, solver
+    )
+    assert ok, reasons
+
+
 def test_single_coin_boundary(solver):
     body = "@pre true\n@post X = 0\n@beta {b}\nint X;\n{{ X := 0; }} <+> {{ X := 1; }};\n"
     sat, _ = run(body.format(b="1/2"), solver=solver)

@@ -15,7 +15,6 @@ from probtrace.cfa import (
     PCFA,
     Assign,
     Assume,
-    Nd,
     Pb,
     SkipL,
     determinize,

@@ -7,15 +7,10 @@ every simplification is validated against brute-force evaluation.
 import random
 from itertools import product
 
-import pytest
-
 from probtrace.formula import (
     FALSE,
     TRUE,
-    And,
-    Cmp,
     IntTerm,
-    Or,
     as_term,
     atoms,
     bool_vars,

@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from probtrace.cfa import PCFA, Assign, Assume, Pb, SkipL, intersect
+from probtrace.cfa import PCFA, intersect
 from probtrace.formula import (
     FALSE,
     TRUE,
-    as_term,
     bvar,
     eq,
     fand,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from probtrace.cfa import Assign, Assume, Nd, Pb, SkipL
-from probtrace.formula import eq, feval, ge, ivar, le
+from probtrace.formula import feval
 from probtrace.lang import (
     ParseError,
     parse,

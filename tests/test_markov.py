@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL, trim
+from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL
 from probtrace.evidence import enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
 from probtrace.markov import (

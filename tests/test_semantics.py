@@ -4,9 +4,6 @@ interpreter on small state boxes."""
 
 import random
 from fractions import Fraction
-from itertools import product
-
-import pytest
 
 from probtrace.cfa import Assign, Assume, Nd, Pb, SkipL
 from probtrace.formula import (
@@ -24,7 +21,7 @@ from probtrace.formula import (
     ne,
     simplify,
 )
-from probtrace.lang import parse, to_pcfa
+from probtrace.lang import to_pcfa
 from probtrace.semantics import (
     NonViolating,
     Violating,
@@ -36,7 +33,6 @@ from probtrace.semantics import (
     pre_exists,
     pre_exists_trace,
     weight,
-    wp_demonic,
     wp_demonic_trace,
 )
 

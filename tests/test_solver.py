@@ -1,7 +1,6 @@
 """Decision procedures: builtin solver, projection, strongest posts, and
 the external SMT-LIB subprocess protocol (driven by fake solver scripts)."""
 
-import os
 import random
 import signal
 import stat
@@ -49,12 +48,22 @@ from probtrace.solver import (
 
 from test_formula import _random_built
 
-X, Y = ivar("X"), ivar("Y")
+X, Y, Z = ivar("X"), ivar("Y"), ivar("Z")
 B = bvar("B")
 
 
 # ---------------------------------------------------------------------------
 # builtin decision procedure
+
+
+@pytest.fixture
+def builtin(monkeypatch):
+    """A facade over the builtin backend, even where a solver binary is
+    installed."""
+    import probtrace.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "find_solver_binary", lambda: None)
+    return Solver()
 
 
 def test_builtin_basic_verdicts(solver):
@@ -167,25 +176,95 @@ def test_model_after_unsat_check_comes_from_the_cache():
     assert s.queries == 1
 
 
-def test_decided_query_searches_no_witness(monkeypatch):
-    # the Omega test proves the cube feasible at once; the witness search,
-    # which would walk millions of points here, runs only for a model
-    import probtrace.solver as solver_mod
-
-    monkeypatch.setattr(solver_mod, "find_solver_binary", lambda: None)
-    s = Solver()
-
+def test_decided_query_searches_no_witness(builtin):
+    # the Omega test solves the cube at once and reads its model back from
+    # the eliminations; a search over points would walk millions of them
     def hang(signum, frame):
-        raise TimeoutError("is_sat did not return")
+        raise TimeoutError("the query did not return")
 
+    f = eq(X + Y + Z, 1000)
     old = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
-        assert s.is_sat(eq(X + Y + ivar("Z"), 1000))
+        assert builtin.is_sat(f)
+        m = builtin.get_model(f)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-    assert s.queries == 1
+    assert feval(f, m), m
+    assert builtin.queries == 1
+
+
+def test_splinter_keeps_the_outer_auxiliary_variables_apart(builtin):
+    # 5X + 4Z = 2Y + 2 has no unit coefficient, so Pugh's equality step adds
+    # an auxiliary variable; a splinter then needs the step again, and its
+    # auxiliary variable must stay apart from the outer one
+    f = fand(
+        ge(X, 0), le(X, 4), ge(Y, -4), le(Y, -2), ge(Z, -4), le(Z, 4),
+        eq(X.scale(5) + Z.scale(4), Y.scale(2) + as_term(2)),
+    )
+    assert feval(f, {"X": 0, "Y": -3, "Z": -1})
+    m = builtin.get_model(f)
+    assert m is not None and feval(f, m), m
+
+
+def test_model_keeps_program_variables_named_like_auxiliaries(builtin):
+    w = ivar("_w1")
+    f = fand(eq(w, 3), eq(X.scale(2) + Y.scale(3), 1))
+    m = builtin.get_model(f)
+    assert m is not None and m["_w1"] == 3 and feval(f, m), m
+
+
+def test_omega_agrees_with_brute_force_on_boxed_cubes(monkeypatch):
+    # random cubes over the box [-4, 4]^3 with coefficients up to 5: brute
+    # force over the box is the reference; at this seed some answers depend
+    # on keeping the auxiliary variables of nested Omega calls apart
+    import probtrace.solver as solver_mod
+
+    reached = {"dark shadow": 0, "splinter": 0}
+    omega_model, read_back = solver_mod.omega_model, solver_mod._read_back
+
+    def counting_omega(eqs, ineqs, _depth=0):
+        model = omega_model(eqs, ineqs, _depth)
+        reached["splinter"] += _depth > 0 and model is not None
+        return model
+
+    def counting_read_back(model, steps):
+        # a step with non-unit coefficients on both sides is a dark shadow's
+        reached["dark shadow"] += any(
+            any(beta > 1 for *_, beta in low) and any(alpha > 1 for *_, alpha in up)
+            for _, low, up in steps
+        )
+        return read_back(model, steps)
+
+    monkeypatch.setattr(solver_mod, "omega_model", counting_omega)
+    monkeypatch.setattr(solver_mod, "_read_back", counting_read_back)
+    rng = random.Random(1)
+    box = [le(v, 4) for v in (X, Y, Z)] + [ge(v, -4) for v in (X, Y, Z)]
+    points = list(product(range(-4, 5), repeat=3))
+    backend = BuiltinSolver()
+    for _ in range(1000):
+        rows = [
+            ([rng.randint(-5, 5) for _ in "XYZ"], rng.randint(-6, 6), rng.random() < 0.3)
+            for _ in range(rng.randint(1, 4))
+        ]
+        f = fand(*box, *(
+            (eq if is_eq else le)(IntTerm.make(dict(zip("XYZ", cs)), k), 0)
+            for cs, k, is_eq in rows
+        ))
+
+        def holds(p):
+            for (a, b, c), k, is_eq in rows:
+                t = a * p[0] + b * p[1] + c * p[2] + k
+                if t > 0 or (is_eq and t < 0):
+                    return False
+            return True
+
+        status, m = backend.check(f)
+        assert (status == "sat") == any(holds(p) for p in points), f
+        if m is not None:
+            assert feval(f, m), (f, m)
+    assert reached["dark shadow"] and reached["splinter"], reached
 
 
 def test_default_backend_without_binary_is_builtin(monkeypatch):
