@@ -428,7 +428,10 @@ def load_certificate(
         rest = rest.strip()
         if word == "beta":
             num, _, den = rest.partition("/")
-            beta = Fraction(int(num), int(den) if den else 1)
+            try:
+                beta = Fraction(int(num), int(den) if den else 1)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad certificate beta {rest!r}") from exc
         elif word in ("module", "hoare"):
             section = {"kind": word, "name": rest, "trans": set(), "props": {},
                        "initial": None, "accepting": None}

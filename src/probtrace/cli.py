@@ -15,9 +15,9 @@ Exit codes: 0 = satisfied (bound at or below the threshold), 1 = refuted
 
 All probabilities are exact rationals; a decimal approximation is appended
 for readability.  A config file (``key = value`` lines, ``#`` comments) can
-set defaults for ``solver``, ``timeout``, ``max_iters``, ``trace_budget``,
-``beta``, ``refutational`` and ``step_bound``; command-line flags override
-the file.
+set defaults for ``timeout``, ``max_iters``, ``trace_budget``, ``beta``,
+``refutational`` and ``step_bound``; command-line flags override the file.
+Every query goes to the builtin exact decision procedure.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ def parse_domain(entries: list[str]) -> Optional[StateDomain]:
 
 _CONFIG_KEYS = {
     "beta",
-    "solver",
     "timeout",
     "max_iters",
     "trace_budget",
@@ -134,22 +133,29 @@ def load_config(path: str) -> dict:
     return values
 
 
+def _config_value(cfg: dict, key: str, convert, default):
+    """`cfg[key]` read by `convert`, or `default` when the key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return convert(cfg[key])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"config key {key!r}: bad value {cfg[key]!r}") from exc
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
     """Config-file defaults overridden by any explicitly given flags."""
     cfg = load_config(args.config) if getattr(args, "config", None) else {}
     merged = {
-        "beta": parse_fraction(cfg["beta"]) if "beta" in cfg else None,
-        "solver": cfg.get("solver"),
-        "timeout": float(cfg["timeout"]) if "timeout" in cfg else None,
-        "max_iters": int(cfg["max_iters"]) if "max_iters" in cfg else 500,
-        "trace_budget": int(cfg["trace_budget"]) if "trace_budget" in cfg else 10_000,
+        "beta": _config_value(cfg, "beta", Fraction, None),
+        "timeout": _config_value(cfg, "timeout", float, None),
+        "max_iters": _config_value(cfg, "max_iters", int, 500),
+        "trace_budget": _config_value(cfg, "trace_budget", int, 10_000),
         "refutational": cfg.get("refutational", "").lower() in ("1", "true", "yes"),
-        "step_bound": int(cfg["step_bound"]) if "step_bound" in cfg else 64,
+        "step_bound": _config_value(cfg, "step_bound", int, 64),
     }
     if getattr(args, "beta", None) is not None:
         merged["beta"] = parse_fraction(args.beta)
-    if getattr(args, "solver", None) is not None:
-        merged["solver"] = args.solver
     if getattr(args, "timeout", None) is not None:
         merged["timeout"] = args.timeout
     if getattr(args, "max_iters", None) is not None:
@@ -218,7 +224,7 @@ def run_verify(path: str, settings: dict) -> dict:
     program, spec = _load_program(path)
     p = to_pcfa(program)
     beta = settings["beta"] if settings["beta"] is not None else spec.beta
-    solver = Solver(path=settings["solver"])
+    solver = Solver()
     runner = verify_refutational if settings["refutational"] else verify
 
     report = {
@@ -343,7 +349,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (ParseError, ValueError) as exc:
         raise CliError(f"{args.cert}: {exc}") from exc
     beta = settings["beta"] if settings["beta"] is not None else cert_beta
-    solver = Solver(path=settings["solver"])
+    solver = Solver()
 
     t0 = time.monotonic()
     try:
@@ -531,8 +537,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so it exits 3 like any other
+    input problem rather than with argparse's 2 (inconclusive here)."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="probtrace",
         description=(
             "Verify threshold properties of probabilistic programs via "
@@ -544,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, budget: bool = False) -> None:
         p.add_argument("--beta", help="violation threshold p/q (overrides the file)")
-        p.add_argument("--solver", help="path to an SMT-LIB 2 solver binary")
         p.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -595,9 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

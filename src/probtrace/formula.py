@@ -10,8 +10,8 @@ on when it merges equal propositions.
 
 Constructor output is canonical, and this module is the only one that
 knows the canonical form: no code elsewhere in the package builds a node
-directly (parsed programs, certificates and solver replies all go through
-the constructors), so every formula is used as built.  ``simplify``, which
+directly (parsed programs and certificates both go through the
+constructors), so every formula is used as built.  ``simplify``, which
 rebuilds a formula through the constructors, returns every formula they
 built unchanged; it is the reference the tests hold the constructors to,
 and no verifier code calls it.
@@ -549,51 +549,3 @@ def atoms(f: Formula) -> list[Formula]:
     walk(f)
     return [out[k] for k in sorted(out)]
 
-
-# ---------------------------------------------------------------------------
-# SMT-LIB 2 rendering
-# ---------------------------------------------------------------------------
-
-def _smt_term(t: IntTerm) -> str:
-    monos: list[str] = []
-    for v, c in t.coeffs:
-        if c == 1:
-            monos.append(v)
-        elif c == -1:
-            monos.append(f"(- {v})")
-        elif c < 0:
-            monos.append(f"(* (- {-c}) {v})")
-        else:
-            monos.append(f"(* {c} {v})")
-    if t.const != 0 or not monos:
-        monos.append(str(t.const) if t.const >= 0 else f"(- {-t.const})")
-    if len(monos) == 1:
-        return monos[0]
-    return "(+ " + " ".join(monos) + ")"
-
-
-def to_smt2(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, BoolLit):
-        return f.name if f.positive else f"(not {f.name})"
-    if isinstance(f, Cmp):
-        t = _smt_term(f.term)
-        if f.op == LE:
-            return f"(<= {t} 0)"
-        if f.op == EQ:
-            return f"(= {t} 0)"
-        return f"(not (= {t} 0))"
-    if isinstance(f, And):
-        return "(and " + " ".join(to_smt2(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(to_smt2(a) for a in f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def smt2_decls(f: Formula) -> list[str]:
-    decls = [f"(declare-const {v} Int)" for v in sorted(int_vars(f))]
-    decls += [f"(declare-const {v} Bool)" for v in sorted(bool_vars(f))]
-    return decls

@@ -1,38 +1,23 @@
-"""Satisfiability backends.
+"""The decision procedure behind every verifier query.
 
-Two backends sit behind the :class:`Solver` facade:
+:class:`BuiltinSolver` is a complete decision procedure for the fragment the
+verifier emits: quantifier-free boolean combinations of linear integer
+constraints and boolean variables.  Boolean structure is handled by semantic
+branching on atoms; each closed branch's theory cube is decided with an
+exact integer Omega test (equality elimination by unit substitution /
+coefficient shrinking, inequality elimination by real+dark shadows with
+splinter fallback).  All arithmetic is bignum integer arithmetic, so answers
+are exact.  The eliminations fix an integer solution, read back in reverse
+order as the model of every sat answer.
 
-* :class:`BuiltinSolver` — a complete decision procedure for the fragment
-  the verifier actually emits: quantifier-free boolean combinations of
-  linear integer constraints and boolean variables.  Boolean structure is
-  handled by semantic branching on atoms; each closed branch's theory cube
-  is decided with an exact integer Omega test (equality elimination by
-  unit substitution / coefficient shrinking, inequality elimination by
-  real+dark shadows with splinter fallback).  All arithmetic is bignum
-  integer arithmetic, so answers are exact.  The eliminations fix an
-  integer solution, read back in reverse order as the model of every sat
-  answer.
-
-* :class:`ExternalSolver` — an SMT-LIB 2 session over a solver subprocess
-  (persistent, push/pop scoped, sentinel-framed, restarted on hang).  Used
-  automatically when a solver binary is available; also the only backend
-  that can supply sequence interpolants, when the binary supports
-  ``get-interpolants``.
-
-``Solver`` picks the external backend when a binary is configured
-(explicit path, ``PROBTRACE_SOLVER``, or a PATH probe) and falls back to
-the builtin procedure otherwise.
+:class:`Solver` is the caching facade the verifier asks; it always runs the
+builtin procedure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import queue
-import shutil
-import subprocess
-import threading
 import time
 from typing import Optional
 
@@ -58,19 +43,13 @@ from .formula import (
     for_,
     int_vars,
     ivar,
-    smt2_decls,
     subst_bool,
     subst_int,
-    to_smt2,
 )
 
 
-class SolverError(Exception):
-    """The backend misbehaved (crashed, produced garbage, ...)."""
-
-
 class SolverUnknown(Exception):
-    """The backend could not decide a query (timeout / resource cap)."""
+    """The backend could not decide a query (elimination blowup)."""
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +360,6 @@ class BuiltinSolver:
     """Complete decision procedure for QF boolean + linear integer atoms."""
 
     name = "builtin"
-    supports_interpolation = False
 
     def check(self, f: Formula) -> tuple[str, Optional[dict]]:
         """Decide `f` as given: branching splits on its atoms and the Omega
@@ -421,376 +399,20 @@ class BuiltinSolver:
                 return m
         return None
 
-    def interpolants(self, parts: list[Formula]) -> Optional[list[Formula]]:
-        return None
-
-    def close(self) -> None:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# s-expression utilities for the external backend
-# ---------------------------------------------------------------------------
-
-def sexp_tokens(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "|":
-            j = text.index("|", i + 1)
-            out.append(text[i : j + 1])
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < len(text) and text[j] != '"':
-                j += 1
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def parse_sexp(tokens: list[str], pos: int = 0):
-    if tokens[pos] != "(":
-        return tokens[pos], pos + 1
-    pos += 1
-    items = []
-    while tokens[pos] != ")":
-        item, pos = parse_sexp(tokens, pos)
-        items.append(item)
-    return items, pos + 1
-
-
-def _sexp_to_term(s) -> IntTerm:
-    if isinstance(s, str):
-        if s.lstrip("-").isdigit():
-            return IntTerm((), int(s))
-        return IntTerm(((s, 1),), 0)
-    head = s[0]
-    args = [_sexp_to_term(a) for a in s[1:]]
-    if head == "+":
-        out = IntTerm((), 0)
-        for a in args:
-            out = out + a
-        return out
-    if head == "-":
-        if len(args) == 1:
-            return -args[0]
-        out = args[0]
-        for a in args[1:]:
-            out = out - a
-        return out
-    if head == "*":
-        consts = [a for a in args if not a.coeffs]
-        rest = [a for a in args if a.coeffs]
-        k = 1
-        for c in consts:
-            k *= c.const
-        if not rest:
-            return IntTerm((), k)
-        if len(rest) == 1:
-            return rest[0].scale(k)
-    raise SolverError(f"cannot read term {s!r}")
-
-
-def sexp_to_formula(s, bool_names: frozenset[str]) -> Formula:
-    """Read a solver-produced formula back into the IR (best effort: raises
-    SolverError on constructs outside the fragment)."""
-    if isinstance(s, str):
-        if s == "true":
-            return TRUE
-        if s == "false":
-            return FALSE
-        if s in bool_names:
-            return bvar(s)
-        raise SolverError(f"unknown symbol {s!r}")
-    head = s[0]
-    if head == "and":
-        return fand(*(sexp_to_formula(a, bool_names) for a in s[1:]))
-    if head == "or":
-        return for_(*(sexp_to_formula(a, bool_names) for a in s[1:]))
-    if head == "not":
-        return fnot(sexp_to_formula(s[1], bool_names))
-    if head == "=>":
-        parts = [sexp_to_formula(a, bool_names) for a in s[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = for_(fnot(p), out)
-        return out
-    if head in ("<=", "<", ">=", ">", "="):
-        try:
-            lhs = _sexp_to_term(s[1])
-            rhs = _sexp_to_term(s[2])
-        except SolverError:
-            if head == "=":
-                a = sexp_to_formula(s[1], bool_names)
-                b = sexp_to_formula(s[2], bool_names)
-                return for_(fand(a, b), fand(fnot(a), fnot(b)))
-            raise
-        from . import formula as _f
-
-        ops = {"<=": _f.le, "<": _f.lt, ">=": _f.ge, ">": _f.gt, "=": _f.eq}
-        return ops[head](lhs, rhs)
-    raise SolverError(f"cannot read formula {s!r}")
-
-
-# ---------------------------------------------------------------------------
-# external backend: SMT-LIB 2 over a subprocess
-# ---------------------------------------------------------------------------
-
-_SENTINEL = "@@probtrace-sync@@"
-
-_KNOWN_ARGS = {
-    "z3": ["-in"],
-    "cvc5": ["--incremental", "--lang", "smt2"],
-    "cvc4": ["--incremental", "--lang", "smt2"],
-    "mathsat": [],
-    "yices-smt2": ["--incremental"],
-    "smtinterpol": ["-q"],
-}
-
-
-class ExternalSolver:
-    """Persistent SMT-LIB 2 session with sentinel framing and hang recovery."""
-
-    supports_interpolation: Optional[bool]
-
-    def __init__(self, path: str, timeout: float = 20.0, extra_args: Optional[list[str]] = None):
-        self.path = path
-        self.timeout = timeout
-        base = os.path.basename(path)
-        for known, args in _KNOWN_ARGS.items():
-            if known in base:
-                self.args = list(args)
-                break
-        else:
-            self.args = []
-        if extra_args:
-            self.args += extra_args
-        self.name = base
-        self.supports_interpolation = None  # probed lazily
-        self._proc: Optional[subprocess.Popen] = None
-        self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._start()
-
-    # -- process plumbing ---------------------------------------------------
-
-    def _start(self) -> None:
-        try:
-            self._proc = subprocess.Popen(
-                [self.path] + self.args,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
-            )
-        except OSError as exc:
-            raise SolverError(f"cannot start solver {self.path!r}: {exc}") from exc
-        self._queue = queue.Queue()
-        t = threading.Thread(
-            target=self._pump, args=(self._proc, self._queue), daemon=True
-        )
-        t.start()
-        self._send("(set-option :print-success false)")
-        self._send("(set-logic ALL)")
-        self._sync()
-
-    def _pump(self, proc: subprocess.Popen, q: "queue.Queue[Optional[str]]") -> None:
-        # each pump owns the queue it was born with; after a restart the old
-        # pump's EOF must not leak into the fresh session's queue
-        assert proc.stdout is not None
-        for line in proc.stdout:
-            q.put(line.rstrip("\n"))
-        q.put(None)
-
-    def _send(self, line: str) -> None:
-        proc = self._proc
-        if proc is None or proc.stdin is None or proc.poll() is not None:
-            raise SolverError("solver process is gone")
-        try:
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-        except OSError as exc:
-            raise SolverError(f"solver pipe broke: {exc}") from exc
-
-    def _sync(self) -> list[str]:
-        """Flush pending output up to the echoed sentinel."""
-        self._send(f'(echo "{_SENTINEL}")')
-        lines: list[str] = []
-        deadline = time.monotonic() + self.timeout
-        while True:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                self._restart()
-                raise SolverUnknown(f"solver {self.name} timed out")
-            try:
-                line = self._queue.get(timeout=budget)
-            except queue.Empty:
-                continue
-            if line is None:
-                raise SolverError(f"solver {self.name} exited unexpectedly")
-            if line.strip().strip('"') == _SENTINEL:
-                return lines
-            lines.append(line)
-
-    def _restart(self) -> None:
-        if self._proc is not None:
-            try:
-                self._proc.kill()
-            except OSError:
-                pass
-        self._start()
-
-    def close(self) -> None:
-        if self._proc is not None:
-            try:
-                self._proc.kill()
-            except OSError:
-                pass
-            self._proc = None
-
-    # -- queries ------------------------------------------------------------
-
-    def check(self, f: Formula) -> tuple[str, Optional[dict]]:
-        self._send("(push 1)")
-        try:
-            for d in smt2_decls(f):
-                self._send(d)
-            self._send(f"(assert {to_smt2(f)})")
-            self._send("(check-sat)")
-            lines = [l for l in self._sync() if l.strip()]
-            if not lines:
-                raise SolverError("no answer to check-sat")
-            verdict = lines[-1].strip()
-            if verdict == "unsat":
-                return ("unsat", None)
-            if verdict == "unknown":
-                raise SolverUnknown(f"solver {self.name} answered unknown")
-            if verdict != "sat":
-                raise SolverError(f"unexpected check-sat answer {verdict!r}")
-            names = sorted(int_vars(f)) + sorted(bool_vars(f))
-            if not names:
-                return ("sat", {})
-            self._send("(get-value (" + " ".join(names) + "))")
-            lines = [l for l in self._sync() if l.strip()]
-            return ("sat", self._parse_values(" ".join(lines)))
-        finally:
-            try:
-                self._send("(pop 1)")
-            except SolverError:
-                pass
-
-    @staticmethod
-    def _parse_values(text: str) -> dict:
-        sexp, _ = parse_sexp(sexp_tokens(text))
-        model: dict = {}
-        for pair in sexp:
-            name, value = pair[0], pair[1]
-            if value == "true":
-                model[name] = True
-            elif value == "false":
-                model[name] = False
-            elif isinstance(value, str):
-                model[name] = int(value)
-            elif isinstance(value, list) and value and value[0] == "-":
-                model[name] = -int(value[1])
-            else:
-                raise SolverError(f"unreadable model value {value!r}")
-        return model
-
-    def interpolants(self, parts: list[Formula]) -> Optional[list[Formula]]:
-        """Sequence interpolants for an unsatisfiable chain, or None when the
-        binary does not support them."""
-        if self.supports_interpolation is False:
-            return None
-        bools: frozenset[str] = frozenset()
-        for p in parts:
-            bools |= bool_vars(p)
-        self._send("(push 1)")
-        try:
-            self._send("(set-option :produce-interpolants true)")
-            decls = {d for p in parts for d in smt2_decls(p)}
-            for d in sorted(decls):
-                self._send(d)
-            labels = []
-            for i, p in enumerate(parts):
-                lab = f"IP{i}"
-                labels.append(lab)
-                self._send(f"(assert (! {to_smt2(p)} :named {lab}))")
-            self._send("(check-sat)")
-            lines = [l for l in self._sync() if l.strip()]
-            if not lines or lines[-1].strip() != "unsat":
-                return None
-            self._send("(get-interpolants " + " ".join(labels) + ")")
-            lines = [l for l in self._sync() if l.strip()]
-            text = " ".join(lines)
-            if not text.strip().startswith("("):
-                self.supports_interpolation = False
-                return None
-            try:
-                sexp, _ = parse_sexp(sexp_tokens(text))
-                out = [sexp_to_formula(s, bools) for s in sexp]
-            except (SolverError, IndexError, ValueError):
-                self.supports_interpolation = False
-                return None
-            if len(out) != len(parts) - 1:
-                self.supports_interpolation = False
-                return None
-            self.supports_interpolation = True
-            return out
-        except SolverUnknown:
-            self.supports_interpolation = False
-            return None
-        finally:
-            try:
-                self._send("(pop 1)")
-            except SolverError:
-                pass
-
 
 # ---------------------------------------------------------------------------
 # facade
 # ---------------------------------------------------------------------------
 
-_PROBE_NAMES = ("z3", "cvc5", "cvc4", "mathsat", "yices-smt2", "smtinterpol")
-
-
-def find_solver_binary() -> Optional[str]:
-    env = os.environ.get("PROBTRACE_SOLVER")
-    if env:
-        return env
-    for name in _PROBE_NAMES:
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
 _UNASKED = object()  # cache miss; a cached None means unsat
 
 
 class Solver:
-    """Caching facade over a backend; all verifier queries go through here."""
+    """Caching facade over the builtin backend; all verifier queries go
+    through here."""
 
-    def __init__(self, path: Optional[str] = None, timeout: float = 20.0):
-        if path is None:
-            path = find_solver_binary()
-        if path:
-            self.backend = ExternalSolver(path, timeout=timeout)
-        else:
-            self.backend = BuiltinSolver()
+    def __init__(self):
+        self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
         self.queries = 0
         self.cache_hits = 0
@@ -852,7 +474,10 @@ class Solver:
         return self.entails(p, q) and self.entails(q, p)
 
     def interpolants(self, parts: list[Formula]) -> Optional[list[Formula]]:
-        return self.backend.interpolants(parts)
+        """Sequence interpolants of an unsatisfiable chain: None, since the
+        builtin procedure computes none; :func:`sequence_interpolants`
+        builds its chains itself."""
+        return None
 
     def stats(self) -> dict:
         return {
@@ -863,7 +488,7 @@ class Solver:
         }
 
     def close(self) -> None:
-        self.backend.close()
+        """Nothing to release: the backend runs in process."""
 
 
 # ---------------------------------------------------------------------------
@@ -1016,9 +641,8 @@ def sequence_interpolants(
     """Interior propositions I1..I(n-1) making every consecutive Hoare triple
     of the chain  {prefix} σ1 {I1} … {I(n-1)} σn {¬suffix}  valid.
 
-    Requires prefix ∧ path(labels) ∧ suffix to be unsatisfiable.  Uses the
-    backend's interpolation when it has one; otherwise inserts exact
-    strongest postconditions, and if any label resists exact forward
+    Requires prefix ∧ path(labels) ∧ suffix to be unsatisfiable.  Inserts
+    exact strongest postconditions, and if any label resists exact forward
     computation, falls back to the demonic weakest-precondition chain
     (always valid, weakest useful generalization).
     """
@@ -1030,10 +654,6 @@ def sequence_interpolants(
         raise ValueError("interpolation requires an unsatisfiable chain")
     if not labels:
         return []
-
-    got = _interpolants_via_backend(solver, prefix, labels, suffix)
-    if got is not None:
-        return got
 
     # strongest-postcondition chain
     props: Optional[list[Formula]] = []
@@ -1058,85 +678,3 @@ def sequence_interpolants(
     out.reverse()
     return out
 
-
-def _interpolants_via_backend(
-    solver: "Solver", prefix: Formula, labels, suffix: Formula
-) -> Optional[list[Formula]]:
-    """Sequence interpolation over an SSA encoding of the trace; None when
-    the backend has no interpolation support or the reply is unusable."""
-    from .cfa import Assign, Assume
-    from . import formula as F
-
-    if solver.backend.supports_interpolation is False:
-        return None
-
-    ints: set[str] = set(int_vars(prefix) | int_vars(suffix))
-    bools: set[str] = set(bool_vars(prefix) | bool_vars(suffix))
-    for lab in labels:
-        if isinstance(lab, Assign):
-            if isinstance(lab.expr, IntTerm):
-                ints.add(lab.var)
-                ints |= lab.expr.vars()
-            else:
-                bools.add(lab.var)
-                ints |= int_vars(lab.expr)
-                bools |= bool_vars(lab.expr)
-        elif isinstance(lab, Assume):
-            ints |= int_vars(lab.cond)
-            bools |= bool_vars(lab.cond)
-
-    def stamp(f: Formula, k: int) -> Formula:
-        for v in int_vars(f):
-            f = F.subst_int(f, v, ivar(f"{v}@{k}"))
-        for v in bool_vars(f):
-            f = subst_bool(f, v, bvar(f"{v}@{k}"))
-        return f
-
-    def step(lab, k: int) -> Formula:
-        """Constraint linking frame k to frame k+1."""
-        frame: list[Formula] = []
-        changed = lab.var if isinstance(lab, Assign) else None
-        for v in sorted(ints):
-            if v != changed:
-                frame.append(eq(ivar(f"{v}@{k+1}"), ivar(f"{v}@{k}")))
-        for v in sorted(bools):
-            if v != changed:
-                frame.append(_iff(bvar(f"{v}@{k+1}"), bvar(f"{v}@{k}")))
-        if isinstance(lab, Assign):
-            if isinstance(lab.expr, IntTerm):
-                frame.append(eq(ivar(f"{changed}@{k+1}"), stamp_term(lab.expr, k)))
-            else:
-                frame.append(_iff(bvar(f"{changed}@{k+1}"), stamp(lab.expr, k)))
-        elif isinstance(lab, Assume):
-            frame.append(stamp(lab.cond, k))
-        return fand(*frame)
-
-    def stamp_term(t: IntTerm, k: int) -> IntTerm:
-        out = IntTerm((), t.const)
-        for v, c in t.coeffs:
-            out = out + ivar(f"{v}@{k}").scale(c)
-        return out
-
-    n = len(labels)
-    parts = [fand(stamp(prefix, 0), step(labels[0], 0))]
-    for k in range(1, n - 1):
-        parts.append(step(labels[k], k))
-    parts.append(fand(step(labels[n - 1], n - 1), stamp(suffix, n)))
-    raw = solver.interpolants(parts)
-    if raw is None or len(raw) != n - 1:
-        return None
-    out: list[Formula] = []
-    for k, f in enumerate(raw, start=1):
-        # interpolant k speaks over frame k: strip the stamps
-        for v in sorted(int_vars(f)):
-            base, _, idx = v.partition("@")
-            if idx != str(k):
-                return None
-            f = F.subst_int(f, v, ivar(base))
-        for v in sorted(bool_vars(f)):
-            base, _, idx = v.partition("@")
-            if idx != str(k):
-                return None
-            f = subst_bool(f, v, bvar(base))
-        out.append(f)
-    return out

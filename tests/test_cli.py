@@ -64,17 +64,22 @@ def test_domain_parsing():
         parse_domain(["C=3..0"])
 
 
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beta = 1/2  # threshold\nmax_iters = 7\n\n// comment\n")
     values = load_config(str(cfg))
     assert values == {"beta": "1/2", "max_iters": "7"}
     bad = tmp_path / "bad.cfg"
-    bad.write_text("wat = 1\n")
     from probtrace.cli import CliError
 
-    with pytest.raises(CliError, match="unknown config key"):
-        load_config(str(bad))
+    for line in ("wat = 1", "solver = z3"):
+        bad.write_text(line + "\n")
+        with pytest.raises(CliError, match="unknown config key"):
+            load_config(str(bad))
+    for key, value in (("max_iters", "x"), ("timeout", "soon"), ("beta", "1/0")):
+        bad.write_text(f"{key} = {value}\n")
+        assert main(["verify", PROG, "--config", str(bad)]) == EXIT_ERROR
+        assert repr(key) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,16 @@ def test_verify_bad_beta(capsys):
     assert "rational" in err
 
 
+def test_usage_errors_exit_as_input_errors(capsys):
+    # argparse's own exit code 2 would read as "inconclusive"
+    assert main(["verify", "--solver", "z3", PROG]) == EXIT_ERROR
+    assert main(["verify"]) == EXIT_ERROR
+    assert "required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+
+
 def test_verify_parse_error(tmp_path, capsys):
     f = tmp_path / "broken.prob"
     f.write_text("@pre true\n@post X = 0\nint X;\nX := 0;\n")  # no @beta
@@ -194,6 +209,15 @@ def test_check_malformed_certificate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_check_certificate_with_bad_beta(tmp_path, capsys):
+    text = (DATA_DIR / "motivating.cert").read_text()
+    bad = tmp_path / "bad.cert"
+    for beta in ("1/0", "x"):
+        bad.write_text(text.replace("beta 1/2", f"beta {beta}"))
+        assert main(["check", PROG, str(bad)]) == EXIT_ERROR
+        assert "beta" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
