@@ -133,6 +133,16 @@ def load_config(path: str) -> dict:
     return values
 
 
+def _flag(value: str) -> bool:
+    """A yes/no config value, case-insensitively."""
+    value = value.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(value)
+
+
 def _config_value(cfg: dict, key: str, convert, default):
     """`cfg[key]` read by `convert`, or `default` when the key is absent."""
     if key not in cfg:
@@ -151,7 +161,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         "timeout": _config_value(cfg, "timeout", float, None),
         "max_iters": _config_value(cfg, "max_iters", int, 500),
         "trace_budget": _config_value(cfg, "trace_budget", int, 10_000),
-        "refutational": cfg.get("refutational", "").lower() in ("1", "true", "yes"),
+        "refutational": _config_value(cfg, "refutational", _flag, False),
         "step_bound": _config_value(cfg, "step_bound", int, 64),
     }
     if getattr(args, "beta", None) is not None:
@@ -166,6 +176,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         merged["refutational"] = True
     if getattr(args, "step_bound", None) is not None:
         merged["step_bound"] = args.step_bound
+    for key in ("max_iters", "trace_budget", "step_bound"):
+        if merged[key] < 0:
+            raise CliError(f"{key!r} must not be negative, got {merged[key]}")
     return merged
 
 

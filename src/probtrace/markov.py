@@ -8,7 +8,10 @@ action to play; applying it yields a CFMC whose language refines the CFMDP's.
 The upper-bound computation casts the CFMDP to a plain MDP — coins become
 half/half distributions, a coin with a missing partner branch loses half its
 mass to a dead sink — and runs exact policy iteration over rationals, so
-results like 1/2 or 7/16 come out as the precise dyadic they are.
+results like 1/2 or 7/16 come out as the precise dyadic they are.  Each
+policy's linear system is solved one strongly connected component at a
+time, successors first: acyclic states take one back-substitution each, and
+elimination runs only inside cycles.
 """
 
 from __future__ import annotations
@@ -257,34 +260,56 @@ class MdpAnalysis:
     optimal_actions: dict  # location -> list of value-maximal Actions
 
 
-def _policy_value(a: PCFA, policy: dict) -> dict:
-    """Exact value of a fixed policy: probability of reaching the accepting
-    location.  States that cannot reach it under the policy get 0, which
-    pins down the unique (least) solution of the linear system."""
-    succ: dict[int, list[tuple[Fraction, int]]] = {}
-    for loc, act in policy.items():
-        here = actions_at(a, loc)
-        if isinstance(act, int):
-            sides = here[act]
-            half = Fraction(1, 2)
-            succ[loc] = [(half, t) for t in sides.values()]  # missing side: mass lost
-        else:
-            succ[loc] = [(Fraction(1), here[act])]
+def _sccs(nodes: set, succ: dict) -> list[list[int]]:
+    """Strongly connected components of the graph `succ` restricted to
+    `nodes`, by an iterative Tarjan: each component comes after every
+    component it reaches."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    out: list[list[int]] = []
+    for root in sorted(nodes):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, outs = work[-1]
+            for _, w in outs:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
 
-    reach = {a.accepting}
-    changed = True
-    while changed:
-        changed = False
-        for loc, outs in succ.items():
-            if loc not in reach and any(t in reach for _, t in outs):
-                reach.add(loc)
-                changed = True
 
-    values = {loc: Fraction(0) for loc in a.locations}
-    values[a.accepting] = Fraction(1)
-    unknowns = sorted(reach - {a.accepting})
-    if not unknowns:
-        return values
+def _solve_cyclic(comp: list[int], succ: dict, values: dict) -> None:
+    """Solve x = P·x + b on one cyclic component by Gauss-Jordan elimination;
+    `values` already holds every target outside the component."""
+    unknowns = sorted(comp)
     idx = {loc: i for i, loc in enumerate(unknowns)}
     n = len(unknowns)
     mat = [[Fraction(0)] * (n + 1) for _ in range(n)]
@@ -292,11 +317,10 @@ def _policy_value(a: PCFA, policy: dict) -> dict:
         i = idx[loc]
         mat[i][i] = Fraction(1)
         for p, t in succ[loc]:
-            if t == a.accepting:
-                mat[i][n] += p
-            elif t in idx:
+            if t in idx:
                 mat[i][idx[t]] -= p
-            # targets outside `reach` hold value 0
+            else:
+                mat[i][n] += p * values[t]
     # gaussian elimination with partial (first-nonzero) pivoting
     row = 0
     for col in range(n):
@@ -313,36 +337,73 @@ def _policy_value(a: PCFA, policy: dict) -> dict:
         row += 1
     for loc in unknowns:
         values[loc] = mat[idx[loc]][n]
+
+
+def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
+    """Exact value of a fixed policy: probability of reaching the accepting
+    location.  States that cannot reach it under the policy get 0, which
+    pins down the unique (least) solution of the linear system.  The system
+    is solved one strongly connected component at a time, successors first:
+    a single state without a self-loop is one back-substitution, and only a
+    cyclic component is eliminated, with its successors' values as
+    constants."""
+    succ: dict[int, list[tuple[Fraction, int]]] = {}
+    pred: dict[int, list[int]] = {}
+    for loc, act in policy.items():
+        step = acts[loc][act]
+        if isinstance(act, int):
+            half = Fraction(1, 2)
+            succ[loc] = [(half, t) for t in step.values()]  # missing side: mass lost
+        else:
+            succ[loc] = [(Fraction(1), step)]
+        for _, t in succ[loc]:
+            pred.setdefault(t, []).append(loc)
+
+    reach = {a.accepting}
+    todo = [a.accepting]
+    while todo:
+        for loc in pred.get(todo.pop(), ()):
+            if loc not in reach:
+                reach.add(loc)
+                todo.append(loc)
+
+    values = {loc: Fraction(0) for loc in a.locations}
+    values[a.accepting] = Fraction(1)
+    for comp in _sccs(reach - {a.accepting}, succ):
+        loc = comp[0]
+        if len(comp) == 1 and all(t != loc for _, t in succ[loc]):
+            values[loc] = sum((p * values[t] for p, t in succ[loc]), Fraction(0))
+        else:
+            _solve_cyclic(comp, succ, values)
     return values
 
 
-def _q_value(a: PCFA, values: dict, loc: int, act: Action) -> Fraction:
-    here = actions_at(a, loc)
+def _q_value(acts: dict, values: dict, loc: int, act: Action) -> Fraction:
+    step = acts[loc][act]
     if isinstance(act, int):
-        sides = here[act]
         total = Fraction(0)
-        for t in sides.values():
+        for t in step.values():
             total += Fraction(1, 2) * values[t]
         return total
-    return values[here[act]]
+    return values[step]
 
 
 def analyze_mdp(a: PCFA) -> MdpAnalysis:
     check_cfmdp(a)
-    locs_with_actions = [
-        loc for loc in sorted(a.locations)
+    # location -> {action: step}, actions in `_action_key` order
+    acts = {
+        loc: dict(sorted(actions_at(a, loc).items(), key=lambda kv: _action_key(kv[0])))
+        for loc in sorted(a.locations)
         if loc != a.accepting and a.out_edges(loc)
-    ]
-    policy = {
-        loc: min(actions_at(a, loc), key=_action_key) for loc in locs_with_actions
     }
-    values = _policy_value(a, policy)
+    policy = {loc: next(iter(here)) for loc, here in acts.items()}
+    values = _policy_value(a, acts, policy)
     for _ in range(10_000):
         improved = False
-        for loc in locs_with_actions:
+        for loc, here in acts.items():
             best_act, best_q = policy[loc], values[loc]
-            for act in sorted(actions_at(a, loc), key=_action_key):
-                q = _q_value(a, values, loc, act)
+            for act in here:
+                q = _q_value(acts, values, loc, act)
                 if q > best_q:
                     best_act, best_q = act, q
             if best_act != policy[loc] and best_q > values[loc]:
@@ -350,19 +411,15 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
                 improved = True
         if not improved:
             break
-        new_values = _policy_value(a, policy)
+        new_values = _policy_value(a, acts, policy)
         assert all(new_values[l] >= values[l] for l in a.locations)
         values = new_values
     else:
         raise RuntimeError("policy iteration did not converge")
 
     optimal = {
-        loc: [
-            act
-            for act in sorted(actions_at(a, loc), key=_action_key)
-            if _q_value(a, values, loc, act) == values[loc]
-        ]
-        for loc in locs_with_actions
+        loc: [act for act in here if _q_value(acts, values, loc, act) == values[loc]]
+        for loc, here in acts.items()
     }
     return MdpAnalysis(values.get(a.initial, Fraction(0)), values, policy, optimal)
 

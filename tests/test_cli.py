@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, config handling."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ from probtrace.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_SAT,
     EXIT_UNSAT,
+    _merge_settings,
     load_config,
     main,
     parse_domain,
@@ -76,9 +78,36 @@ def test_config_file(tmp_path, capsys):
         bad.write_text(line + "\n")
         with pytest.raises(CliError, match="unknown config key"):
             load_config(str(bad))
-    for key, value in (("max_iters", "x"), ("timeout", "soon"), ("beta", "1/0")):
+    for key, value in (
+        ("max_iters", "x"),
+        ("timeout", "soon"),
+        ("beta", "1/0"),
+        ("refutational", "ture"),
+    ):
         bad.write_text(f"{key} = {value}\n")
         assert main(["verify", PROG, "--config", str(bad)]) == EXIT_ERROR
+        assert repr(key) in capsys.readouterr().err
+    for value, expected in (("YES", True), ("True", True), ("No", False), ("0", False)):
+        cfg.write_text(f"refutational = {value}\n")
+        settings = _merge_settings(argparse.Namespace(config=str(cfg)))
+        assert settings["refutational"] is expected
+
+
+def test_negative_caps_in_config_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for key in ("max_iters", "trace_budget", "step_bound"):
+        cfg.write_text(f"{key} = -3\n")
+        assert main(["verify", PROG, "--config", str(cfg)]) == EXIT_ERROR
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_negative_cap_flags_are_usage_errors(capsys):
+    for argv, key in (
+        (["verify", PROG, "--max-iters", "-3"], "max_iters"),
+        (["verify", PROG, "--trace-budget", "-1"], "trace_budget"),
+        (["oracle", PROG, "--step-bound", "-1"], "step_bound"),
+    ):
+        assert main(argv) == EXIT_ERROR
         assert repr(key) in capsys.readouterr().err
 
 

@@ -2,6 +2,7 @@
 strategy application, and trace merging."""
 
 import random
+import signal
 from fractions import Fraction
 from itertools import islice
 
@@ -12,6 +13,8 @@ from probtrace.evidence import enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
 from probtrace.markov import (
     Strategy,
+    _policy_value,
+    _sccs,
     actions_at,
     analyze_mdp,
     apply_strategy,
@@ -131,6 +134,133 @@ def test_reason_cfmc_attains_the_bound():
         assert reason.is_cfmc()
         got = analyze_mdp(reason).bound if reason.transitions else Fraction(0)
         assert got == bound
+
+
+def _dense_policy_value(a: PCFA, policy: dict) -> dict:
+    """Reference: the value of a fixed policy by one Gauss-Jordan elimination
+    over every state that reaches the accepting location."""
+    succ = {}
+    for loc, act in policy.items():
+        here = actions_at(a, loc)
+        if isinstance(act, int):
+            succ[loc] = [(Fraction(1, 2), t) for t in here[act].values()]
+        else:
+            succ[loc] = [(Fraction(1), here[act])]
+    reach = {a.accepting}
+    changed = True
+    while changed:
+        changed = False
+        for loc, outs in succ.items():
+            if loc not in reach and any(t in reach for _, t in outs):
+                reach.add(loc)
+                changed = True
+    values = {loc: Fraction(0) for loc in a.locations}
+    values[a.accepting] = Fraction(1)
+    unknowns = sorted(reach - {a.accepting})
+    idx = {loc: i for i, loc in enumerate(unknowns)}
+    n = len(unknowns)
+    mat = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for loc in unknowns:
+        i = idx[loc]
+        mat[i][i] = Fraction(1)
+        for p, t in succ[loc]:
+            if t == a.accepting:
+                mat[i][n] += p
+            elif t in idx:
+                mat[i][idx[t]] -= p
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, n) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        pv = mat[row][col]
+        mat[row] = [x / pv for x in mat[row]]
+        for r in range(n):
+            if r != row and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
+        row += 1
+    for loc in unknowns:
+        values[loc] = mat[idx[loc]][n]
+    return values
+
+
+def _action_map(a: PCFA) -> dict:
+    return {
+        loc: actions_at(a, loc)
+        for loc in sorted(a.locations)
+        if loc != a.accepting and a.out_edges(loc)
+    }
+
+
+def test_policy_value_by_component_matches_dense_solve_seeded():
+    rng = random.Random(2203)
+    seen = {"shared": 0, "self_loop": 0, "single_sided": 0, "cyclic": 0}
+    for _ in range(600):
+        a = random_cfmdp(rng, max_locs=9)
+        acts = _action_map(a)
+        policy = {loc: rng.choice(sorted(here, key=repr)) for loc, here in acts.items()}
+        succ = {}
+        for loc, act in policy.items():
+            step = acts[loc][act]
+            targets = list(step.values()) if isinstance(act, int) else [step]
+            succ[loc] = [(1, t) for t in targets]
+            seen["shared"] += isinstance(act, int) and len(set(targets)) < len(targets)
+            seen["self_loop"] += loc in targets
+            seen["single_sided"] += isinstance(act, int) and len(targets) == 1
+        seen["cyclic"] += any(len(c) > 1 for c in _sccs(set(policy), succ))
+        assert _policy_value(a, acts, policy) == _dense_policy_value(a, policy)
+    assert all(seen.values()), seen
+
+
+def test_acyclic_chain_of_coins_is_back_substituted():
+    k = 2000
+    a = PCFA({(i, Pb(i, "L"), i + 1) for i in range(k)}, 0, k)
+
+    def hang(signum, frame):
+        raise TimeoutError("the chain was not solved in time")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        analysis = analyze_mdp(a)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert analysis.bound == Fraction(1, 2**k)
+    assert analysis.values[k - 3] == Fraction(1, 8)
+
+
+def test_cyclic_components_solved_in_sequence():
+    # upper component {0, 1} exits into lower component {2, 3}; each coin's
+    # other side loops back or loses its mass
+    a = PCFA(
+        {
+            (0, Pb(0, "L"), 1),
+            (0, Pb(0, "R"), 2),
+            (1, Pb(1, "L"), 0),
+            (2, Pb(2, "L"), 3),
+            (2, Pb(2, "R"), 4),
+            (3, Pb(3, "L"), 2),
+        },
+        0,
+        4,
+    )
+    acts = _action_map(a)
+    policy = {loc: next(iter(here)) for loc, here in acts.items()}
+    succ = {loc: [(1, t) for t in acts[loc][pid].values()] for loc, pid in policy.items()}
+    assert [sorted(c) for c in _sccs(set(policy), succ)] == [[2, 3], [0, 1]]
+    # x2 = x3/2 + 1/2, x3 = x2/2; then x0 = x1/2 + x2/2, x1 = x0/2
+    values = _policy_value(a, acts, policy)
+    assert values == {
+        0: Fraction(4, 9),
+        1: Fraction(2, 9),
+        2: Fraction(2, 3),
+        3: Fraction(1, 3),
+        4: Fraction(1),
+    }
+    assert analyze_mdp(a).values == values
 
 
 # ---------------------------------------------------------------------------
