@@ -520,24 +520,29 @@ def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:
 
 def minimize(a: PCFA) -> PCFA:
     """Language-preserving state minimization (Moore refinement on the
-    determinized, trimmed automaton)."""
+    determinized, trimmed automaton).
+
+    Refinement uses sparse signatures: a state's class plus the
+    (label index, target class) pairs of its own edges, labels numbered once
+    per call.  On a deterministic automaton two states agree on these exactly
+    when they agree on every label of the alphabet, a missing edge included.
+    Should determinization leave a label twice at a state (a language that is
+    not prefix-free), the classes still form a bisimulation, so the quotient
+    keeps the language."""
     a = determinize(a)
     if is_empty(a):
         return empty_pcfa()
-    sigma = sorted(a.alphabet, key=label_key)
+    index: dict[Label, int] = {}
     states = sorted(a.locations)
-    # class 0: non-accepting, class 1: accepting; dead = implicit class -1
+    # class 0: non-accepting, class 1: accepting
     cls = {s: (1 if s == a.accepting else 0) for s in states}
-    adj: dict[int, dict[Label, int]] = {s: {} for s in states}
+    adj: dict[int, list[tuple[int, int]]] = {s: [] for s in states}
     for s, lab, t in a.transitions:
-        adj[s][lab] = t
+        adj[s].append((index.setdefault(lab, len(index)), t))
+    for edges in adj.values():
+        edges.sort()
     while True:
-        sig = {}
-        for s in states:
-            sig[s] = (
-                cls[s],
-                tuple(cls.get(adj[s].get(lab), -1) if adj[s].get(lab) is not None else -1 for lab in sigma),
-            )
+        sig = {s: (cls[s], tuple([(i, cls[t]) for i, t in adj[s]])) for s in states}
         mapping: dict[tuple, int] = {}
         new_cls = {}
         for s in states:

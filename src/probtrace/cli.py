@@ -15,8 +15,9 @@ Exit codes: 0 = satisfied (bound at or below the threshold), 1 = refuted
 
 All probabilities are exact rationals; a decimal approximation is appended
 for readability.  A config file (``key = value`` lines, ``#`` comments) can
-set defaults for ``timeout``, ``max_iters``, ``trace_budget``, ``beta``,
-``refutational`` and ``step_bound``; command-line flags override the file.
+set defaults for ``timeout`` (seconds, 0 for no limit), ``max_iters``,
+``trace_budget``, ``beta``, ``refutational`` and ``step_bound``;
+command-line flags override the file.
 Every query goes to the builtin exact decision procedure.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import signal
 import sys
@@ -179,6 +181,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     for key in ("max_iters", "trace_budget", "step_bound"):
         if merged[key] < 0:
             raise CliError(f"{key!r} must not be negative, got {merged[key]}")
+    timeout = merged["timeout"]
+    if timeout is not None and not (math.isfinite(timeout) and timeout >= 0):
+        raise CliError(f"'timeout' must be a finite number of seconds >= 0, got {timeout}")
     return merged
 
 
@@ -571,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, budget: bool = False) -> None:
         p.add_argument("--beta", help="violation threshold p/q (overrides the file)")
-        p.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
+        p.add_argument("--timeout", type=float, help="wall-clock limit in seconds (0: no limit)")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:

@@ -11,7 +11,10 @@ formulas, so merging compares them as built.  Saturation adds every valid
 edge but asks the solver once per distinct weakest precondition: for a
 target t, skip, coin and nondeterministic labels, and assignments to
 variables lam(t) does not mention, all leave !lam(t) unchanged and share one
-query per source.
+query per source.  Propositions recur across the automata of one run (pre,
+post, false, repeated interpolants), so weakest preconditions and triples
+are memoized for the lifetime of the solver and each is decided once per
+run.
 """
 
 from __future__ import annotations
@@ -98,19 +101,33 @@ def saturate_edges(
     is unsat, every missing edge of the group is added.  Validity of a triple
     does not depend on which edges already exist, so the edge set is the one
     checking each triple on its own would give.
+
+    Weakest preconditions and (lam(s), w) answers are memoized in
+    ``solver.wp_memo`` and ``solver.triple_memo`` for the solver's lifetime,
+    so a pair seen in an earlier automaton builds no formula and asks nothing.
     """
     labels = sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
     trans = set(fha.base.transitions)
     locs = sorted(fha.base.locations)
+    wp_memo, triple_memo = solver.wp_memo, solver.triple_memo
     for t in locs:
         nq = fnot(fha.lam[t])
         groups: dict[Formula, list[Label]] = {}
         for lab in labels:
-            groups.setdefault(pre_exists(lab, nq), []).append(lab)
+            w = wp_memo.get((lab, nq))
+            if w is None:
+                w = wp_memo[lab, nq] = pre_exists(lab, nq)
+            groups.setdefault(w, []).append(lab)
         for s in locs:
+            p = fha.lam[s]
             for w, labs in groups.items():
                 missing = [(s, lab, t) for lab in labs if (s, lab, t) not in trans]
-                if missing and not solver.is_sat(fand(fha.lam[s], w)):
+                if not missing:
+                    continue
+                valid = triple_memo.get((p, w))
+                if valid is None:
+                    valid = triple_memo[p, w] = not solver.is_sat(fand(p, w))
+                if valid:
                     trans.update(missing)
     base = PCFA(trans, fha.base.initial, fha.base.accepting, fha.base.locations)
     return FloydHoareAutomaton(base, dict(fha.lam))

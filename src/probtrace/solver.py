@@ -409,11 +409,21 @@ _UNASKED = object()  # cache miss; a cached None means unsat
 
 class Solver:
     """Caching facade over the builtin backend; all verifier queries go
-    through here."""
+    through here.  One solver serves one run.
+
+    Besides the query cache it holds two maps that Hoare saturation fills for
+    the solver's lifetime: ``wp_memo`` takes (label, proposition) to
+    ``pre_exists(label, proposition)``, and ``triple_memo`` takes
+    (proposition, weakest precondition) to whether their conjunction is
+    unsat, i.e. whether the triple holds.  A triple answered from
+    ``triple_memo`` does not reach ``is_sat``, so ``cache_hits`` does not
+    count it; ``queries`` is unchanged."""
 
     def __init__(self):
         self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
+        self.wp_memo: dict[tuple, Formula] = {}
+        self.triple_memo: dict[tuple[Formula, Formula], bool] = {}
         self.queries = 0
         self.cache_hits = 0
         self.time_spent = 0.0

@@ -306,6 +306,92 @@ def test_minimize_preserves_language_and_shrinks():
         assert bounded_language(a, 6) == bounded_language(m, 6)
 
 
+def _minimize_dense(a: PCFA) -> PCFA:
+    """Moore refinement with dense signatures: the target class of every
+    label of the sorted alphabet, -1 for a missing edge.  On deterministic
+    input `minimize` must return exactly what this returns."""
+    a = determinize(a)
+    if is_empty(a):
+        return empty_pcfa()
+    sigma = sorted(a.alphabet, key=label_key)
+    states = sorted(a.locations)
+    cls = {s: (1 if s == a.accepting else 0) for s in states}
+    adj = {s: {} for s in states}
+    for s, lab, t in a.transitions:
+        adj[s][lab] = t
+    while True:
+        sig = {
+            s: (cls[s], tuple(cls[adj[s][lab]] if lab in adj[s] else -1 for lab in sigma))
+            for s in states
+        }
+        mapping = {}
+        new_cls = {}
+        for s in states:
+            new_cls[s] = mapping.setdefault(sig[s], len(mapping))
+        if new_cls == cls:
+            break
+        cls = new_cls
+    trans = {(cls[s], lab, cls[t]) for s, lab, t in a.transitions}
+    return trim(PCFA(trans, cls[a.initial], cls[a.accepting])).renumber()
+
+
+Y = ivar("Y")
+WIDE_ALPHABET = (
+    ALPHABET
+    + tuple(Assign("X", X + as_term(k)) for k in (2, 3, -1))
+    + (Assign("Y", X), Assign("Y", Y + as_term(1)))
+    + tuple(Assume(ge(Y, k)) for k in (0, 2))
+    + (Assume(le(Y, 5)), Pb(1, "L"), Pb(1, "R"))
+)
+
+
+def random_sparse_dfa(rng: random.Random) -> PCFA:
+    """A deterministic automaton over up to all of WIDE_ALPHABET, each state
+    reading a few labels; a small label pool makes equivalent states likely
+    and back edges make refinement take several rounds."""
+    n = rng.randint(3, 16)
+    pool = rng.sample(WIDE_ALPHABET, rng.choice([3, 5, len(WIDE_ALPHABET), len(WIDE_ALPHABET)]))
+    succ = {(src, rng.choice(pool)): src + 1 for src in range(n - 1)}
+    for _ in range(rng.randint(0, n)):
+        src = rng.randrange(n - 1)
+        succ.setdefault((src, rng.choice(pool)), rng.randint(src + 1, n - 1))
+    for _ in range(rng.choice([0, 0, 1, 3])):  # from the accepting state too
+        src = rng.randrange(1, n)
+        succ.setdefault((src, rng.choice(pool)), rng.randrange(src))
+    trans = {(src, lab, t) for (src, lab), t in succ.items()}
+    return PCFA(trans, 0, n - 1, locations=set(range(n)))
+
+
+def test_minimize_sparse_signatures_match_dense_refinement_seeded():
+    rng = random.Random(2012)
+    wide = merged = 0
+    for k in range(360):
+        a = random_sparse_dfa(rng) if k % 3 else random_prefix_free_nfa(rng)
+        d = determinize(a)
+        assert d.is_deterministic()
+        m, ref = minimize(a), _minimize_dense(a)
+        assert m.transitions == ref.transitions
+        assert (m.initial, m.accepting) == (ref.initial, ref.accepting)
+        wide += len(d.alphabet) >= 10 and 4 * len(d.transitions) <= len(d.locations) * len(d.alphabet)
+        merged += len(m.locations) < len(d.locations)
+    assert wide >= 30 and merged >= 25
+
+
+def test_minimize_keeps_the_language_of_a_nondeterministic_determinization():
+    # a language that is not prefix-free can determinize to a nondeterministic
+    # PCFA (its accepting states merge); refining on every edge a state has
+    # is then a bisimulation quotient, which keeps the language
+    rng = random.Random(2012)
+    nondeterministic = 0
+    for _ in range(600):
+        d = determinize(random_nfa(rng, max_locs=8))
+        if d.is_deterministic():
+            continue
+        nondeterministic += 1
+        assert bounded_language(minimize(d), 5) == bounded_language(d, 5)
+    assert nondeterministic >= 50
+
+
 def test_epsilon_with_longer_words_is_not_representable():
     from probtrace.cfa import NotRepresentable
 

@@ -111,6 +111,24 @@ def test_negative_cap_flags_are_usage_errors(capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_negative_or_nan_timeout_in_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for value in ("-2", "nan", "inf"):
+        cfg.write_text(f"timeout = {value}\n")
+        assert main(["verify", PROG, "--config", str(cfg)]) == EXIT_ERROR
+        assert "'timeout'" in capsys.readouterr().err
+    cfg.write_text("timeout = 0\n")
+    assert _merge_settings(argparse.Namespace(config=str(cfg)))["timeout"] == 0
+
+
+def test_negative_or_nan_timeout_flag_is_a_usage_error(capsys):
+    for value in ("-1", "nan", "inf"):
+        assert main(["verify", PROG, "--timeout", value]) == EXIT_ERROR
+        assert "'timeout'" in capsys.readouterr().err
+    # 0 means no limit
+    assert main(["verify", PROG, "--timeout", "0"]) == EXIT_UNSAT
+
+
 # ---------------------------------------------------------------------------
 # verify
 

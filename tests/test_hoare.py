@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from probtrace import hoare
 from probtrace.cfa import PCFA, intersect
 from probtrace.formula import (
     FALSE,
@@ -36,6 +37,7 @@ from probtrace.semantics import (
     path_condition,
     pre_exists,
 )
+from probtrace.solver import Solver
 
 from helpers import load_program
 
@@ -200,16 +202,20 @@ def _saturate_naive(fha, alphabet, solver):
     }
 
 
+def _random_fha(rng):
+    n = rng.randint(1, 4)
+    edges = {
+        (rng.randrange(n), rng.choice(LABEL_POOL), rng.randrange(n))
+        for _ in range(rng.randint(0, 3))
+    }
+    base = PCFA(edges, 0, n - 1, locations=set(range(n)))
+    return FloydHoareAutomaton(base, {l: rng.choice(PROP_POOL) for l in range(n)})
+
+
 def test_saturate_matches_the_per_triple_check_randomized(solver):
     rng = random.Random(2013)
     for _ in range(60):
-        n = rng.randint(1, 4)
-        edges = {
-            (rng.randrange(n), rng.choice(LABEL_POOL), rng.randrange(n))
-            for _ in range(rng.randint(0, 3))
-        }
-        base = PCFA(edges, 0, n - 1, locations=set(range(n)))
-        fha = FloydHoareAutomaton(base, {l: rng.choice(PROP_POOL) for l in range(n)})
+        fha = _random_fha(rng)
         alphabet = rng.sample(LABEL_POOL, rng.randint(1, len(LABEL_POOL)))
         fat = saturate_edges(fha, alphabet, solver)
         assert fat.base.transitions == _saturate_naive(fha, alphabet, solver)
@@ -234,6 +240,62 @@ def test_saturate_asks_one_query_per_weakest_precondition(solver, monkeypatch):
     assert len(calls) <= len(locs) * groups
     monkeypatch.undo()
     assert fat.base.transitions == _saturate_naive(fha, alphabet, solver)
+
+
+def _count_decisions(monkeypatch, solver):
+    """Count `solver.is_sat` and `hoare.pre_exists` calls from here on."""
+    calls = {"is_sat": 0, "pre_exists": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "is_sat", counted("is_sat", solver.is_sat))
+    monkeypatch.setattr(hoare, "pre_exists", counted("pre_exists", hoare.pre_exists))
+    return calls
+
+
+def test_saturate_decides_each_triple_once_per_solver(monkeypatch):
+    solver = Solver()
+    base = PCFA({(0, lab("X := 0"), 1), (1, lab("X := X + 1"), 2)}, 0, 2)
+    fha = FloydHoareAutomaton(base, {0: TRUE, 1: eq(X, 0), 2: ge(X, 1)})
+    alphabet = [lab(s) for s in ["skip", "pb(0,L)", "X := 0", "X := X + 1", "C := 0"]]
+    first = saturate_edges(fha, alphabet, solver)
+    calls = _count_decisions(monkeypatch, solver)
+    again = saturate_edges(fha, alphabet, solver)
+    assert calls == {"is_sat": 0, "pre_exists": 0}
+    assert again.base.transitions == first.base.transitions
+    assert again.lam == first.lam
+
+
+def test_saturate_with_memo_matches_the_per_triple_check_seeded():
+    # one solver for the whole sequence, as in one run; the reference asks a
+    # separate solver, so no answer it gives comes from the memo
+    rng = random.Random(2014)
+    solver, reference = Solver(), Solver()
+    for _ in range(80):
+        fha = _random_fha(rng)
+        alphabet = rng.sample(LABEL_POOL, rng.randint(1, len(LABEL_POOL)))
+        fat = saturate_edges(fha, alphabet, solver)
+        assert fat.base.transitions == _saturate_naive(fha, alphabet, reference)
+        assert fat.lam == fha.lam
+    assert solver.triple_memo and solver.wp_memo
+
+
+def test_a_fresh_solver_starts_with_empty_memos(monkeypatch):
+    base = PCFA({(0, lab("X := 0"), 1)}, 0, 1)
+    fha = FloydHoareAutomaton(base, {0: TRUE, 1: eq(X, 0)})
+    alphabet = [lab("X := 0"), lab("skip"), lab("X := X + 1")]
+    first = saturate_edges(fha, alphabet, Solver())
+    fresh = Solver()
+    assert not fresh.wp_memo and not fresh.triple_memo
+    calls = _count_decisions(monkeypatch, fresh)
+    again = saturate_edges(fha, alphabet, fresh)
+    assert calls["is_sat"] > 0 and calls["pre_exists"] > 0
+    assert again.base.transitions == first.base.transitions
 
 
 # ---------------------------------------------------------------------------
