@@ -202,9 +202,16 @@ class time_limit:
         self.seconds = seconds
 
     def __enter__(self):
-        if self.seconds and self.seconds > 0:
+        self.armed = bool(self.seconds and self.seconds > 0)
+        if self.armed:
             signal.signal(signal.SIGALRM, self._raise)
-            signal.setitimer(signal.ITIMER_REAL, self.seconds)
+            try:
+                signal.setitimer(signal.ITIMER_REAL, self.seconds)
+            except OverflowError:
+                # beyond what the interval timer can represent, so it could
+                # never fire: run without an alarm
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                self.armed = False
         return self
 
     @staticmethod
@@ -212,7 +219,7 @@ class time_limit:
         raise _Timeout()
 
     def __exit__(self, exc_type, exc, tb):
-        if self.seconds and self.seconds > 0:
+        if self.armed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
         return False

@@ -143,9 +143,11 @@ def generalize_nonviolating(
     of whose accepted traces satisfy it.
 
     Head proposition is the precondition; interior propositions come from
-    sequence interpolation; the accepting proposition is False when the
-    trace's final step is unreachable (infeasible trace), otherwise the
-    postcondition.
+    sequence interpolation, weakened against the rest of the trace; the
+    accepting proposition is False when the final step cannot run from the
+    weakened last interior, otherwise the postcondition.  Interpolation
+    weakens an infeasible trace's chain against its own infeasibility, so a
+    forward chain gives False exactly for infeasible traces.
     """
     if not isinstance(classify(trace, spec, solver), NonViolating):
         raise ValueError("trace does not satisfy the contract")

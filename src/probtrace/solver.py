@@ -651,28 +651,62 @@ def sequence_interpolants(
     """Interior propositions I1..I(n-1) making every consecutive Hoare triple
     of the chain  {prefix} σ1 {I1} … {I(n-1)} σn {¬suffix}  valid.
 
-    Requires prefix ∧ path(labels) ∧ suffix to be unsatisfiable.  Inserts
-    exact strongest postconditions, and if any label resists exact forward
-    computation, falls back to the demonic weakest-precondition chain
-    (always valid, weakest useful generalization).
+    Requires prefix ∧ path(labels) ∧ suffix to be unsatisfiable.  The chain
+    is built forward from I0 = prefix: Ik starts as the exact strongest
+    postcondition sp(σk, Ik−1), and its top-level conjuncts are dropped one
+    at a time while Ik ∧ rests[k] stays unsat, so no single remaining
+    conjunct can be dropped.  Each Ik is implied by sp(σk, Ik−1), so every
+    triple stays valid.  One backward walk gives every
+    rests[k] = pre_exists_trace(σk+1…σn, target).  The target is True when
+    the trace cannot run from the prefix at all: a proof of that does not
+    mention the suffix and carries over to longer unrollings of a loop,
+    where the final state a suffix-based proof keeps does not.  Otherwise
+    the target is the suffix.  A step that leaves both the proposition and
+    the rest unchanged (skip, coins, nondeterministic tags) reuses Ik−1,
+    which is already minimal against that rest, without a query.
+
+    If any label resists exact forward computation, falls back to the
+    demonic weakest-precondition chain (always valid, weakest useful
+    generalization).
     """
-    from .semantics import pre_exists_trace, wp_demonic  # no cycle
+    from .semantics import pre_exists, wp_demonic  # no cycle
 
     labels = list(labels)
-    vc = fand(prefix, pre_exists_trace(labels, suffix))
-    if solver.is_sat(vc):
-        raise ValueError("interpolation requires an unsatisfiable chain")
+
+    def rests_to(target: Formula) -> list[Formula]:
+        rests = [target]
+        for lab in reversed(labels):
+            rests.append(pre_exists(lab, rests[-1]))
+        rests.reverse()
+        return rests
+
+    rests = rests_to(TRUE)
+    if solver.is_sat(fand(prefix, rests[0])):
+        rests = rests_to(suffix)
+        if solver.is_sat(fand(prefix, rests[0])):
+            raise ValueError("interpolation requires an unsatisfiable chain")
     if not labels:
         return []
 
-    # strongest-postcondition chain
+    # weakened strongest-postcondition chain
     props: Optional[list[Formula]] = []
     cur = prefix
-    for lab in labels[:-1]:
+    for k, lab in enumerate(labels[:-1], start=1):
         nxt = strongest_post(lab, cur)
         if nxt is None:
             props = None
             break
+        rest = rests[k]
+        if k == 1 or nxt is not cur or rest is not rests[k - 1]:
+            parts = list(nxt.args) if isinstance(nxt, And) else [nxt]
+            i = 0
+            while i < len(parts):
+                trial = parts[:i] + parts[i + 1:]
+                if solver.is_sat(fand(*trial, rest)):
+                    i += 1
+                else:
+                    parts = trial
+            nxt = fand(*parts)
         props.append(nxt)
         cur = nxt
     if props is not None:
@@ -687,4 +721,3 @@ def sequence_interpolants(
         out.append(cur)
     out.reverse()
     return out
-

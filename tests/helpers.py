@@ -210,6 +210,42 @@ def random_loopfree_program(rng: random.Random) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# random bounded-counter loops (oracle soundness on loops)
+
+
+def random_counter_loop(rng: random.Random) -> str:
+    """A random walk or ruin shape: a coin-driven update of X inside a loop
+    whose guard a counter T decrements, so every run stops within three
+    rounds.  The precondition keeps X and T inside the oracle's default
+    domain, so its interval covers every initial state the verifier sees.
+    The coin is tossed in every round: with a body that may skip it,
+    `examine` works through thousands of coin-free unrollings."""
+    x_lo = rng.randint(-2, 1)
+    x_hi = x_lo + rng.choice([0, 0, 1])
+    t_hi = rng.randint(1, 3)
+    t_lo = rng.randint(max(0, t_hi - 1), t_hi)
+
+    def update() -> str:
+        return rng.choice(["X := X + 1;", "X := X - 1;", "skip;", "X := 0;"])
+
+    body = f"{{ {update()} }} <+> {{ {update()} }};"
+    guard = "T > 0"
+    if rng.random() < 0.4:  # ruin shape: stop early once X drops below a floor
+        guard = f"T > 0 && X >= {x_lo - rng.randint(0, 1)}"
+    post = f"X {rng.choice(['<=', '>=', '!='])} {rng.randint(-2, 2)}"
+    beta = rng.choice(["1/8", "1/4", "3/8", "1/2", "3/4"])
+    x_pre = f"X = {x_lo}" if x_lo == x_hi else f"X >= {x_lo} && X <= {x_hi}"
+    t_pre = f"T = {t_lo}" if t_lo == t_hi else f"T >= {t_lo} && T <= {t_hi}"
+    return (
+        f"@pre {x_pre} && {t_pre}\n"
+        f"@post {post}\n"
+        f"@beta {beta}\n"
+        "int X;\nint T;\n"
+        f"while ({guard}) {{\n  {body}\n  T := T - 1;\n}}\n"
+    )
+
+
 def program_pcfa(text: str):
     program, spec = parse(text)
     return to_pcfa(program), spec

@@ -1,5 +1,6 @@
 """End-to-end verification loop and the decomposition certificate format."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
 from probtrace.solver import Solver
 
-from helpers import BENCH_DIR, DATA_DIR, load_program
+from helpers import BENCH_DIR, DATA_DIR, load_program, random_counter_loop
 
 C = ivar("C")
 X = ivar("X")
@@ -167,6 +168,49 @@ def test_almost_sure_loop_is_verified(solver):
     verdict, _ = run(text, solver=solver)
     assert isinstance(verdict, Sat)
     assert verdict.upper_bound == 0
+
+
+def test_interpolants_keep_the_counter_of_an_infeasible_unrolling(solver):
+    # a second round is infeasible because T = 1; a proof that keeps only
+    # X (X = -3 cannot reach X = 0) holds for one unrolling at a time, and
+    # the loop would be unrolled without end
+    text = (
+        "@pre X = -2 && T = 1\n@post X != 0\n@beta 3/8\nint X;\nint T;\n"
+        "while (T > 0) {\n  { X := X - 1; } <+> { X := X - 1; };\n  T := T - 1;\n}\n"
+    )
+    verdict, _ = run(text, solver=solver, max_iters=10)
+    assert isinstance(verdict, Sat) and verdict.upper_bound == 0
+    assert verdict.iterations <= 3
+
+
+def test_walk_ok_needs_few_iterations():
+    # interpolants weakened against the rest of the trace cover more than
+    # their own trace: the exact strongest postconditions needed 21
+    program, spec = parse((BENCH_DIR / "walk_ok.prob").read_text())
+    verdict = verify(to_pcfa(program), spec, solver=Solver())
+    assert isinstance(verdict, Sat)
+    assert verdict.iterations <= 11
+
+
+def test_counter_loops_agree_with_the_oracle_seeded():
+    """Soundness on loops: a Sat bound is at least the oracle's lower end and
+    an Unsat counterexample carries at most its upper end."""
+    rng = random.Random(2203)
+    kinds = {Sat: 0, Unsat: 0, Inconclusive: 0}
+    for _ in range(20):
+        text = random_counter_loop(rng)
+        program, spec = parse(text)
+        p = to_pcfa(program)
+        lo, hi = exact_violation_probability(p, spec)
+        for loop in (verify, verify_refutational):
+            verdict = loop(p, spec, solver=Solver(), max_iters=20)
+            kinds[type(verdict)] += 1
+            if isinstance(verdict, Sat):
+                assert lo <= verdict.upper_bound <= spec.beta, (text, verdict)
+            elif isinstance(verdict, Unsat):
+                cex = verdict.counterexample
+                assert spec.beta < cex.total_vp <= hi, (text, verdict)
+    assert kinds[Sat] >= 10 and kinds[Unsat] >= 10, kinds
 
 
 def test_nondeterministic_choice_is_worst_cased(solver):

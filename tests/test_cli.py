@@ -129,6 +129,18 @@ def test_negative_or_nan_timeout_flag_is_a_usage_error(capsys):
     assert main(["verify", PROG, "--timeout", "0"]) == EXIT_UNSAT
 
 
+def test_timeout_beyond_the_interval_timer_runs_to_the_verdict():
+    proc = subprocess.run(
+        [sys.executable, "-m", "probtrace", "verify", PROG, "--timeout", "1e300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == EXIT_UNSAT
+    assert "verdict: Unsat" in proc.stdout
+    assert "counterexample probability: 3/8" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # verify
 

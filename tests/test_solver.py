@@ -10,6 +10,7 @@ import pytest
 from probtrace.formula import (
     FALSE,
     TRUE,
+    And,
     IntTerm,
     as_term,
     bvar,
@@ -27,8 +28,9 @@ from probtrace.formula import (
     ne,
     simplify,
 )
-from probtrace.cfa import Assign, Assume, SkipL
-from probtrace.semantics import hoare_valid, interpret_label
+from probtrace import solver as solver_module
+from probtrace.cfa import Assign, Assume, Pb, SkipL
+from probtrace.semantics import hoare_valid, interpret_label, pre_exists_trace
 from probtrace.solver import (
     BuiltinSolver,
     Solver,
@@ -359,3 +361,105 @@ def test_sequence_interpolants_reject_satisfiable_chains(solver):
     with pytest.raises(ValueError, match="unsatisfiable"):
         sequence_interpolants(solver, TRUE, labels, ge(X, 1))
 
+
+def _conjuncts(f):
+    if f == TRUE:
+        return []
+    return list(f.args) if isinstance(f, And) else [f]
+
+
+def _random_unsat_chain(rng: random.Random, solver):
+    """A precondition, a trace over X and Y and a suffix the trace cannot
+    reach: unit-coefficient assignments, assumes, skip and coins."""
+    def term():
+        return IntTerm.make(
+            {v: rng.choice([-1, 0, 1]) for v in ("X", "Y")}, rng.randint(-2, 2)
+        )
+
+    def label():
+        r = rng.random()
+        if r < 0.4:
+            # unit coefficients keep the strongest postcondition exact
+            return Assign(rng.choice(["X", "Y"]), term())
+        if r < 0.7:
+            return Assume(rng.choice([le, ge, eq, ne])(term(), rng.randint(-3, 3)))
+        if r < 0.85:
+            return SkipL()
+        return Pb(rng.randint(0, 2), rng.choice("LR"))
+
+    while True:
+        pre = fand(
+            *(rng.choice([eq, le, ge])(ivar(v), rng.randint(-2, 2)) for v in ("X", "Y"))
+        )
+        labels = [label() for _ in range(rng.randint(2, 7))]
+        suffix = rng.choice([le, ge, eq, ne])(term(), rng.randint(-3, 3))
+        if not solver.is_sat(fand(pre, pre_exists_trace(labels, suffix))):
+            return pre, labels, suffix
+
+
+def test_sequence_interpolants_are_weakened_minimal_and_valid_seeded():
+    solver = Solver()
+    rng = random.Random(1109)
+    weakened = 0
+    infeasible = 0
+    for _ in range(220):
+        pre, labels, suffix = _random_unsat_chain(rng, solver)
+        mids = sequence_interpolants(solver, pre, labels, suffix)
+        # weakened against the trace's own infeasibility when it has one
+        target = suffix
+        if not solver.is_sat(fand(pre, pre_exists_trace(labels, TRUE))):
+            target = TRUE
+            infeasible += 1
+        assert len(mids) == len(labels) - 1
+        props = [pre] + mids + [fnot(suffix)]
+        for p, lab, q in zip(props, labels, props[1:]):
+            assert hoare_valid(p, lab, q, solver), (p, lab, q)
+        for k, ik in enumerate(mids, start=1):
+            sp = strongest_post(labels[k - 1], props[k - 1])
+            assert sp is not None
+            assert solver.entails(sp, ik), (sp, ik)
+            weakened += not solver.entails(ik, sp)
+            rest = pre_exists_trace(labels[k:], suffix)
+            assert not solver.is_sat(fand(ik, rest)), (ik, rest)
+            rest = pre_exists_trace(labels[k:], target)
+            parts = _conjuncts(ik)
+            for i in range(len(parts)):
+                trial = parts[:i] + parts[i + 1:]
+                assert solver.is_sat(fand(*trial, rest)), (ik, parts[i], rest)
+    assert weakened > 100  # the chain is not the exact one
+    assert 50 < infeasible < 170
+
+
+def test_identity_steps_reuse_the_previous_proposition(monkeypatch):
+    solver = Solver()
+    labels = [
+        Assign("X", X + as_term(1)),
+        Assign("Y", as_term(0)),
+        SkipL(),
+        Pb(0, "L"),
+        Assign("X", X + Y),
+        Assume(ge(X, 3)),
+    ]
+    pre = fand(eq(X, 0), eq(Y, 5))
+    log = []
+    real_sp = solver_module.strongest_post
+    real_is_sat = solver.is_sat
+
+    def logged_sp(lab, phi):
+        log.append(lab)
+        return real_sp(lab, phi)
+
+    def logged_is_sat(f):
+        log.append("query")
+        return real_is_sat(f)
+
+    monkeypatch.setattr(solver_module, "strongest_post", logged_sp)
+    monkeypatch.setattr(solver, "is_sat", logged_is_sat)
+    mids = sequence_interpolants(solver, pre, labels, TRUE)
+    sp_at = [i for i, entry in enumerate(log) if entry != "query"]
+    assert [log[i] for i in sp_at] == labels[:-1]
+    queries_after = [b - a - 1 for a, b in zip(sp_at, sp_at[1:] + [len(log)])]
+    # the skip and the coin follow an assignment that was weakened
+    assert queries_after[0] > 0 and queries_after[1] > 0
+    assert queries_after[2] == 0 and queries_after[3] == 0
+    assert mids[2] is mids[1] and mids[3] is mids[1]
