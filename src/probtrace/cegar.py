@@ -53,6 +53,7 @@ from .cfa import (
     minimize,
     nfa_is_empty,
     nfa_shortest,
+    trace_tree,
     union,
 )
 from .evidence import (
@@ -135,11 +136,10 @@ def verify(
             bases = [q.base for q in qs]
             if a_lang is not None and not is_empty(a_lang):
                 bases.append(a_lang)
-            uncovered = difference_nfa(p, bases)
-            if nfa_is_empty(uncovered):
+            tau = nfa_shortest(difference_nfa(p, bases))
+            if tau is None:
                 events.append(("sat", last_bound))
                 return Sat(last_bound, iters)
-            tau = nfa_shortest(uncovered)
             iters += 1
             events.append(("pick", iters, tau))
             cls = classify(tau, spec, solver)
@@ -180,28 +180,6 @@ def verify(
 # ---------------------------------------------------------------------------
 # refutationally complete variant
 # ---------------------------------------------------------------------------
-
-def _trie(traces: Sequence[tuple]) -> PCFA:
-    """Prefix tree of complete program traces (prefix-free, since the
-    accepting location is a sink), with one shared accepting node."""
-    acc = 0
-    nxt = 2
-    children: dict[tuple, int] = {}
-    trans = set()
-    for tr in traces:
-        cur = 1
-        for lab in tr[:-1]:
-            key = (cur, lab)
-            tgt = children.get(key)
-            if tgt is None:
-                tgt = nxt
-                nxt += 1
-                children[key] = tgt
-                trans.add((cur, lab, tgt))
-            cur = tgt
-        trans.add((cur, tr[-1], acc))
-    return PCFA(trans, 1, acc)
-
 
 def _greedy_counterexample(
     found: list[tuple[tuple, Formula]], beta: Fraction, solver: Solver
@@ -257,7 +235,7 @@ def verify_refutational(
         while iters < max_iters:
             bases = [q.base for q in qs]
             if found:
-                bases.append(_trie([t for t, _ in found]))
+                bases.append(trace_tree([t for t, _ in found]))
             uncovered = difference_nfa(p, bases)
             residual = _to_pcfa(uncovered)
             if is_empty(residual):

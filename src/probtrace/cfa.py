@@ -6,11 +6,12 @@ initial and a single accepting location, labelled by program labels
 nondeterministic branches).  Program trace languages are prefix-free, which
 is what makes the single-accepting shape closed under the operations here;
 boolean combinations are computed on an internal multi-accepting
-representation and coerced back at the end.  Intersection and difference
-are one on-the-fly product: the subset construction of the left operand
-runs in lockstep with that of the right operands' union, and only the
-pairs that words of the left operand reach are built, so neither side is
-determinized or completed over the alphabet up front.
+representation and coerced back at the end.  Every operation is one
+on-the-fly subset construction: that of the left operand runs in lockstep
+with that of the right operands' union, and only the pairs that words of
+the left operand reach are built, so neither side is determinized or
+completed over the alphabet up front.  Intersection and difference have
+right operands; determinize and union are the same construction with none.
 
 Also here: the normalization procedure that forces paired probabilistic
 branches to target distinct locations, and the fixed total order on labels
@@ -228,41 +229,60 @@ def empty_pcfa() -> PCFA:
     return PCFA((), 0, 1)
 
 
+def trace_tree(traces: Sequence[Sequence[Label]]) -> PCFA:
+    """The prefix tree of non-empty traces, one location per distinct
+    proper prefix, with one shared accepting location.  Deterministic when
+    the set is prefix-free, as complete program traces are (the accepting
+    location is a sink)."""
+    acc = 0
+    nxt = 2
+    children: dict[tuple, int] = {}
+    trans = set()
+    for tr in traces:
+        cur = 1
+        for lab in tr[:-1]:
+            key = (cur, lab)
+            tgt = children.get(key)
+            if tgt is None:
+                tgt = nxt
+                nxt += 1
+                children[key] = tgt
+                trans.add((cur, lab, tgt))
+            cur = tgt
+        trans.add((cur, tr[-1], acc))
+    return PCFA(trans, 1, acc)
+
+
 # ---------------------------------------------------------------------------
 # reachability / trimming
 # ---------------------------------------------------------------------------
 
-def _forward_reach(a: PCFA) -> set[int]:
-    seen = {a.initial}
-    todo = [a.initial]
+def _reach(starts: Iterable[int], succ: dict[int, Iterable[int]]) -> set[int]:
+    """Every node reachable from `starts` along `succ`, the starts included."""
+    seen = set(starts)
+    todo = list(seen)
     while todo:
-        s = todo.pop()
-        for _, t in a.out_edges(s):
+        for t in succ.get(todo.pop(), ()):
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
     return seen
 
 
-def _backward_reach(a: PCFA, targets: set[int]) -> set[int]:
-    rev: dict[int, set[int]] = {}
-    for s, _, t in a.transitions:
-        rev.setdefault(t, set()).add(s)
-    seen = set(targets)
-    todo = list(targets)
-    while todo:
-        s = todo.pop()
-        for p in rev.get(s, ()):
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return seen
+def _live(transitions, initials: Iterable[int], accepting: Iterable[int]) -> set[int]:
+    """The states on some path from an initial to an accepting state."""
+    fwd: dict[int, list[int]] = {}
+    bwd: dict[int, list[int]] = {}
+    for s, _, t in transitions:
+        fwd.setdefault(s, []).append(t)
+        bwd.setdefault(t, []).append(s)
+    return _reach(initials, fwd) & _reach(accepting, bwd)
 
 
 def trim(a: PCFA) -> PCFA:
     """Keep only locations on some initial-to-accepting path."""
-    live = _forward_reach(a) & _backward_reach(a, {a.accepting})
-    if a.initial not in live or a.accepting not in live:
+    live = _live(a.transitions, {a.initial}, {a.accepting})
+    if not live:
         return empty_pcfa()
     return PCFA(
         {(s, lab, t) for s, lab, t in a.transitions if s in live and t in live},
@@ -273,7 +293,8 @@ def trim(a: PCFA) -> PCFA:
 
 
 def is_empty(a: PCFA) -> bool:
-    return a.accepting not in _forward_reach(a)
+    succ = {s: [t for _, t in a.out_edges(s)] for s in a.locations}
+    return a.accepting not in _reach({a.initial}, succ)
 
 
 def shortest_accepted_trace(a: PCFA) -> Optional[tuple[Label, ...]]:
@@ -331,26 +352,7 @@ def _step(adj: dict[int, dict[Label, set[int]]], states) -> dict[Label, set[int]
     return table
 
 
-def _nfa_determinize(n: _NFA) -> _NFA:
-    """Subset construction; result states are renumbered ints."""
-    start = frozenset(n.initials)
-    index = {start: 0}
-    todo = [start]
-    adj = _adjacency(n.transitions)
-    trans: set[tuple[int, Label, int]] = set()
-    while todo:
-        cur = todo.pop()
-        for lab, ts in _step(adj, cur).items():
-            key = frozenset(ts)
-            if key not in index:
-                index[key] = len(index)
-                todo.append(key)
-            trans.add((index[cur], lab, index[key]))
-    accs = {i for subset, i in index.items() if subset & n.accepting}
-    return _NFA(trans, {0}, accs, set(index.values()))
-
-
-def _subset_product(a: PCFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
+def _subset_product(a: _NFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
     """The subset construction of `a` run in lockstep with that of the
     disjoint union of the `bs`, built on the fly from the initial pair.
 
@@ -359,11 +361,13 @@ def _subset_product(a: PCFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
     reads leads to the empty set, which is the sink: no completion over the
     alphabet is needed.  accept_pair decides acceptance from whether each
     side's set holds an accepting state; when it rejects every pair with an
-    empty b-side, those pairs are not entered at all."""
+    empty b-side, those pairs are not entered at all.  With no `bs` every
+    b-side is that sink, so the result is the plain subset construction of
+    `a`: determinize and union are this construction with no right operand."""
     b = _nfa_union([_nfa_of(x) for x in bs])
     a_adj, b_adj = _adjacency(a.transitions), _adjacency(b.transitions)
     sink_live = accept_pair(True, False)
-    start = (frozenset({a.initial}), frozenset(b.initials))
+    start = (frozenset(a.initials), frozenset(b.initials))
     index = {start: 0}
     todo = [start]
     trans: set[tuple[int, Label, int]] = set()
@@ -372,7 +376,7 @@ def _subset_product(a: PCFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
         pair = todo.pop()
         sa, sb = pair
         i = index[pair]
-        if accept_pair(a.accepting in sa, not b.accepting.isdisjoint(sb)):
+        if accept_pair(not a.accepting.isdisjoint(sa), not b.accepting.isdisjoint(sb)):
             accs.add(i)
         for lab, ta in _step(a_adj, sa).items():
             tb = frozenset(t for s in sb for t in b_adj.get(s, {}).get(lab, ()))
@@ -387,24 +391,7 @@ def _subset_product(a: PCFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
 
 
 def _nfa_trim(n: _NFA) -> _NFA:
-    adj: dict[int, list[int]] = {}
-    radj: dict[int, list[int]] = {}
-    for s, _, t in n.transitions:
-        adj.setdefault(s, []).append(t)
-        radj.setdefault(t, []).append(s)
-
-    def reach(starts: set[int], table: dict[int, list[int]]) -> set[int]:
-        seen = set(starts)
-        todo = list(starts)
-        while todo:
-            s = todo.pop()
-            for t in table.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return seen
-
-    live = reach(set(n.initials), adj) & reach(set(n.accepting), radj)
+    live = _live(n.transitions, n.initials, n.accepting)
     return _NFA(
         {(s, lab, t) for s, lab, t in n.transitions if s in live and t in live},
         n.initials & live,
@@ -454,17 +441,16 @@ def _to_pcfa(n: _NFA) -> PCFA:
 def determinize(a: PCFA) -> PCFA:
     if a.is_deterministic():
         return trim(a)
-    return _to_pcfa(_nfa_determinize(_nfa_of(trim(a))))
+    return _to_pcfa(_subset_product(_nfa_of(trim(a)), [], lambda x, y: x))
 
 
 def intersect(a: PCFA, b: PCFA) -> PCFA:
-    return _to_pcfa(_subset_product(a, [b], lambda x, y: x and y))
+    return _to_pcfa(_subset_product(_nfa_of(a), [b], lambda x, y: x and y))
 
 
 def union(a: PCFA, b: PCFA) -> PCFA:
-    return _to_pcfa(
-        _nfa_determinize(_nfa_union([_nfa_of(a), _nfa_of(b)]))
-    )
+    parts = _nfa_union([_nfa_of(a), _nfa_of(b)])
+    return _to_pcfa(_subset_product(parts, [], lambda x, y: x))
 
 
 def difference(a: PCFA, b: PCFA) -> PCFA:
@@ -478,12 +464,11 @@ def difference_all(a: PCFA, bs: list["PCFA"]) -> PCFA:
 
 def difference_nfa(a: PCFA, bs: list[PCFA]) -> _NFA:
     """L(a) minus the union of the bs, as a deterministic internal value."""
-    return _subset_product(a, bs, lambda x, y: x and not y)
+    return _subset_product(_nfa_of(a), bs, lambda x, y: x and not y)
 
 
 def nfa_is_empty(n: _NFA) -> bool:
-    n = _nfa_trim(n)
-    return not n.accepting
+    return not _live(n.transitions, n.initials, n.accepting)
 
 
 def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:

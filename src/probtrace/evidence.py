@@ -27,9 +27,11 @@ from .cfa import (
     Label,
     Pb,
     difference_all,
+    empty_pcfa,
     is_empty,
     minimize,
     trace_key,
+    trace_tree,
     trim,
     union,
 )
@@ -149,14 +151,12 @@ class _Cell:
     mined: bool = False
 
 
-def _linear(trace: Sequence[Label]) -> PCFA:
-    return PCFA({(i, lab, i + 1) for i, lab in enumerate(trace)}, 0, len(trace))
-
-
 def _erase_traces(aut: PCFA, traces: Sequence[Trace]) -> PCFA:
+    """Remove the traces, complete traces of `aut` and so prefix-free, by
+    one difference with their trace tree."""
     if not traces:
         return aut
-    return difference_all(aut, [_linear(tr) for tr in traces])
+    return difference_all(aut, [trace_tree(traces)])
 
 
 def _optimal_subcfmdp(aut: PCFA, optimal_actions: dict) -> PCFA:
@@ -205,7 +205,7 @@ def examine(
     def cover() -> PCFA:
         live = [c.aut for c in cells if not is_empty(c.aut)]
         if not live:
-            return trim(PCFA((), 0, 1))
+            return empty_pcfa()
         out = live[0]
         for part in live[1:]:
             out = union(out, part)

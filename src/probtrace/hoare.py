@@ -40,16 +40,9 @@ class FloydHoareAutomaton:
     lam: dict  # location -> Formula
 
     def renumbered(self) -> "FloydHoareAutomaton":
-        order = sorted(self.base.locations)
-        remap = {loc: i for i, loc in enumerate(order)}
+        rank = {loc: i for i, loc in enumerate(sorted(self.base.locations))}
         return FloydHoareAutomaton(
-            PCFA(
-                {(remap[s], lab, remap[t]) for s, lab, t in self.base.transitions},
-                remap[self.base.initial],
-                remap[self.base.accepting],
-                locations=set(remap.values()),
-            ),
-            {remap[l]: f for l, f in self.lam.items()},
+            self.base.renumber(), {rank[l]: f for l, f in self.lam.items()}
         )
 
 

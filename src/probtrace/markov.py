@@ -24,6 +24,7 @@ from .cfa import (
     PCFA,
     Label,
     Pb,
+    _reach,
     difference_nfa,
     is_normalized,
     label_key,
@@ -359,14 +360,7 @@ def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
         for _, t in succ[loc]:
             pred.setdefault(t, []).append(loc)
 
-    reach = {a.accepting}
-    todo = [a.accepting]
-    while todo:
-        for loc in pred.get(todo.pop(), ()):
-            if loc not in reach:
-                reach.add(loc)
-                todo.append(loc)
-
+    reach = _reach({a.accepting}, pred)
     values = {loc: Fraction(0) for loc in a.locations}
     values[a.accepting] = Fraction(1)
     for comp in _sccs(reach - {a.accepting}, succ):

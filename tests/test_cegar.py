@@ -361,3 +361,50 @@ def test_certificate_sigma_edges_expand_over_the_alphabet(motivating):
     assert reduced == set(p.alphabet) - {
         lab for lab in p.alphabet if str(lab) in ("X := 0", "skip")
     }
+
+
+# The corpus record: verdict, Sat bound or Unsat mass, and iteration count of
+# every benchmark and the motivating example, under `verify` and under
+# `verify_refutational` capped at 60 iterations.
+CORPUS_RECORD = {
+    "counter.prob": (("sat", "7/16", 3), ("inconclusive", None, 14)),
+    "counter_over.prob": (("unsat", "3/8", 3), ("unsat", "3/8", 6)),
+    "coupon.prob": (("sat", "1/4", 7), ("sat", "1/4", 8)),
+    "coupon_miss.prob": (("unsat", "1/4", 7), ("unsat", "1/4", 7)),
+    "ruin.prob": (("unsat", "1/8", 7), ("unsat", "1/8", 7)),
+    "ruin_ok.prob": (("sat", "1/8", 8), ("sat", "1/8", 8)),
+    "three_flips.prob": (("sat", "1/8", 2), ("sat", "1/8", 1)),
+    "two_coins.prob": (("unsat", "1/4", 1), ("unsat", "1/4", 1)),
+    "two_coins_ok.prob": (("sat", "1/4", 3), ("sat", "1/4", 3)),
+    "walk.prob": (("unsat", "1/8", 10), ("unsat", "1/8", 10)),
+    "walk_ok.prob": (("sat", "1/4", 9), ("sat", "1/4", 9)),
+    "motivating.prob": (("unsat", "3/8", 3), ("unsat", "3/8", 6)),
+}
+
+
+def test_corpus_record_covers_every_benchmark():
+    names = {path.name for path in BENCH_DIR.glob("*.prob")} | {"motivating.prob"}
+    assert names == set(CORPUS_RECORD)
+
+
+def _record_of(verdict):
+    if isinstance(verdict, Sat):
+        return ("sat", str(verdict.upper_bound), verdict.iterations)
+    if isinstance(verdict, Unsat):
+        return ("unsat", str(verdict.counterexample.total_vp), verdict.iterations)
+    return ("inconclusive", None, verdict.iterations)
+
+
+@pytest.mark.parametrize("loop", ["verify", "verify_refutational"])
+@pytest.mark.parametrize("name", sorted(CORPUS_RECORD))
+def test_corpus_record(name, loop):
+    folder = DATA_DIR if name == "motivating.prob" else BENCH_DIR
+    program, spec = parse((folder / name).read_text())
+    p = to_pcfa(program)
+    if loop == "verify":
+        verdict = verify(p, spec, solver=Solver())
+        want = CORPUS_RECORD[name][0]
+    else:
+        verdict = verify_refutational(p, spec, solver=Solver(), max_iters=60)
+        want = CORPUS_RECORD[name][1]
+    assert _record_of(verdict) == want

@@ -33,6 +33,7 @@ from probtrace.cfa import (
     normalize,
     shortest_accepted_trace,
     trace_key,
+    trace_tree,
     trim,
     union,
 )
@@ -149,10 +150,8 @@ def test_label_and_trace_keys_are_total_orders():
 # determinization and boolean algebra vs. enumeration
 
 
-def random_prefix_free_nfa(rng: random.Random) -> PCFA:
-    """Nondeterministic automaton for a prefix-free finite language (the
-    shape of program trace languages, where exact determinization and
-    minimization are promised)."""
+def random_prefix_free_words(rng: random.Random) -> list[tuple]:
+    """A non-empty prefix-free set of non-empty words, in draw order."""
     words: list[tuple] = []
     for _ in range(rng.randint(1, 6)):
         w = tuple(rng.choice(ALPHABET) for _ in range(rng.randint(1, 5)))
@@ -160,6 +159,14 @@ def random_prefix_free_nfa(rng: random.Random) -> PCFA:
             w[: len(v)] == v or v[: len(w)] == w for v in words
         ):
             words.append(w)
+    return words
+
+
+def random_prefix_free_nfa(rng: random.Random) -> PCFA:
+    """Nondeterministic automaton for a prefix-free finite language (the
+    shape of program trace languages, where exact determinization and
+    minimization are promised)."""
+    words = random_prefix_free_words(rng)
     trans = set()
     fresh = 10
     for w in words:
@@ -171,6 +178,23 @@ def random_prefix_free_nfa(rng: random.Random) -> PCFA:
             trans.add((cur, lab, nxt))
             cur = nxt
     return PCFA(trans, 0, 9, locations=set(range(10)) | set(range(10, fresh)))
+
+
+def test_trace_tree_accepts_exactly_the_traces_seeded():
+    rng = random.Random(121)
+    for _ in range(60):
+        words = random_prefix_free_words(rng)
+        tree = trace_tree(words)
+        assert bounded_language(tree, 7) == set(words)
+        assert tree.is_cfmdp()
+
+
+def test_trace_tree_has_one_location_per_proper_prefix_seeded():
+    rng = random.Random(131)
+    for _ in range(60):
+        words = random_prefix_free_words(rng)
+        prefixes = {w[:k] for w in words for k in range(len(w))}
+        assert len(trace_tree(words).locations) == len(prefixes) + 1
 
 
 def test_determinize_preserves_language_randomized():
@@ -264,16 +288,24 @@ def test_difference_nfa_of_nondeterministic_left_operand_randomized():
 
 
 def test_difference_nfa_explores_only_the_left_operand(monkeypatch):
-    def whole_subset_construction(n):
-        raise AssertionError("an operand was determinized up front")
+    # one subset construction per difference: no operand is determinized
+    # by a second one up front
+    entered = []
+    product = cfa._subset_product
 
-    monkeypatch.setattr(cfa, "_nfa_determinize", whole_subset_construction)
+    def counted(*args):
+        entered.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(cfa, "_subset_product", counted)
     rng = random.Random(808)
     for _ in range(30):
         word = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 6))]
         a = PCFA({(i, lab, i + 1) for i, lab in enumerate(word)}, 0, len(word))
         bs = [random_nfa(rng) for _ in range(rng.randint(0, 3))]
+        entered.clear()
         assert len(difference_nfa(a, bs).states) <= len(word) + 1
+        assert len(entered) == 1
 
 
 def test_intersect_of_nondeterministic_pair_randomized():

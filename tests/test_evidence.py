@@ -1,11 +1,12 @@
 """The quantitative examination loop: best-first trace mining, mainstream
 accumulation, certificates, splits, and counterexample validation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from probtrace.cfa import PCFA, SkipL, intersect, minimize, normalize
+from probtrace.cfa import PCFA, SkipL, difference_all, intersect, minimize, normalize
 from probtrace.evidence import (
     Certificate,
     Counterexample,
@@ -15,6 +16,7 @@ from probtrace.evidence import (
     enumerate_by_weight,
     examine,
     validate_counterexample,
+    _erase_traces,
 )
 from probtrace.formula import FALSE, eq, fand, ge, ivar, le, simplify
 from probtrace.hoare import check_floyd_hoare
@@ -22,7 +24,7 @@ from probtrace.lang import Specification
 from probtrace.markov import mdp_upper_bound
 from probtrace.semantics import weight
 
-from helpers import load_program
+from helpers import load_program, random_cfmdp
 
 C = ivar("C")
 
@@ -258,3 +260,28 @@ def test_validation_accepts_the_real_thing(setting, solver, good_cex):
         P, spec, Fraction(3, 10), good_cex, solver
     )
     assert ok and not reasons
+
+
+def _linear(trace) -> PCFA:
+    """The one-trace automaton: the reference erasure removes one per trace."""
+    return PCFA({(i, lab, i + 1) for i, lab in enumerate(trace)}, 0, len(trace))
+
+
+def test_erasing_through_one_trace_tree_matches_per_trace_difference_seeded():
+    rng = random.Random(1313)
+    checked = 0
+    while checked < 40:
+        a = random_cfmdp(rng)
+        complete = a.enumerate_traces(5)
+        if not complete:
+            continue
+        traces = rng.sample(complete, rng.randint(1, min(6, len(complete))))
+        got = _erase_traces(a, traces)
+        want = difference_all(a, [_linear(tr) for tr in traces])
+        assert (got.initial, got.accepting, got.locations, got.transitions) == (
+            want.initial,
+            want.accepting,
+            want.locations,
+            want.transitions,
+        )
+        checked += 1
