@@ -11,13 +11,16 @@ mass to a dead sink — and runs exact policy iteration over rationals, so
 results like 1/2 or 7/16 come out as the precise dyadic they are.  Each
 policy's linear system is solved one strongly connected component at a
 time, successors first: acyclic states take one back-substitution each, and
-elimination runs only inside cycles.
+elimination runs only inside cycles.  There it runs sparsely and in
+integers, on the system doubled so that every coefficient is whole, and
+builds one Fraction per value at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .cfa import (
@@ -308,36 +311,69 @@ def _sccs(nodes: set, succ: dict) -> list[list[int]]:
 
 
 def _solve_cyclic(comp: list[int], succ: dict, values: dict) -> None:
-    """Solve x = P·x + b on one cyclic component by Gauss-Jordan elimination;
-    `values` already holds every target outside the component."""
+    """Solve x = P·x + b on one cyclic component by sparse elimination in
+    integers; `values` already holds every target outside the component.
+
+    The system is doubled so that it has integer coefficients: a state's row
+    is 2 on the diagonal less each in-component successor's weight out of 2,
+    and the constants from solved successors are brought to one common
+    denominator D.  Rows are {column: int} maps, eliminated fraction-free as
+    in Bareiss (Math. Comp. 22, 1968), downward and then upward: cross-multiply,
+    then divide the row by its gcd, touching only nonzero entries.  Each value
+    is one Fraction(rhs, pivot·D) at the end.  Restricted to states
+    that reach acceptance the system is a nonsingular M-matrix, whose
+    diagonal pivots are all nonzero; a zero pivot means the component holds
+    a closed cycle, and raises ArithmeticError.
+    """
     unknowns = sorted(comp)
     idx = {loc: i for i, loc in enumerate(unknowns)}
-    n = len(unknowns)
-    mat = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    outside = {t for loc in unknowns for _, t in succ[loc] if t not in idx}
+    den = lcm(*(values[t].denominator for t in outside))
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
     for loc in unknowns:
-        i = idx[loc]
-        mat[i][i] = Fraction(1)
-        for p, t in succ[loc]:
+        row, b = {idx[loc]: 2}, 0
+        for w, t in succ[loc]:
             if t in idx:
-                mat[i][idx[t]] -= p
+                row[idx[t]] = row.get(idx[t], 0) - w
             else:
-                mat[i][n] += p * values[t]
-    # gaussian elimination with partial (first-nonzero) pivoting
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        pv = mat[row][col]
-        mat[row] = [x / pv for x in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        row += 1
-    for loc in unknowns:
-        values[loc] = mat[idx[loc]][n]
+                b += w * values[t].numerator * (den // values[t].denominator)
+        rows.append({j: x for j, x in row.items() if x})
+        rhs.append(b)
+
+    def eliminate(r: int, c: int) -> None:
+        """Clear column c out of row r by pivot row c."""
+        pivot_row, row = rows[c], rows[r]
+        f = row.pop(c)
+        g = gcd(pivot_row[c], f)
+        m, k = pivot_row[c] // g, f // g
+        out = {j: m * x for j, x in row.items()}
+        for j, x in pivot_row.items():
+            if j != c:
+                y = out.get(j, 0) - k * x
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
+        b = m * rhs[r] - k * rhs[c]
+        g = gcd(b, *out.values())
+        if g > 1:
+            out = {j: x // g for j, x in out.items()}
+            b //= g
+        rows[r], rhs[r] = out, b
+
+    n = len(unknowns)
+    for c in range(n):
+        if c not in rows[c]:
+            raise ArithmeticError(f"singular component: no pivot for location {unknowns[c]}")
+        for r in range(c + 1, n):
+            if c in rows[r]:
+                eliminate(r, c)
+    for c in reversed(range(n)):
+        for j in [j for j in rows[c] if j != c]:
+            eliminate(c, j)
+    for i, loc in enumerate(unknowns):
+        values[loc] = Fraction(rhs[i], rows[i][i] * den)
 
 
 def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
@@ -347,16 +383,16 @@ def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
     is solved one strongly connected component at a time, successors first:
     a single state without a self-loop is one back-substitution, and only a
     cyclic component is eliminated, with its successors' values as
-    constants."""
-    succ: dict[int, list[tuple[Fraction, int]]] = {}
+    constants.  Successors carry integer weights out of 2: 1 for each side
+    of a coin, 2 for a plain label."""
+    succ: dict[int, list[tuple[int, int]]] = {}
     pred: dict[int, list[int]] = {}
     for loc, act in policy.items():
         step = acts[loc][act]
         if isinstance(act, int):
-            half = Fraction(1, 2)
-            succ[loc] = [(half, t) for t in step.values()]  # missing side: mass lost
+            succ[loc] = [(1, t) for t in step.values()]  # missing side: mass lost
         else:
-            succ[loc] = [(Fraction(1), step)]
+            succ[loc] = [(2, step)]
         for _, t in succ[loc]:
             pred.setdefault(t, []).append(loc)
 
@@ -366,7 +402,7 @@ def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
     for comp in _sccs(reach - {a.accepting}, succ):
         loc = comp[0]
         if len(comp) == 1 and all(t != loc for _, t in succ[loc]):
-            values[loc] = sum((p * values[t] for p, t in succ[loc]), Fraction(0))
+            values[loc] = sum(w * values[t] for w, t in succ[loc]) / 2
         else:
             _solve_cyclic(comp, succ, values)
     return values
@@ -394,10 +430,14 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
     values = _policy_value(a, acts, policy)
     for _ in range(10_000):
         improved = False
+        optimal = {}  # the sweep that improves nothing leaves the optimal actions
         for loc, here in acts.items():
             best_act, best_q = policy[loc], values[loc]
+            optimal[loc] = []
             for act in here:
                 q = _q_value(acts, values, loc, act)
+                if q == values[loc]:
+                    optimal[loc].append(act)
                 if q > best_q:
                     best_act, best_q = act, q
             if best_act != policy[loc] and best_q > values[loc]:
@@ -410,11 +450,6 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
         values = new_values
     else:
         raise RuntimeError("policy iteration did not converge")
-
-    optimal = {
-        loc: [act for act in here if _q_value(acts, values, loc, act) == values[loc]]
-        for loc, here in acts.items()
-    }
     return MdpAnalysis(values.get(a.initial, Fraction(0)), values, policy, optimal)
 
 

@@ -8,6 +8,7 @@ from itertools import islice
 
 import pytest
 
+from probtrace import markov
 from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL
 from probtrace.evidence import enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
@@ -15,6 +16,7 @@ from probtrace.markov import (
     Strategy,
     _policy_value,
     _sccs,
+    _solve_cyclic,
     actions_at,
     analyze_mdp,
     apply_strategy,
@@ -214,6 +216,28 @@ def test_policy_value_by_component_matches_dense_solve_seeded():
     assert all(seen.values()), seen
 
 
+def test_policy_value_matches_dense_solve_at_refute_scale_seeded(monkeypatch):
+    # components as large as the refutational loop's residual modules, some
+    # fed by an already-solved cyclic component whose value is not dyadic
+    seen = {"large": 0, "non_dyadic_input": 0}
+    solve = markov._solve_cyclic
+
+    def spy(comp, succ, values):
+        seen["large"] += len(comp) >= 10
+        inputs = [values[t] for loc in comp for _, t in succ[loc] if t not in comp]
+        seen["non_dyadic_input"] += any(v.denominator & (v.denominator - 1) for v in inputs)
+        solve(comp, succ, values)
+
+    monkeypatch.setattr(markov, "_solve_cyclic", spy)
+    rng = random.Random(1304)
+    for _ in range(300):
+        a = random_cfmdp(rng, max_locs=20)
+        acts = _action_map(a)
+        policy = {loc: rng.choice(sorted(here, key=repr)) for loc, here in acts.items()}
+        assert _policy_value(a, acts, policy) == _dense_policy_value(a, policy)
+    assert all(seen.values()), seen
+
+
 def test_acyclic_chain_of_coins_is_back_substituted():
     k = 2000
     a = PCFA({(i, Pb(i, "L"), i + 1) for i in range(k)}, 0, k)
@@ -230,6 +254,29 @@ def test_acyclic_chain_of_coins_is_back_substituted():
         signal.signal(signal.SIGALRM, old)
     assert analysis.bound == Fraction(1, 2**k)
     assert analysis.values[k - 3] == Fraction(1, 8)
+
+
+def test_fair_gamblers_ruin_cycle_is_eliminated_sparsely():
+    # one cyclic component of n - 1 states, each a fair coin one step up or
+    # down between ruin at 0 and acceptance at n: a dense solve is cubic in n
+    n = 400
+    a = PCFA(
+        {(i, Pb(i, side), i + step) for i in range(1, n) for side, step in (("L", 1), ("R", -1))},
+        1,
+        n,
+    )
+
+    def hang(signum, frame):
+        raise TimeoutError("the cycle was not solved in time")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        analysis = analyze_mdp(a)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert analysis.values == {i: Fraction(i, n) for i in range(n + 1)}
 
 
 def test_cyclic_components_solved_in_sequence():
@@ -261,6 +308,13 @@ def test_cyclic_components_solved_in_sequence():
         4: Fraction(1),
     }
     assert analyze_mdp(a).values == values
+
+
+def test_solve_cyclic_rejects_a_closed_cycle():
+    # 0 -> 1 -> 0 by plain labels (weight 2 of 2) never exits: singular
+    values = {0: Fraction(0), 1: Fraction(0)}
+    with pytest.raises(ArithmeticError, match="singular"):
+        _solve_cyclic([0, 1], {0: [(2, 1)], 1: [(2, 0)]}, values)
 
 
 # ---------------------------------------------------------------------------
