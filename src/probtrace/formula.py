@@ -11,10 +11,13 @@ on when it merges equal propositions.
 Constructor output is canonical, and this module is the only one that
 knows the canonical form: no code elsewhere in the package builds a node
 directly (parsed programs and certificates both go through the
-constructors), so every formula is used as built.  ``simplify``, which
-rebuilds a formula through the constructors, returns every formula they
-built unchanged; it is the reference the tests hold the constructors to,
-and no verifier code calls it.
+constructors), so every formula is used as built.  The one exception is
+the solver's branching step, which drops arguments from a canonical
+`And`/`Or`; that is sound because a canonical node minus some of its
+arguments is canonical.  ``simplify``, which rebuilds a formula through the
+constructors, returns every formula they built unchanged; it is the
+reference the tests hold the constructors to, and no verifier code calls
+it.
 """
 
 from __future__ import annotations
@@ -533,19 +536,4 @@ def feval(f: Formula, state: Mapping[str, object]) -> bool:
     if isinstance(f, Or):
         return any(feval(a, state) for a in f.args)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def atoms(f: Formula) -> list[Formula]:
-    """Positive occurrences of atoms (literals), deterministic order."""
-    out: dict[tuple, Formula] = {}
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (BoolLit, Cmp)):
-            out.setdefault(_key(g), g)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-
-    walk(f)
-    return [out[k] for k in sorted(out)]
 

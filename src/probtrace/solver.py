@@ -10,6 +10,15 @@ splinter fallback).  All arithmetic is bignum integer arithmetic, so answers
 are exact.  The eliminations fix an integer solution, read back in reverse
 order as the model of every sat answer.
 
+A branch costs only what it changes.  Setting an atom rebuilds just the
+nodes that contain it; an `And` whose changed arguments all became TRUE
+(an `Or`, FALSE) loses them from its `args` without a rebuild, which is
+sound because a canonical formula minus some of its arguments is still
+canonical.  An atom that is a conjunct of the query, or the whole query,
+is never tried false: that branch is FALSE by construction.  A backend
+keeps the theory cubes it has decided, since one run's queries close many
+branches on the same cube.
+
 :class:`Solver` is the caching facade the verifier asks; it always runs the
 builtin procedure.
 """
@@ -32,9 +41,9 @@ from .formula import (
     Cmp,
     Formula,
     _cmp,
+    _key,
     IntTerm,
     Or,
-    atoms,
     bool_vars,
     bvar,
     eq,
@@ -310,16 +319,60 @@ def _ineqs_model(ineqs: list[Lin], depth: int) -> Optional[dict]:
 # builtin backend: semantic branching + Omega cubes
 # ---------------------------------------------------------------------------
 
+_UNASKED = object()  # cache miss; a cached None means unsat
+
+
+def _least_atom(f: Formula) -> Formula:
+    """The atom of `f` (a boolean literal or a comparison) with the least
+    `_key`: the one `BuiltinSolver._search` branches on."""
+    best = None
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (And, Or)):
+            stack.extend(g.args)
+        elif isinstance(g, (BoolLit, Cmp)):
+            k = _key(g)
+            if best is None or k < best_key:
+                best, best_key = g, k
+    return best
+
+
 def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
-    tv = TRUE if value else FALSE
+    """`f` with `atom` set to `value` (its complementary literal to the
+    opposite), equal to the rebuild of every node through `fand`/`for_`.
+
+    Only what changes is rebuilt.  A subformula without the atom is returned
+    as the same object.  When every changed argument of an `And` became
+    TRUE (of an `Or`, FALSE), those arguments are sliced out of `args`; a
+    single survivor stands alone and none gives TRUE (FALSE).  This relies
+    on a canonical formula minus some of its arguments being canonical: the
+    rest stay sorted, distinct, flat and complement-free, and comparisons on
+    one linear base stay absorbed, so the constructors would return the
+    same node.  Any other change goes through the constructors."""
+    if isinstance(f, (And, Or)):
+        unit = TRUE if isinstance(f, And) else FALSE
+        new = []
+        kept = []
+        sliced = True
+        for a in f.args:
+            b = _replace_atom(a, atom, value)
+            new.append(b)
+            if b is a:
+                kept.append(a)
+            elif b is not unit:
+                sliced = False
+        if len(kept) == len(new):
+            return f
+        if not sliced:
+            return fand(*new) if unit is TRUE else for_(*new)
+        if len(kept) > 1:
+            return type(f)(tuple(kept))
+        return kept[0] if kept else unit
     if f == atom:
-        return tv
+        return TRUE if value else FALSE
     if isinstance(f, BoolLit) and isinstance(atom, BoolLit) and f.name == atom.name:
-        return tv if f.positive == atom.positive else (FALSE if value else TRUE)
-    if isinstance(f, And):
-        return fand(*(_replace_atom(a, atom, value) for a in f.args))
-    if isinstance(f, Or):
-        return for_(*(_replace_atom(a, atom, value) for a in f.args))
+        return FALSE if value else TRUE
     return f
 
 
@@ -357,9 +410,15 @@ def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
 
 
 class BuiltinSolver:
-    """Complete decision procedure for QF boolean + linear integer atoms."""
+    """Complete decision procedure for QF boolean + linear integer atoms.
+
+    It keeps each theory cube it decides, keyed on the branch's comparisons
+    in order: within one run the same cubes close many branches."""
 
     name = "builtin"
+
+    def __init__(self):
+        self._cubes: dict[tuple, Optional[dict]] = {}
 
     def check(self, f: Formula) -> tuple[str, Optional[dict]]:
         """Decide `f` as given: branching splits on its atoms and the Omega
@@ -378,16 +437,23 @@ class BuiltinSolver:
         bools: dict,
         cmps: list[tuple[Cmp, bool]],
     ) -> Optional[dict]:
-        """A model of the first branch that satisfies `f`, or None."""
+        """A model of the first branch that satisfies `f`, or None.
+
+        Branches on the atom with the least `_key`, true before false.  The
+        false branch of an atom that is `f` itself or a conjunct of `f` is
+        FALSE, so it is skipped: the answer and the model stay those of the
+        search that tries it."""
         if f == FALSE:
             return None
         if f == TRUE:
-            model = _theory_model(cmps)
-            if model is not None:
-                model.update(bools)
-            return model
-        atom = atoms(f)[0]
-        for value in (True, False):
+            cube = tuple(cmps)
+            model = self._cubes.get(cube, _UNASKED)
+            if model is _UNASKED:
+                model = self._cubes[cube] = _theory_model(cmps)
+            return None if model is None else {**model, **bools}
+        atom = _least_atom(f)
+        forced = atom is f or (isinstance(f, And) and atom in f.args)
+        for value in (True,) if forced else (True, False):
             g = _replace_atom(f, atom, value)
             if isinstance(atom, BoolLit):
                 b2 = dict(bools)
@@ -403,9 +469,6 @@ class BuiltinSolver:
 # ---------------------------------------------------------------------------
 # facade
 # ---------------------------------------------------------------------------
-
-_UNASKED = object()  # cache miss; a cached None means unsat
-
 
 class Solver:
     """Caching facade over the builtin backend; all verifier queries go

@@ -12,7 +12,6 @@ from probtrace.formula import (
     TRUE,
     IntTerm,
     as_term,
-    atoms,
     bool_vars,
     bvar,
     eq,
@@ -125,11 +124,10 @@ def test_substitution():
     assert simplify(h) == FALSE
 
 
-def test_var_collection_and_atoms():
+def test_var_collection():
     f = fand(le(X + Y, 3), bvar("B"), fnot(bvar("C")))
     assert int_vars(f) == frozenset({"X", "Y"})
     assert bool_vars(f) == frozenset({"B", "C"})
-    assert len(atoms(f)) == 3
 
 
 def test_implication():

@@ -11,8 +11,13 @@ from probtrace.formula import (
     FALSE,
     TRUE,
     And,
+    BoolLit,
+    Cmp,
     IntTerm,
+    Or,
+    _key,
     as_term,
+    bool_vars,
     bvar,
     eq,
     fand,
@@ -41,6 +46,7 @@ from probtrace.solver import (
 
 X, Y, Z = ivar("X"), ivar("Y"), ivar("Z")
 B = bvar("B")
+C_BOOL = bvar("C")
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +267,177 @@ def test_single_backend_ignores_the_environment(monkeypatch):
     s = Solver()
     assert s.backend_name == "builtin"
     assert s.is_sat(le(X, 3))
+
+
+# ---------------------------------------------------------------------------
+# the branching search against a reference that rebuilds every branch
+# through the constructors and tries both values of every atom
+
+
+def _atoms_of(f):
+    """Every occurrence of an atom in `f`, left to right."""
+    if isinstance(f, (And, Or)):
+        return [a for g in f.args for a in _atoms_of(g)]
+    return [f] if isinstance(f, (BoolLit, Cmp)) else []
+
+
+def _reference_atom(f):
+    """The first of the formula's atoms sorted by `_key`."""
+    return sorted(_atoms_of(f), key=_key)[0]
+
+
+def _reference_replace(f, atom, value):
+    """Substitute `value` for `atom`, rebuilding every node through the
+    smart constructors."""
+    tv = TRUE if value else FALSE
+    if f == atom:
+        return tv
+    if isinstance(f, BoolLit) and isinstance(atom, BoolLit) and f.name == atom.name:
+        return tv if f.positive == atom.positive else (FALSE if value else TRUE)
+    if isinstance(f, And):
+        return fand(*(_reference_replace(a, atom, value) for a in f.args))
+    if isinstance(f, Or):
+        return for_(*(_reference_replace(a, atom, value) for a in f.args))
+    return f
+
+
+def _reference_search(f, bools, cmps):
+    """Both branches of every atom, each branch rebuilt in full."""
+    if f == FALSE:
+        return None
+    if f == TRUE:
+        model = solver_module._theory_model(cmps)
+        if model is not None:
+            model.update(bools)
+        return model
+    atom = _reference_atom(f)
+    for value in (True, False):
+        g = _reference_replace(f, atom, value)
+        if isinstance(atom, BoolLit):
+            m = _reference_search(g, {**bools, atom.name: value == atom.positive}, cmps)
+        else:
+            m = _reference_search(g, bools, cmps + [(atom, value)])
+        if m is not None:
+            return m
+    return None
+
+
+def _reference_check(f):
+    model = _reference_search(f, {}, [])
+    if model is None:
+        return ("unsat", None)
+    return ("sat", {v: x for v, x in model.items() if not v.startswith("#")})
+
+
+def _random_nested_formulas(rng: random.Random, n: int):
+    """`n` random formulas with nested disjunctions and boolean literals,
+    over one pool of six atoms on unbounded integers."""
+    def atom():
+        if rng.random() < 0.35:
+            return bvar(rng.choice(["B", "C", "D"]))
+        t = IntTerm.make({v: rng.randint(-2, 2) for v in ("X", "Y", "Z")}, 0)
+        return rng.choice([le, lt, ge, gt, eq, ne])(t, rng.randint(-3, 3))
+
+    pool = [atom() for _ in range(6)]
+
+    def tree(depth, conj):
+        if depth == 0 or rng.random() < 0.25:
+            lit = rng.choice(pool)
+            return lit if rng.random() < 0.5 else fnot(lit)
+        parts = [tree(depth - 1, not conj) for _ in range(2)]
+        return fand(*parts) if conj else for_(*parts)
+
+    return [fand(*(tree(3, False) for _ in range(rng.randint(1, 2)))) for _ in range(n)]
+
+
+def _seeded_formulas(seed: int, n: int):
+    """Boxed formulas, nested ones, and nested ones conjoined with the
+    negation of their own weakening, which are unsat."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        if i % 3 == 0:
+            out.append(_random_boxed_formula(rng))
+        elif i % 3 == 1:
+            out.extend(_random_nested_formulas(rng, 1))
+        else:
+            g, h = _random_nested_formulas(rng, 2)
+            out.append(fand(g, fnot(for_(g, h))))
+    return out
+
+
+def test_check_matches_the_rebuild_reference_seeded():
+    # the same branches, the same answer and the same model, key order too
+    formulas = _seeded_formulas(1401, 400)
+    shapes = {"sat": 0, "unsat": 0, "nested_or": 0, "bool": 0}
+    for f in formulas:
+        got, want = BuiltinSolver().check(f), _reference_check(f)
+        assert got == want, str(f)
+        if got[1] is not None:
+            assert list(got[1].items()) == list(want[1].items()), str(f)
+        shapes[got[0]] += 1
+        shapes["nested_or"] += isinstance(f, And) and any(
+            isinstance(a, Or) and any(isinstance(b, And) for b in a.args) for a in f.args
+        )
+        shapes["bool"] += bool(bool_vars(f))
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_replace_atom_equals_the_rebuild_seeded():
+    absent = [bvar("Q"), fnot(bvar("Q")), le(ivar("W"), 7)]
+    seen = {"args_kept": 0, "args_new": 0}
+    for f in _seeded_formulas(1402, 200):
+        assert simplify(f) == f  # canonical as built
+        for atom in absent:
+            assert solver_module._replace_atom(f, atom, True) is f
+        for atom in {_key(a): a for a in _atoms_of(f)}.values():
+            for value in (True, False):
+                got = solver_module._replace_atom(f, atom, value)
+                want = _reference_replace(f, atom, value)
+                assert got == want and type(got) is type(want), (str(f), str(atom), value)
+                if isinstance(got, And):
+                    old = set(map(id, f.args))
+                    seen["args_kept" if all(id(a) in old for a in got.args) else "args_new"] += 1
+    assert seen["args_kept"] and seen["args_new"], seen
+
+
+def test_replace_atom_slices_children_that_collapse_to_the_unit():
+    x_le, y_or, z_or = le(X, 3), for_(B, le(Y, 0)), for_(B, ge(Z, 2))
+    f = fand(x_le, y_or, z_or, ge(X + Y, 0))
+    g = solver_module._replace_atom(f, B, True)
+    assert g == _reference_replace(f, B, True) == fand(x_le, ge(X + Y, 0))
+    # the survivors are the same objects, in the same order
+    survivors = [a for a in f.args if not isinstance(a, Or)]
+    assert isinstance(g, And) and list(map(id, g.args)) == list(map(id, survivors))
+    # a single survivor is returned by itself, none at all gives the unit
+    h = fand(x_le, y_or)
+    assert solver_module._replace_atom(h, B, True) is h.args[0]
+    assert solver_module._replace_atom(fand(y_or, z_or), B, True) is TRUE
+    o = for_(B, fand(C_BOOL, le(Y, 0)))
+    assert solver_module._replace_atom(o, B, False) is o.args[1]
+    assert solver_module._replace_atom(for_(B, C_BOOL), B, False) is C_BOOL
+    # a child that changes to anything but the unit is rebuilt
+    k = fand(x_le, for_(fnot(B), le(Y, 0)))
+    got = solver_module._replace_atom(k, B, True)
+    assert got == _reference_replace(k, B, True) == fand(x_le, le(Y, 0))
+
+
+def test_search_skips_the_false_branch_of_a_conjunct(monkeypatch):
+    calls = []
+    search = BuiltinSolver._search
+
+    def spy(self, f, bools, cmps):
+        calls.append(f)
+        return search(self, f, bools, cmps)
+
+    monkeypatch.setattr(BuiltinSolver, "_search", spy)
+    # unsat only in the theory: no two atoms share a linear base
+    units = [ge(X, 0), ge(Y, 0), ge(Z, 0), le(X + Y + Z, -1), B, fnot(C_BOOL)]
+    f = fand(*units)
+    assert len(f.args) == len(units)
+    assert BuiltinSolver().check(f) == ("unsat", None) == _reference_check(f)
+    assert FALSE not in calls
+    assert len(calls) == len(units) + 1
 
 
 # ---------------------------------------------------------------------------
