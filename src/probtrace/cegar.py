@@ -238,11 +238,7 @@ def verify_refutational(
                 bases.append(trace_tree([t for t, _ in found]))
             uncovered = difference_nfa(p, bases)
             residual = _to_pcfa(uncovered)
-            if is_empty(residual):
-                bound = found_mass
-            else:
-                bound, _ = mdp_upper_bound(minimize(residual))
-                bound += found_mass
+            bound = mdp_upper_bound(minimize(residual))[0] + found_mass
             if bound <= beta:
                 events.append(("sat", bound))
                 return Sat(bound, iters)
@@ -316,11 +312,7 @@ def check_decomposition(
         if not nfa_is_empty(difference_nfa(p, bases + [a])):
             return Rejected("program traces escape the certified union")
         residual = difference_all(a, bases) if bases else a
-        core = intersect(residual, p)
-        if is_empty(core):
-            bound = Fraction(0)
-        else:
-            bound, _ = mdp_upper_bound(minimize(core))
+        bound, _ = mdp_upper_bound(minimize(intersect(residual, p)))
         if bound <= beta:
             return Certified(bound)
         return Rejected(f"violating mass bound {bound} exceeds threshold {beta}")

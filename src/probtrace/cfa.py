@@ -542,10 +542,6 @@ def minimize(a: PCFA) -> PCFA:
     return trim(out).renumber()
 
 
-def language_equal_bounded(a: PCFA, b: PCFA, depth: int) -> bool:
-    return a.enumerate_traces(depth) == b.enumerate_traces(depth)
-
-
 # ---------------------------------------------------------------------------
 # normalization (distinct targets for paired probabilistic branches)
 # ---------------------------------------------------------------------------

@@ -212,10 +212,8 @@ def examine(
         return minimize(out)
 
     for round_no in range(1, round_cap + 1):
-        analyses = [
-            None if is_empty(c.aut) else analyze_mdp(c.aut) for c in cells
-        ]
-        values = [Fraction(0) if r is None else r.bound for r in analyses]
+        analyses = [analyze_mdp(c.aut) for c in cells]
+        values = [r.bound for r in analyses]
         p = max(values, default=Fraction(0))
         if p <= beta:
             events.append(("verified", p))

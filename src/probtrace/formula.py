@@ -394,6 +394,11 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
 
 
 def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
+    """Flatten, deduplicate and sort the arguments of an `And`/`Or`.
+
+    A complementary pair of boolean literals gives the absorbing element
+    here; comparisons get their complement check in `_absorb_cmps`, which
+    resolves a complementary pair on one linear base the same way."""
     flat: list[Formula] = []
     for p in parts:
         if p == zero:
@@ -408,10 +413,8 @@ def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
     for p in flat:
         seen.setdefault(_key(p), p)
     items = [seen[k] for k in sorted(seen)]
-    # complementary atom pair => contradiction / tautology
-    keys = set(seen)
     for p in items:
-        if isinstance(p, (BoolLit, Cmp)) and _key(fnot(p)) in keys:
+        if isinstance(p, BoolLit) and _key(fnot(p)) in seen:
             return zero
     cmps = [p for p in items if isinstance(p, Cmp)]
     if len(cmps) > 1:

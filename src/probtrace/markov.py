@@ -32,6 +32,7 @@ from .cfa import (
     is_normalized,
     label_key,
     nfa_is_empty,
+    trace_tree,
     trim,
 )
 
@@ -463,54 +464,16 @@ def mdp_upper_bound(a: PCFA) -> tuple[Fraction, Strategy]:
 # ---------------------------------------------------------------------------
 
 def merge_traces(traces: Sequence[Sequence[Label]]) -> Optional[PCFA]:
-    """Prefix tree of the traces as a CFMC with one shared accepting leaf.
+    """The trace tree of the traces when it is a CFMC, else None.
 
-    Succeeds only when every branching point is the two sides of a single
-    coin; a proper-prefix relation between traces or branching on other
-    labels makes the set unmergeable (returns None).
-    """
+    It is one exactly when every branching point is the two sides of a
+    single coin: a trace that is a proper prefix of another leaves a label
+    twice at one location, and branching on other labels offers two
+    actions.  The empty trace is no program trace, so a set holding it does
+    not merge either."""
     if not traces:
         raise ValueError("empty trace set")
-    root: dict = {}
-    ENDS = "$end"
-    for tr in traces:
-        node = root
-        for lab in tr:
-            node = node.setdefault(lab, {})
-        node[ENDS] = True
-
-    trans: set[tuple[int, Label, int]] = set()
-    counter = [2]  # 0 root, 1 accepting
-
-    def build(node: dict, here: int) -> bool:
-        labs = [k for k in node if k != ENDS]
-        ended = ENDS in node
-        if ended and labs:
-            return False  # a trace is a proper prefix of another
-        if ended:
-            return True  # caller wires the edge into the accepting location
-        if len(labs) > 1:
-            if len(labs) != 2 or not all(isinstance(l, Pb) for l in labs):
-                return False
-            i, j = labs[0].pid, labs[1].pid
-            if i != j or {labs[0].side, labs[1].side} != {"L", "R"}:
-                return False
-        for lab in labs:
-            child = node[lab]
-            if ENDS in child and len(child) == 1:
-                trans.add((here, lab, 1))
-            else:
-                nxt = counter[0]
-                counter[0] += 1
-                trans.add((here, lab, nxt))
-                if not build(child, nxt):
-                    return False
-        return True
-
-    if ENDS in root and len(root) == 1:
-        return None  # only the empty trace: not a CFMC over programs
-    if not build(root, 0):
+    if not all(traces):
         return None
-    out = PCFA(trans, 0, 1)
-    assert out.is_cfmc()
-    return out
+    tree = trace_tree(traces)
+    return tree if tree.is_cfmc() else None

@@ -30,6 +30,7 @@ import math
 import time
 from typing import Optional
 
+from .cfa import Assign, Assume
 from .formula import (
     EQ,
     FALSE,
@@ -55,6 +56,7 @@ from .formula import (
     subst_bool,
     subst_int,
 )
+from .semantics import pre_exists, wp_demonic
 
 
 class SolverUnknown(Exception):
@@ -191,15 +193,7 @@ def omega_model(eqs: list[Lin], ineqs: list[Lin], _depth: int = 0) -> Optional[d
         ineqs = [_subst_lin(i, k, repl) for i in ineqs]
 
     # --- phase 2: eliminate variables from inequalities -------------------
-    work: list[Lin] = []
-    for lin in ineqs:
-        t = _tighten(lin)
-        if t is None:
-            continue
-        if not t[0]:
-            return None
-        work.append(t)
-    model = _ineqs_model(work, _depth)
+    model = _ineqs_model(ineqs, _depth)
     if model is not None:
         for var, (cs, k) in reversed(solved):
             model[var] = _eval(cs, k, model)
@@ -680,8 +674,6 @@ def project_int_var(f: Formula, var: str) -> Optional[Formula]:
 def strongest_post(lab, phi: Formula) -> Optional[Formula]:
     """Exact strongest postcondition of one label, or None when exactness
     would need divisibility reasoning (non-unit coefficients)."""
-    from .cfa import Assign, Assume  # local import: cfa must not need solver
-
     if isinstance(lab, Assume):
         return fand(phi, lab.cond)
     if not isinstance(lab, Assign):
@@ -732,8 +724,6 @@ def sequence_interpolants(
     demonic weakest-precondition chain (always valid, weakest useful
     generalization).
     """
-    from .semantics import pre_exists, wp_demonic  # no cycle
-
     labels = list(labels)
 
     def rests_to(target: Formula) -> list[Formula]:

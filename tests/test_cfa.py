@@ -26,7 +26,6 @@ from probtrace.cfa import (
     is_empty,
     is_normalized,
     label_key,
-    language_equal_bounded,
     minimize,
     nfa_is_empty,
     nfa_shortest,
@@ -497,11 +496,11 @@ def test_bounded_equality_helpers_agree():
         a = random_cfmdp(rng, max_locs=5)
         b = normalize(a)
         c = random_cfmdp(rng, max_locs=5)
-        assert bounded_equal_deterministic(a, b, 6) == language_equal_bounded(
-            a, b, 6
+        assert bounded_equal_deterministic(a, b, 6) == (
+            bounded_language(a, 6) == bounded_language(b, 6)
         )
-        assert bounded_equal_deterministic(a, c, 6) == language_equal_bounded(
-            a, c, 6
+        assert bounded_equal_deterministic(a, c, 6) == (
+            bounded_language(a, 6) == bounded_language(c, 6)
         )
 
 

@@ -10,7 +10,13 @@ from itertools import product
 from probtrace.formula import (
     FALSE,
     TRUE,
+    And,
+    BoolLit,
+    Cmp,
     IntTerm,
+    Or,
+    _absorb_cmps,
+    _key,
     as_term,
     bool_vars,
     bvar,
@@ -217,6 +223,82 @@ def test_constructor_output_is_canonical_randomized():
     for _ in range(2500):
         f = _random_built(rng)
         assert simplify(f) == f, f"{f}  simplifies to  {simplify(f)}"
+
+
+def _assoc_testing_every_complement(parts, unit, zero, node):
+    """Reference: `_assoc` with a complement test on every boolean literal
+    and comparison, made before `_absorb_cmps` sees the comparisons."""
+    flat = []
+    for p in parts:
+        if p == zero:
+            return zero
+        if p == unit:
+            continue
+        if isinstance(p, node):
+            flat.extend(p.args)
+        else:
+            flat.append(p)
+    seen = {}
+    for p in flat:
+        seen.setdefault(_key(p), p)
+    items = [seen[k] for k in sorted(seen)]
+    keys = set(seen)
+    for p in items:
+        if isinstance(p, (BoolLit, Cmp)) and _key(fnot(p)) in keys:
+            return zero
+    cmps = [p for p in items if isinstance(p, Cmp)]
+    if len(cmps) > 1:
+        absorbed = _absorb_cmps(cmps, conj=node is And)
+        if absorbed is None:
+            return zero
+        rest = [p for p in items if not isinstance(p, Cmp)]
+        merged = {_key(p): p for p in rest + absorbed}
+        items = [merged[k] for k in sorted(merged)]
+    if not items:
+        return unit
+    if len(items) == 1:
+        return items[0]
+    return node(tuple(items))
+
+
+def _random_args(rng: random.Random) -> list:
+    """Arguments for one `fand`/`for_` call: comparisons on a few linear
+    bases, several with a negative leading coefficient, often next to their
+    complement, among literals, units and built formulas."""
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.6:
+            base = rng.choice([{"X": -1}, {"X": -2, "Y": 1}, {"X": 1, "Y": -1}, {"Y": 3}])
+            t = IntTerm.make(base, rng.randint(-3, 3))
+            atom = rng.choice([le, eq, ne])(t, rng.randint(-3, 3))
+            out.append(atom)
+            if rng.random() < 0.4:
+                out.append(fnot(atom))
+        elif kind < 0.75:
+            out.append(rng.choice([bvar("B"), fnot(bvar("B")), bvar("C")]))
+        elif kind < 0.85:
+            out.append(rng.choice([TRUE, FALSE]))
+        else:
+            out.append(_random_built(rng, 2))
+    rng.shuffle(out)
+    return out
+
+
+def test_constructors_match_the_every_complement_reference_seeded():
+    # comparisons need no complement test of their own: `_absorb_cmps`
+    # turns a complementary pair on one base into the absorbing element
+    rng = random.Random(1414)
+    complementary = 0
+    for _ in range(4000):
+        args = _random_args(rng)
+        keys = {_key(a) for a in args}
+        complementary += any(
+            isinstance(a, Cmp) and _key(fnot(a)) in keys for a in args
+        )
+        assert fand(*args) == _assoc_testing_every_complement(args, TRUE, FALSE, And), args
+        assert for_(*args) == _assoc_testing_every_complement(args, FALSE, TRUE, Or), args
+    assert complementary > 1000
 
 
 def test_simplify_orders_deterministically():

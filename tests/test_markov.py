@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 from probtrace import markov
-from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL
+from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL, empty_pcfa, minimize
 from probtrace.evidence import enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
 from probtrace.markov import (
@@ -478,6 +478,116 @@ def test_merge_deduplicates():
     m = merge_traces([tr, tr])
     assert m is not None
     assert set(m.enumerate_traces(4)) == {tr}
+
+
+def test_merge_rejects_a_proper_prefix():
+    short = (Pb(0, "L"), SKIP)
+    long = (Pb(0, "L"), SKIP, INC)
+    assert merge_traces([short, long]) is None
+    assert merge_traces([long, short]) is None
+
+
+def test_merge_rejects_the_empty_trace():
+    tr = (Pb(0, "L"), SKIP)
+    assert merge_traces([()]) is None
+    assert merge_traces([(), tr]) is None
+    assert merge_traces([tr, ()]) is None
+
+
+def test_merge_of_no_traces_raises():
+    with pytest.raises(ValueError):
+        merge_traces([])
+
+
+def _trie_merge(traces):
+    """Reference: the prefix tree of the traces built as a dict trie, merged
+    only where every branching point is the two sides of one coin."""
+    if not traces:
+        raise ValueError("empty trace set")
+    root: dict = {}
+    ENDS = "$end"
+    for tr in traces:
+        node = root
+        for lab in tr:
+            node = node.setdefault(lab, {})
+        node[ENDS] = True
+
+    trans: set = set()
+    counter = [2]  # 0 root, 1 accepting
+
+    def build(node: dict, here: int) -> bool:
+        labs = [k for k in node if k != ENDS]
+        ended = ENDS in node
+        if ended and labs:
+            return False  # a trace is a proper prefix of another
+        if ended:
+            return True  # caller wires the edge into the accepting location
+        if len(labs) > 1:
+            if len(labs) != 2 or not all(isinstance(l, Pb) for l in labs):
+                return False
+            i, j = labs[0].pid, labs[1].pid
+            if i != j or {labs[0].side, labs[1].side} != {"L", "R"}:
+                return False
+        for lab in labs:
+            child = node[lab]
+            if ENDS in child and len(child) == 1:
+                trans.add((here, lab, 1))
+            else:
+                nxt = counter[0]
+                counter[0] += 1
+                trans.add((here, lab, nxt))
+                if not build(child, nxt):
+                    return False
+        return True
+
+    if ENDS in root and len(root) == 1:
+        return None  # only the empty trace
+    if not build(root, 0):
+        return None
+    return PCFA(trans, 0, 1)
+
+
+def _random_trace_set(rng: random.Random) -> list:
+    """One to four traces; each after the first branches off an earlier one,
+    often at a coin by taking its other side, so that many sets merge."""
+    alphabet = [Pb(0, "L"), Pb(0, "R"), Pb(1, "L"), Pb(1, "R"), SKIP, INC]
+
+    def word(n: int) -> tuple:
+        return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, n)))
+
+    traces = [word(4)]
+    for _ in range(rng.randint(0, 3)):
+        base = rng.choice(traces)
+        i = rng.randint(0, len(base))
+        head = base[:i]
+        if i < len(base) and isinstance(base[i], Pb) and rng.random() < 0.9:
+            head += (Pb(base[i].pid, "R" if base[i].side == "L" else "L"),)
+        traces.append(head + word(3))
+    return traces
+
+
+def test_merge_agrees_with_the_trie_reference_seeded():
+    rng = random.Random(1515)
+    merged = branched = unmerged = 0
+    for _ in range(3000):
+        traces = _random_trace_set(rng)
+        got, want = merge_traces(traces), _trie_merge(traces)
+        assert (got is None) == (want is None), traces
+        if got is None:
+            unmerged += 1
+            continue
+        merged += 1
+        branched += len(set(traces)) > 1
+        assert got.is_cfmc()
+        assert set(got.enumerate_traces(8)) == set(want.enumerate_traces(8))
+    assert merged > 500 and branched > 300 and unmerged > 500
+
+
+def test_empty_automaton_has_bound_zero():
+    r = analyze_mdp(empty_pcfa())
+    assert r.bound == 0
+    assert r.policy == {} and r.optimal_actions == {}
+    assert mdp_upper_bound(minimize(empty_pcfa()))[0] == 0
 
 
 # ---------------------------------------------------------------------------
