@@ -134,7 +134,7 @@ def verify(
     try:
         while iters < max_iters:
             bases = [q.base for q in qs]
-            if a_lang is not None and not is_empty(a_lang):
+            if a_lang is not None:
                 bases.append(a_lang)
             tau = nfa_shortest(difference_nfa(p, bases))
             if tau is None:

@@ -325,7 +325,8 @@ def _print_verify_report(report: dict) -> None:
     if stats:
         print(
             f"solver: {stats['backend']}, {stats['queries']} queries "
-            f"({stats['cache_hits']} cache hits)"
+            f"({stats['cache_hits']} cache hits, "
+            f"{stats['witness_refutations']} triples refuted by witnesses)"
         )
     print(f"time: {report['time_s']}s")
 

@@ -27,8 +27,6 @@ from .cfa import (
     Label,
     Pb,
     difference_all,
-    empty_pcfa,
-    is_empty,
     minimize,
     trace_key,
     trace_tree,
@@ -203,12 +201,9 @@ def examine(
     q_new: list[FloydHoareAutomaton] = []
 
     def cover() -> PCFA:
-        live = [c.aut for c in cells if not is_empty(c.aut)]
-        if not live:
-            return empty_pcfa()
-        out = live[0]
-        for part in live[1:]:
-            out = union(out, part)
+        out = cells[0].aut
+        for c in cells[1:]:
+            out = union(out, c.aut)
         return minimize(out)
 
     for round_no in range(1, round_cap + 1):
@@ -298,8 +293,6 @@ def examine(
         if fresh_fhas:
             q_new.extend(fresh_fhas)
             for c in cells:
-                if is_empty(c.aut):
-                    continue
                 c.aut = minimize(difference_all(c.aut, [f.base for f in fresh_fhas]))
 
         # split on the mainstream's shared precondition, erasing each trace

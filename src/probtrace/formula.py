@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -540,3 +540,43 @@ def feval(f: Formula, state: Mapping[str, object]) -> bool:
         return any(feval(a, state) for a in f.args)
     raise TypeError(f"not a formula: {f!r}")
 
+
+def feval_bits(f: Formula, states: Sequence[Mapping[str, object]]) -> int:
+    """The states `f` holds in, as a bitset: bit i is set when `f` holds in
+    ``states[i]``.  A variable a state leaves out reads 0 or False, so every
+    state is total.  Each node is visited once for all the states."""
+    if isinstance(f, And):
+        out = (1 << len(states)) - 1
+        for a in f.args:
+            out &= feval_bits(a, states)
+            if not out:
+                break
+        return out
+    if isinstance(f, Or):
+        full = (1 << len(states)) - 1
+        out = 0
+        for a in f.args:
+            out |= feval_bits(a, states)
+            if out == full:
+                break
+        return out
+    out = 0
+    if isinstance(f, Cmp):
+        coeffs, const, op = f.term.coeffs, f.term.const, f.op
+        for i, state in enumerate(states):
+            v = const
+            for x, c in coeffs:
+                v += c * state.get(x, 0)
+            if v <= 0 if op == LE else v == 0 if op == EQ else v != 0:
+                out |= 1 << i
+        return out
+    if isinstance(f, BoolLit):
+        for i, state in enumerate(states):
+            if bool(state.get(f.name, False)) == f.positive:
+                out |= 1 << i
+        return out
+    if isinstance(f, TrueF):
+        return (1 << len(states)) - 1
+    if isinstance(f, FalseF):
+        return 0
+    raise TypeError(f"not a formula: {f!r}")

@@ -14,7 +14,9 @@ variables lam(t) does not mention, all leave !lam(t) unchanged and share one
 query per source.  Propositions recur across the automata of one run (pre,
 post, false, repeated interpolants), so weakest preconditions and triples
 are memoized for the lifetime of the solver and each is decided once per
-run.
+run.  Most candidate triples fail, and the solver keeps the model of every
+sat answer as a witness state: a triple whose source proposition and
+weakest precondition both hold in one witness fails without a query.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cfa import PCFA, Label, label_key
-from .formula import FALSE, Formula, fand, fnot
+from .formula import FALSE, Formula, fand, feval_bits, fnot
 from .semantics import (
     NonViolating,
     Violating,
@@ -98,11 +100,29 @@ def saturate_edges(
     Weakest preconditions and (lam(s), w) answers are memoized in
     ``solver.wp_memo`` and ``solver.triple_memo`` for the solver's lifetime,
     so a pair seen in an earlier automaton builds no formula and asks nothing.
+
+    Before asking about a new pair, the witnesses in ``solver.witnesses``
+    are tried: each lam(s) and each w is evaluated once per witness, into a
+    bitset extended as the list grows, and a witness in both sets satisfies
+    lam(s) && w, so the pair is memoized as failing with no conjunction
+    built and no query asked.  Only pairs no witness refutes reach
+    ``solver.is_sat``, whose sat answers add witnesses in turn.
     """
     labels = sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
     trans = set(fha.base.transitions)
     locs = sorted(fha.base.locations)
-    wp_memo, triple_memo = solver.wp_memo, solver.triple_memo
+    wp_memo, triple_memo, witnesses = solver.wp_memo, solver.triple_memo, solver.witnesses
+    # bitsets of the witnesses a formula holds in, with the number of
+    # witnesses they cover, extended as the witness list grows
+    lam_bits: dict[int, tuple[int, int]] = {}  # by location
+
+    def holds(cache: dict, key, f: Formula) -> int:
+        bits, n = cache.get(key, (0, 0))
+        if n < len(witnesses):
+            bits |= feval_bits(f, witnesses[n:]) << n
+            cache[key] = bits, len(witnesses)
+        return bits
+
     for t in locs:
         nq = fnot(fha.lam[t])
         groups: dict[Formula, list[Label]] = {}
@@ -111,15 +131,20 @@ def saturate_edges(
             if w is None:
                 w = wp_memo[lab, nq] = pre_exists(lab, nq)
             groups.setdefault(w, []).append(lab)
+        w_bits: dict[int, tuple[int, int]] = {}  # by group index
         for s in locs:
             p = fha.lam[s]
-            for w, labs in groups.items():
+            for i, (w, labs) in enumerate(groups.items()):
                 missing = [(s, lab, t) for lab in labs if (s, lab, t) not in trans]
                 if not missing:
                     continue
                 valid = triple_memo.get((p, w))
                 if valid is None:
-                    valid = triple_memo[p, w] = not solver.is_sat(fand(p, w))
+                    if holds(lam_bits, s, p) & holds(w_bits, i, w):
+                        solver.witness_refutations += 1
+                        valid = triple_memo[p, w] = False
+                    else:
+                        valid = triple_memo[p, w] = not solver.is_sat(fand(p, w))
                 if valid:
                     trans.update(missing)
     base = PCFA(trans, fha.base.initial, fha.base.accepting, fha.base.locations)

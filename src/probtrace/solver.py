@@ -474,15 +474,24 @@ class Solver:
     (proposition, weakest precondition) to whether their conjunction is
     unsat, i.e. whether the triple holds.  A triple answered from
     ``triple_memo`` does not reach ``is_sat``, so ``cache_hits`` does not
-    count it; ``queries`` is unchanged."""
+    count it; ``queries`` is unchanged.
+
+    Each model the backend returns with a sat answer is also kept, in the
+    order found, in ``witnesses``: a concrete state in which every variable
+    the model leaves out reads 0 or False, the completion rule of
+    `get_model`.  A proposition true in some witness is satisfiable, so Hoare
+    saturation refutes a triple whose two sides share a witness without
+    asking; ``witness_refutations`` counts those triples."""
 
     def __init__(self):
         self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
         self.wp_memo: dict[tuple, Formula] = {}
         self.triple_memo: dict[tuple[Formula, Formula], bool] = {}
+        self.witnesses: list[dict] = []
         self.queries = 0
         self.cache_hits = 0
+        self.witness_refutations = 0
         self.time_spent = 0.0
 
     @property
@@ -504,6 +513,8 @@ class Solver:
         finally:
             self.time_spent += time.monotonic() - t0
         self._cache[f] = model
+        if model is not None:
+            self.witnesses.append(model)
         return model
 
     def is_sat(self, f: Formula) -> bool:
@@ -551,6 +562,7 @@ class Solver:
             "backend": self.backend_name,
             "queries": self.queries,
             "cache_hits": self.cache_hits,
+            "witness_refutations": self.witness_refutations,
             "solver_time": self.time_spent,
         }
 

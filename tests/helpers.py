@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from probtrace.cfa import PCFA, Assign, Assume, Pb, SkipL, trim
-from probtrace.formula import as_term, eq, ge, ivar, le
+from probtrace.formula import as_term, bool_vars, eq, ge, int_vars, ivar, le
 from probtrace.lang import parse, to_pcfa
 from probtrace.markov import actions_at
 
@@ -19,6 +19,12 @@ BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 def load_program(name: str):
     """Parse one of the checked-in data programs."""
     return parse((DATA_DIR / name).read_text())
+
+
+def total_state(f, model: dict) -> dict:
+    """`model` as a state of every variable of `f`: a variable the model
+    leaves out reads 0 or False, as in `Solver.get_model`."""
+    return {**dict.fromkeys(int_vars(f), 0), **dict.fromkeys(bool_vars(f), False), **model}
 
 
 def bounded_language(a: PCFA, depth: int) -> set:

@@ -182,6 +182,15 @@ def test_verify_json_schema(capsys):
     assert report["solver"]["queries"] > 0
 
 
+def test_verify_reports_triples_refuted_by_witnesses(capsys):
+    main(["verify", PROG, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"]["witness_refutations"] > 0
+    main(["verify", PROG])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("solver:"))
+    assert f"{report['solver']['witness_refutations']} triples refuted by witnesses" in line
+
+
 def test_verify_refutational_flag(capsys):
     code = main(["verify", PROG, "--refutational", "--json"])
     report = json.loads(capsys.readouterr().out)

@@ -23,6 +23,7 @@ from probtrace.formula import (
     eq,
     fand,
     feval,
+    feval_bits,
     fimplies,
     fnot,
     for_,
@@ -181,6 +182,20 @@ def test_simplify_preserves_semantics_randomized():
         g = simplify(f)
         for s in STATES:
             assert feval(f, s) == feval(g, s), f"{f}  vs  {g}  at {s}"
+
+
+def test_bitset_evaluation_matches_feval_on_partial_states_randomized():
+    # a variable a state leaves out reads 0 or False
+    rng = random.Random(1616)
+    states = [{k: v for k, v in s.items() if rng.random() < 0.7} for s in STATES]
+    for _ in range(300):
+        f = _random_formula(rng)
+        bits = feval_bits(f, states)
+        for i, s in enumerate(states):
+            total = {"X": 0, "Y": 0, "B": False, "C": False, **s}
+            assert (bits >> i & 1) == feval(f, total), f"{f} at {s}"
+        assert bits >> len(states) == 0
+    assert feval_bits(TRUE, []) == feval_bits(FALSE, states) == 0
 
 
 def test_simplify_idempotent_randomized():

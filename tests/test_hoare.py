@@ -13,6 +13,7 @@ from probtrace.formula import (
     bvar,
     eq,
     fand,
+    feval,
     fnot,
     for_,
     ge,
@@ -39,7 +40,7 @@ from probtrace.semantics import (
 )
 from probtrace.solver import Solver
 
-from helpers import load_program
+from helpers import load_program, total_state
 
 X = ivar("X")
 C = ivar("C")
@@ -296,6 +297,53 @@ def test_a_fresh_solver_starts_with_empty_memos(monkeypatch):
     again = saturate_edges(fha, alphabet, fresh)
     assert calls["is_sat"] > 0 and calls["pre_exists"] > 0
     assert again.base.transitions == first.base.transitions
+
+
+def _count_asked(monkeypatch, solver):
+    """Record each `solver.is_sat` query with the witnesses stored when it
+    was asked."""
+    asked = []
+    is_sat = solver.is_sat
+    monkeypatch.setattr(
+        solver, "is_sat", lambda f: asked.append((f, list(solver.witnesses))) or is_sat(f)
+    )
+    return asked
+
+
+def test_a_triple_a_stored_witness_refutes_asks_nothing(monkeypatch):
+    solver = Solver()
+    assert solver.is_sat(eq(X, 0)) and solver.witnesses == [{"X": 0}]
+    base = PCFA({(0, lab("X := X + 1"), 1)}, 0, 1)
+    fha = FloydHoareAutomaton(base, {0: le(X, 0), 1: ge(X, 1)})
+    alphabet = [lab(s) for s in ["skip", "X := 0", "X := X + 1"]]
+    asked = _count_asked(monkeypatch, solver)
+    fat = saturate_edges(fha, alphabet, solver)
+    # from X <= 0 into X >= 1, skip and X := 0 both fail in the state X = 0,
+    # so their query X <= 0 is never asked
+    assert solver.witness_refutations >= 2
+    assert le(X, 0) not in [f for f, _ in asked]
+    assert solver.triple_memo[le(X, 0), le(X, 0)] is False
+    assert len(asked) == len(solver.triple_memo) - solver.witness_refutations
+    monkeypatch.undo()
+    assert fat.base.transitions == _saturate_naive(fha, alphabet, Solver())
+
+
+def test_saturate_asks_nothing_a_stored_witness_answers_seeded(monkeypatch):
+    # one solver for the whole sequence, as in one run: no query saturation
+    # asks holds in a witness stored before it, and the edges are those a
+    # separate solver finds triple by triple
+    rng = random.Random(2016)
+    solver, reference = Solver(), Solver()
+    asked = _count_asked(monkeypatch, solver)
+    for _ in range(80):
+        fha = _random_fha(rng)
+        alphabet = rng.sample(LABEL_POOL, rng.randint(1, len(LABEL_POOL)))
+        fat = saturate_edges(fha, alphabet, solver)
+        assert fat.base.transitions == _saturate_naive(fha, alphabet, reference)
+    for f, witnesses in asked:
+        assert not any(feval(f, total_state(f, w)) for w in witnesses), f
+    assert solver.witness_refutations > 0 and len(solver.witnesses) > 1
+    assert len(asked) == len(solver.triple_memo) - solver.witness_refutations
 
 
 # ---------------------------------------------------------------------------

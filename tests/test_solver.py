@@ -44,6 +44,8 @@ from probtrace.solver import (
     strongest_post,
 )
 
+from helpers import total_state
+
 X, Y, Z = ivar("X"), ivar("Y"), ivar("Z")
 B = bvar("B")
 C_BOOL = bvar("C")
@@ -364,6 +366,26 @@ def _seeded_formulas(seed: int, n: int):
             g, h = _random_nested_formulas(rng, 2)
             out.append(fand(g, fnot(for_(g, h))))
     return out
+
+
+def test_every_stored_witness_satisfies_its_own_query_seeded():
+    # each sat answer from the backend leaves its model in `witnesses`; read
+    # as a total state, it satisfies the query it answered
+    s = Solver()
+    stored = partial = 0
+    for f in _seeded_formulas(1606, 600):
+        before, queries = len(s.witnesses), s.queries
+        answer = s.is_sat(f)
+        new = s.witnesses[before:]
+        if not answer or s.queries == queries:
+            assert not new
+            continue
+        (w,) = new
+        assert feval(f, total_state(f, w)), f"witness {w} does not satisfy {f}"
+        stored += 1
+        partial += not (int_vars(f) | bool_vars(f)) <= set(w)
+    assert stored == len(s.witnesses) >= 100
+    assert partial > 0  # some witnesses rely on the completion rule
 
 
 def test_check_matches_the_rebuild_reference_seeded():
