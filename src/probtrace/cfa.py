@@ -120,7 +120,9 @@ Transition = tuple[int, Label, int]
 class PCFA:
     """Single-initial / single-accepting automaton over labels.
 
-    Treated as immutable; all operations return fresh values.
+    Treated as immutable; all operations return fresh values.  The order of
+    `out_edges` is unspecified: a consumer that needs an order sorts for
+    itself.
     """
 
     def __init__(
@@ -141,7 +143,7 @@ class PCFA:
             locs |= set(locations)
         self.locations = frozenset(locs)
         self._out: dict[int, list[tuple[Label, int]]] = {l: [] for l in self.locations}
-        for s, lab, t in sorted(self.transitions, key=lambda e: (e[0], label_key(e[1]), e[2])):
+        for s, lab, t in self.transitions:
             self._out[s].append((lab, t))
 
     # -- basic views --------------------------------------------------------

@@ -101,14 +101,27 @@ def parse_domain(entries: list[str]) -> Optional[StateDomain]:
 # ---------------------------------------------------------------------------
 # config file
 
-_CONFIG_KEYS = {
-    "beta",
-    "timeout",
-    "max_iters",
-    "trace_budget",
-    "refutational",
-    "step_bound",
-}
+def _flag(value: str) -> bool:
+    """A yes/no config value, case-insensitively."""
+    value = value.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(value)
+
+
+# every setting: its key, how a config-file value reads, and its default; a
+# flag of the same name overrides the config file
+_SETTINGS = (
+    ("beta", Fraction, None),
+    ("timeout", float, None),
+    ("max_iters", int, 500),
+    ("trace_budget", int, 10_000),
+    ("refutational", _flag, False),
+    ("step_bound", int, 64),
+)
+_CONFIG_KEYS = {key for key, _, _ in _SETTINGS}
 
 
 def load_config(path: str) -> dict:
@@ -135,16 +148,6 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _flag(value: str) -> bool:
-    """A yes/no config value, case-insensitively."""
-    value = value.lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError(value)
-
-
 def _config_value(cfg: dict, key: str, convert, default):
     """`cfg[key]` read by `convert`, or `default` when the key is absent."""
     if key not in cfg:
@@ -159,25 +162,12 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     """Config-file defaults overridden by any explicitly given flags."""
     cfg = load_config(args.config) if getattr(args, "config", None) else {}
     merged = {
-        "beta": _config_value(cfg, "beta", Fraction, None),
-        "timeout": _config_value(cfg, "timeout", float, None),
-        "max_iters": _config_value(cfg, "max_iters", int, 500),
-        "trace_budget": _config_value(cfg, "trace_budget", int, 10_000),
-        "refutational": _config_value(cfg, "refutational", _flag, False),
-        "step_bound": _config_value(cfg, "step_bound", int, 64),
+        key: _config_value(cfg, key, convert, default) for key, convert, default in _SETTINGS
     }
-    if getattr(args, "beta", None) is not None:
-        merged["beta"] = parse_fraction(args.beta)
-    if getattr(args, "timeout", None) is not None:
-        merged["timeout"] = args.timeout
-    if getattr(args, "max_iters", None) is not None:
-        merged["max_iters"] = args.max_iters
-    if getattr(args, "trace_budget", None) is not None:
-        merged["trace_budget"] = args.trace_budget
-    if getattr(args, "refutational", False):
-        merged["refutational"] = True
-    if getattr(args, "step_bound", None) is not None:
-        merged["step_bound"] = args.step_bound
+    for key in merged:
+        flag = getattr(args, key, None)
+        if flag is not None and flag is not False:  # a store_true flag left unset reads False
+            merged[key] = parse_fraction(flag) if key == "beta" else flag
     for key in ("max_iters", "trace_budget", "step_bound"):
         if merged[key] < 0:
             raise CliError(f"{key!r} must not be negative, got {merged[key]}")

@@ -8,6 +8,12 @@ form with complement-free atoms.  That makes syntactic deduplication do a
 lot of semantic work for free, which the proof-generalisation code relies
 on when it merges equal propositions.
 
+Comparisons on one linear base are resolved by one rule, the conjunctive
+one in `_absorb_cmps`; a disjunction is resolved as the negation of the
+conjunction of its negated atoms, so `for_` of comparisons always equals
+`fnot` of `fand` of their negations.  How to negate an atom is written
+only in `fnot`.
+
 Constructor output is canonical, and this module is the only one that
 knows the canonical form: no code elsewhere in the package builds a node
 directly (parsed programs and certificates both go through the
@@ -293,15 +299,21 @@ def _key(f: Formula):
 
 def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
     """Resolve comparison atoms sharing one linear base into interval facts.
-    Returns None when the atoms alone force the absorbing element (false for
-    a conjunction, true for a disjunction)."""
+
+    The rule is written once, for a conjunction: per base, the least upper
+    and greatest lower bound stand for all bounds, an excluded point on a
+    bound moves it inward, bounds that meet collapse into an equality, an
+    equality absorbs every atom it satisfies, and exclusions outside the
+    interval go.  A disjunction is the negation of the conjunction of its
+    negated atoms, so it negates each fact that rule returns.  Returns None
+    when the atoms alone force the absorbing element (false for a
+    conjunction, true for a disjunction)."""
+    if not conj:
+        facts = _absorb_cmps([fnot(a) for a in cmps], True)
+        return None if facts is None else [fnot(f) for f in facts]
     groups: dict[tuple, dict] = {}
-    out: list[Formula] = []
     for a in cmps:
         coeffs, const = a.term.coeffs, a.term.const
-        if not coeffs:  # foreign non-canonical atom: keep untouched
-            out.append(a)
-            continue
         if a.op == LE and coeffs[0][1] < 0:
             key = tuple((v, -c) for v, c in coeffs)
             g = groups.setdefault(key, {"ub": [], "lb": [], "eq": set(), "ne": set()})
@@ -316,80 +328,39 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
             else:
                 g["ne"].add(-const)
 
-    def upper(key, v):
-        return _cmp(IntTerm(key, -v), LE)
-
-    def lower(key, v):
-        return _cmp(IntTerm(tuple((x, -c) for x, c in key), v), LE)
-
+    out: list[Formula] = []
     for key, g in groups.items():
         eqs, nes = g["eq"], g["ne"]
-        if conj:
-            ub = min(g["ub"]) if g["ub"] else None
-            lb = max(g["lb"]) if g["lb"] else None
-            if len(eqs) > 1:
+        ub = min(g["ub"]) if g["ub"] else None
+        lb = max(g["lb"]) if g["lb"] else None
+        if len(eqs) > 1:
+            return None
+        if eqs:
+            e = next(iter(eqs))
+            if (ub is not None and e > ub) or (lb is not None and e < lb) or e in nes:
                 return None
-            if eqs:
-                e = next(iter(eqs))
-                if (ub is not None and e > ub) or (lb is not None and e < lb) or e in nes:
-                    return None
-                out.append(_cmp(IntTerm(key, -e), EQ))
+            out.append(_cmp(IntTerm(key, -e), EQ))
+            continue
+        while ub in nes or lb in nes:  # boundary exclusions tighten the interval
+            if ub in nes:
+                ub -= 1
+            if lb in nes:
+                lb += 1
+        if ub is not None and lb is not None:
+            if lb > ub:
+                return None
+            if lb == ub:
+                out.append(_cmp(IntTerm(key, -lb), EQ))
                 continue
-            changed = True
-            while changed:  # boundary exclusions tighten the interval
-                changed = False
-                if ub is not None and ub in nes:
-                    ub -= 1
-                    changed = True
-                if lb is not None and lb in nes:
-                    lb += 1
-                    changed = True
-            if ub is not None and lb is not None:
-                if lb > ub:
-                    return None
-                if lb == ub:
-                    out.append(_cmp(IntTerm(key, -lb), EQ))
-                    continue
-            if ub is not None:
-                out.append(upper(key, ub))
-            if lb is not None:
-                out.append(lower(key, lb))
-            out.extend(
-                _cmp(IntTerm(key, -v), NE)
-                for v in nes
-                if (ub is None or v < ub) and (lb is None or v > lb)
-            )
-        else:
-            ub = max(g["ub"]) if g["ub"] else None
-            lb = min(g["lb"]) if g["lb"] else None
-            if len(nes) > 1:
-                return None
-            if nes:
-                v = next(iter(nes))
-                if (ub is not None and v <= ub) or (lb is not None and v >= lb) or v in eqs:
-                    return None
-                out.append(_cmp(IntTerm(key, -v), NE))
-                continue
-            changed = True
-            while changed:  # adjacent equalities extend the covered rays
-                changed = False
-                if ub is not None and ub + 1 in eqs:
-                    ub += 1
-                    changed = True
-                if lb is not None and lb - 1 in eqs:
-                    lb -= 1
-                    changed = True
-            if ub is not None and lb is not None and lb <= ub + 1:
-                return None
-            if ub is not None:
-                out.append(upper(key, ub))
-            if lb is not None:
-                out.append(lower(key, lb))
-            out.extend(
-                _cmp(IntTerm(key, -e), EQ)
-                for e in eqs
-                if (ub is None or e > ub) and (lb is None or e < lb)
-            )
+        if ub is not None:
+            out.append(_cmp(IntTerm(key, -ub), LE))
+        if lb is not None:
+            out.append(_cmp(IntTerm(tuple((v, -c) for v, c in key), lb), LE))
+        out.extend(
+            _cmp(IntTerm(key, -v), NE)
+            for v in nes
+            if (ub is None or v < ub) and (lb is None or v > lb)
+        )
     return out
 
 

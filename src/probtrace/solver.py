@@ -15,9 +15,7 @@ nodes that contain it; an `And` whose changed arguments all became TRUE
 (an `Or`, FALSE) loses them from its `args` without a rebuild, which is
 sound because a canonical formula minus some of its arguments is still
 canonical.  An atom that is a conjunct of the query, or the whole query,
-is never tried false: that branch is FALSE by construction.  A backend
-keeps the theory cubes it has decided, since one run's queries close many
-branches on the same cube.
+is never tried false: that branch is FALSE by construction.
 
 :class:`Solver` is the caching facade the verifier asks; it always runs the
 builtin procedure.
@@ -372,22 +370,16 @@ def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
 
 def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
     """An integer model of a branch's comparisons, or None when they are
-    infeasible.  Each disequality is split into its strict sides, and the
-    first side the Omega test solves gives the model."""
+    infeasible.  A comparison set false stands for its `fnot`, again a
+    comparison since every atom comes from the constructors.  Each
+    disequality is split into its strict sides, and the first side the
+    Omega test solves gives the model."""
     les: list[Lin] = []
     eqs: list[Lin] = []
     nes: list[Lin] = []
     for cmp_, val in cmps:
-        lin = _lin_of_term(cmp_.term)
-        if cmp_.op == LE:
-            if val:
-                les.append(lin)
-            else:
-                les.append(({v: -c for v, c in lin[0].items()}, -lin[1] + 1))
-        elif cmp_.op == EQ:
-            (eqs if val else nes).append(lin)
-        else:  # NE
-            (nes if val else eqs).append(lin)
+        atom = cmp_ if val else fnot(cmp_)
+        {LE: les, EQ: eqs, NE: nes}[atom.op].append(_lin_of_term(atom.term))
 
     def attempt(les_: list[Lin], nes_: list[Lin]) -> Optional[dict]:
         if nes_:
@@ -404,19 +396,13 @@ def _theory_model(cmps: list[tuple[Cmp, bool]]) -> Optional[dict]:
 
 
 class BuiltinSolver:
-    """Complete decision procedure for QF boolean + linear integer atoms.
-
-    It keeps each theory cube it decides, keyed on the branch's comparisons
-    in order: within one run the same cubes close many branches."""
+    """Complete decision procedure for QF boolean + linear integer atoms."""
 
     name = "builtin"
 
-    def __init__(self):
-        self._cubes: dict[tuple, Optional[dict]] = {}
-
     def check(self, f: Formula) -> tuple[str, Optional[dict]]:
         """Decide `f` as given: branching splits on its atoms and the Omega
-        test solves any cube of linear atoms, canonical or not.  A sat
+        test solves each closed branch's cube of comparisons.  A sat
         answer carries the Omega test's model of the first satisfying branch,
         over the variables that branch constrains.  Auxiliary variables are
         dropped here only: a splinter's recursive call still needs them."""
@@ -440,10 +426,7 @@ class BuiltinSolver:
         if f == FALSE:
             return None
         if f == TRUE:
-            cube = tuple(cmps)
-            model = self._cubes.get(cube, _UNASKED)
-            if model is _UNASKED:
-                model = self._cubes[cube] = _theory_model(cmps)
+            model = _theory_model(cmps)
             return None if model is None else {**model, **bools}
         atom = _least_atom(f)
         forced = atom is f or (isinstance(f, And) and atom in f.args)

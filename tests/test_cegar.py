@@ -1,11 +1,15 @@
 """End-to-end verification loop and the decomposition certificate format."""
 
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import probtrace
 from probtrace.cegar import (
     Certified,
     Inconclusive,
@@ -408,3 +412,36 @@ def test_corpus_record(name, loop):
         verdict = verify_refutational(p, spec, solver=Solver(), max_iters=60)
         want = CORPUS_RECORD[name][1]
     assert _record_of(verdict) == want
+
+
+# Both loops on the motivating example and one looping benchmark, printing
+# each verdict and its event log as strings.
+_RUN_BOTH_LOOPS = """
+import sys
+from probtrace import Solver, parse, to_pcfa, verify, verify_refutational
+for path in sys.argv[1:]:
+    program, spec = parse(open(path).read())
+    p = to_pcfa(program)
+    for loop, kw in ((verify, {}), (verify_refutational, {"max_iters": 60})):
+        events = []
+        print(path, loop.__name__, loop(p, spec, solver=Solver(), events=events, **kw))
+        print(*events, sep="\\n")
+"""
+
+
+def test_results_do_not_depend_on_the_hash_seed():
+    # set and dict iteration orders follow the string hash seed; no verdict,
+    # bound, iteration count or event may
+    paths = [str(DATA_DIR / "motivating.prob"), str(BENCH_DIR / "coupon.prob")]
+    src = str(Path(probtrace.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_BOTH_LOOPS, *paths],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
+    assert outputs[0].count("Unsat(") == 2
+    assert outputs[0] == outputs[1]

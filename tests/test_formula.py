@@ -9,6 +9,8 @@ from itertools import product
 
 from probtrace.formula import (
     FALSE,
+    LE,
+    NE,
     TRUE,
     And,
     BoolLit,
@@ -114,6 +116,34 @@ def test_interval_absorption_disjunction():
     assert simplify(for_(le(X, 2), ge(X, 4))) != TRUE
     assert simplify(for_(ne(X, 1), ne(X, 2))) == TRUE
     assert simplify(for_(le(X, 2), eq(X, 3))) == simplify(le(X, 3))
+
+
+def test_disjunction_of_rays_around_one_point_is_a_disequality():
+    # dual of `lb == ub` collapsing into an equality in a conjunction
+    assert for_(le(X, 2), ge(X, 4)) == ne(X, 3)
+    assert for_(le(X - Y, 2), ge(X - Y, 4), ne(X - Y, 7)) == TRUE
+
+
+def _random_cmp_atoms(rng: random.Random) -> list:
+    """Two to five comparison atoms over one or two linear bases: upper and
+    lower bounds (LE of both signs), equalities and disequalities."""
+    bases = rng.choice([[{"X": 1}], [{"X": 1, "Y": -2}], [{"X": 1}, {"Y": 1}]])
+    atoms = []
+    for _ in range(rng.randint(2, 5)):
+        t = IntTerm.make(rng.choice(bases), 0)
+        atoms.append(rng.choice([le, ge, eq, ne])(t, rng.randint(-3, 3)))
+    return atoms
+
+
+def test_disjunction_is_the_dual_of_conjunction_seeded():
+    rng = random.Random(1717)
+    collapsed = 0
+    for _ in range(1500):
+        atoms = _random_cmp_atoms(rng)
+        dual = fnot(fand(*(fnot(a) for a in atoms)))
+        assert for_(*atoms) == dual, atoms
+        collapsed += isinstance(dual, Cmp) and dual.op == NE and all(a.op == LE for a in atoms)
+    assert collapsed > 0
 
 
 def test_absorption_keeps_distinct_axes_apart():
