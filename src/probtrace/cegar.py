@@ -5,7 +5,11 @@ Floyd-Hoare automata (languages proven to satisfy the contract) and a
 violating module (an automaton of candidate violating traces whose
 violation mass the examination loop has bounded).  Each iteration either
 declares the program covered — yielding a certified upper bound — or picks
-the shortest uncovered trace and dispatches on its classification.
+the shortest uncovered trace and dispatches on its classification.  Both
+loops keep the uncovered language between iterations and narrow it only by
+what the last iteration certified (or, in the refutational variant, found);
+the violating module, which examination may shrink, is subtracted afresh at
+each pick.
 
 The refutational variant never generalizes violating traces: it keeps them
 verbatim in a repository, so that a genuinely violated contract is always
@@ -127,16 +131,18 @@ def verify(
     if events is None:
         events = []
     sigma = p.alphabet
-    qs: list[FloydHoareAutomaton] = []
+    residual = difference_nfa(p, [])  # L(P) less every base certified so far
+    fresh: list[PCFA] = []  # bases certified since the last pick
     a_lang: Optional[PCFA] = None
     last_bound = Fraction(0)
     iters = 0
     try:
         while iters < max_iters:
-            bases = [q.base for q in qs]
-            if a_lang is not None:
-                bases.append(a_lang)
-            tau = nfa_shortest(difference_nfa(p, bases))
+            if fresh:
+                residual, fresh = difference_nfa(residual, fresh), []
+            # examine's erasures can drop words from a_lang, so it is
+            # subtracted afresh at each pick and never kept in the residual
+            tau = nfa_shortest(residual if a_lang is None else difference_nfa(residual, [a_lang]))
             if tau is None:
                 events.append(("sat", last_bound))
                 return Sat(last_bound, iters)
@@ -144,7 +150,7 @@ def verify(
             events.append(("pick", iters, tau))
             cls = classify(tau, spec, solver)
             if isinstance(cls, NonViolating):
-                qs.append(generalize_nonviolating(tau, spec, sigma, solver))
+                fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
                 continue
             w = weight(tau)
             if w > beta:
@@ -153,7 +159,7 @@ def verify(
                 return Unsat(_checked(p, spec, beta, cex, solver), iters)
             gv = generalize_violating(tau, spec, sigma, solver)
             cand = gv.base if a_lang is None else union(a_lang, gv.base)
-            a_cand = intersect(cand, p)  # examine minimizes its input
+            a_cand = intersect(p, cand)  # examine minimizes its input
             outcome, cover_aut, new_q = examine(
                 a_cand,
                 spec,
@@ -163,7 +169,7 @@ def verify(
                 trace_budget=trace_budget,
                 events=events,
             )
-            qs.extend(new_q)
+            fresh.extend(q.base for q in new_q)
             if isinstance(outcome, Verified):
                 a_lang = cover_aut
                 last_bound = outcome.upper_bound
@@ -227,16 +233,17 @@ def verify_refutational(
     if events is None:
         events = []
     sigma = p.alphabet
-    qs: list[FloydHoareAutomaton] = []
     found: list[tuple[tuple, Formula]] = []
     found_mass = Fraction(0)
+    # L(P) less every base certified and every trace found so far: neither
+    # is ever taken back, so each pick subtracts only what the last one added
+    uncovered = difference_nfa(p, [])
+    fresh: list[PCFA] = []
     iters = 0
     try:
         while iters < max_iters:
-            bases = [q.base for q in qs]
-            if found:
-                bases.append(trace_tree([t for t, _ in found]))
-            uncovered = difference_nfa(p, bases)
+            if fresh:
+                uncovered, fresh = difference_nfa(uncovered, fresh), []
             residual = _to_pcfa(uncovered)
             bound = mdp_upper_bound(minimize(residual))[0] + found_mass
             if bound <= beta:
@@ -253,7 +260,7 @@ def verify_refutational(
             events.append(("pick", iters, tau))
             cls = classify(tau, spec, solver)
             if isinstance(cls, NonViolating):
-                qs.append(generalize_nonviolating(tau, spec, sigma, solver))
+                fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
                 continue
             found.append((tuple(tau), cls.error_pre))
             found_mass += weight(tau)
@@ -261,6 +268,7 @@ def verify_refutational(
             if cex is not None:
                 events.append(("counterexample", cex))
                 return Unsat(_checked(p, spec, beta, cex, solver), iters)
+            fresh.append(trace_tree([tau]))
         return Inconclusive(f"iteration cap ({max_iters}) reached", iters)
     except SolverUnknown as exc:
         return Inconclusive(f"solver gave up: {exc}", iters)

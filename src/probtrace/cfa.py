@@ -177,9 +177,10 @@ class PCFA:
         return True
 
     def accepts(self, trace: Sequence[Label]) -> bool:
+        adj = _adjacency(self.transitions)
         states = {self.initial}
         for lab in trace:
-            states = {t for s in states for l, t in self.out_edges(s) if l == lab}
+            states = {t for s in states for t in adj.get(s, {}).get(lab, ())}
             if not states:
                 return False
         return self.accepting in states
@@ -455,18 +456,18 @@ def union(a: PCFA, b: PCFA) -> PCFA:
     return _to_pcfa(_subset_product(parts, [], lambda x, y: x))
 
 
-def difference(a: PCFA, b: PCFA) -> PCFA:
-    return _to_pcfa(difference_nfa(a, [b]))
-
-
 def difference_all(a: PCFA, bs: list["PCFA"]) -> PCFA:
     """L(a) minus the union of the bs."""
     return _to_pcfa(difference_nfa(a, bs))
 
 
-def difference_nfa(a: PCFA, bs: list[PCFA]) -> _NFA:
-    """L(a) minus the union of the bs, as a deterministic internal value."""
-    return _subset_product(_nfa_of(a), bs, lambda x, y: x and not y)
+def difference_nfa(a: Union[PCFA, _NFA], bs: list[PCFA]) -> _NFA:
+    """L(a) minus the union of the bs, as a trimmed deterministic internal
+    value.  `a` may be an earlier result, so a loop can keep its residual
+    and narrow it by only the automata added since: subtracting B1 and then
+    B2 leaves the same language as subtracting their union at once."""
+    left = a if isinstance(a, _NFA) else _nfa_of(a)
+    return _nfa_trim(_subset_product(left, bs, lambda x, y: x and not y))
 
 
 def nfa_is_empty(n: _NFA) -> bool:

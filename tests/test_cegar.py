@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import probtrace
+from probtrace import cegar
 from probtrace.cegar import (
     Certified,
     Inconclusive,
@@ -26,6 +27,7 @@ from probtrace.evidence import validate_counterexample
 from probtrace.formula import eq, fand, ge, ivar, le, simplify
 from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
+from probtrace.semantics import NonViolating
 from probtrace.solver import Solver
 
 from helpers import BENCH_DIR, DATA_DIR, load_program, random_counter_loop
@@ -445,3 +447,55 @@ def test_results_do_not_depend_on_the_hash_seed():
     assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
     assert outputs[0].count("Unsat(") == 2
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the loops' residual
+
+
+def _recorded(fn, record):
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        record(args, out)
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("loop", [verify, verify_refutational])
+@pytest.mark.parametrize("name", ["motivating.prob", "coupon.prob"])
+def test_loops_subtract_each_automaton_and_found_trace_once(name, loop, monkeypatch):
+    # each loop keeps its residual between iterations, so an automaton or a
+    # found trace is subtracted at the first pick after it appears and never
+    # again; what the last iteration adds is never subtracted
+    folder = DATA_DIR if name == "motivating.prob" else BENCH_DIR
+    program, spec = parse((folder / name).read_text())
+    operands = []  # the right operands of each difference, in call order
+    bases = []  # (base of a Floyd-Hoare automaton, differences taken before it)
+    found = []  # (violating trace, differences taken before it)
+    trees = []  # the trace trees the loop built
+
+    def made(seq, items):
+        seq.extend((x, len(operands)) for x in items)
+
+    for attr, record in (
+        ("difference_nfa", lambda args, out: operands.append(args[1])),
+        ("generalize_nonviolating", lambda args, out: made(bases, [out.base])),
+        ("examine", lambda args, out: made(bases, [q.base for q in out[2]])),
+        ("classify", lambda args, out: made(found, [] if isinstance(out, NonViolating) else [tuple(args[0])])),
+        ("trace_tree", lambda args, out: trees.append(out)),
+    ):
+        monkeypatch.setattr(cegar, attr, _recorded(getattr(cegar, attr), record))
+    loop(to_pcfa(program), spec, solver=Solver(), max_iters=60)
+
+    def times(pred):
+        return sum(1 for ops in operands for b in ops if pred(b))
+
+    assert any(since < len(operands) for _, since in bases)
+    for base, since in bases:
+        assert times(lambda b: b is base) == (1 if since < len(operands) else 0)
+    if loop is verify_refutational:
+        assert any(since < len(operands) for _, since in found)
+        for tr, since in found:
+            in_tree = lambda b: any(b is t for t in trees) and b.accepts(tr)
+            assert times(in_tree) == (1 if since < len(operands) else 0)
