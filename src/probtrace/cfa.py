@@ -24,6 +24,7 @@ reachability probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .formula import Formula, IntTerm, _key as formula_key
@@ -176,8 +177,12 @@ class PCFA:
                 return False
         return True
 
+    @cached_property
+    def _adj(self) -> dict[int, dict[Label, set[int]]]:
+        return _adjacency(self.transitions)
+
     def accepts(self, trace: Sequence[Label]) -> bool:
-        adj = _adjacency(self.transitions)
+        adj = self._adj
         states = {self.initial}
         for lab in trace:
             states = {t for s in states for t in adj.get(s, {}).get(lab, ())}

@@ -12,11 +12,15 @@ edge but asks the solver once per distinct weakest precondition: for a
 target t, skip, coin and nondeterministic labels, and assignments to
 variables lam(t) does not mention, all leave !lam(t) unchanged and share one
 query per source.  Propositions recur across the automata of one run (pre,
-post, false, repeated interpolants), so weakest preconditions and triples
-are memoized for the lifetime of the solver and each is decided once per
-run.  Most candidate triples fail, and the solver keeps the model of every
-sat answer as a witness state: a triple whose source proposition and
-weakest precondition both hold in one witness fails without a query.
+post, false, repeated interpolants), so the solver numbers each formula and
+label saturation sees once per run, equal values alike, and weakest
+preconditions and triples are memoized by those numbers for the lifetime of
+the solver: each is decided once per run, and a memo lookup hashes ints,
+not formula trees.  Most candidate triples fail, and the solver keeps the
+model of every sat answer as a witness state: a triple whose source
+proposition and weakest precondition both hold in one witness fails without
+a query.  Which witnesses a numbered formula holds in is kept as a bitset
+for the run, so each formula is evaluated on each witness at most once.
 """
 
 from __future__ import annotations
@@ -97,57 +101,70 @@ def saturate_edges(
     does not depend on which edges already exist, so the edge set is the one
     checking each triple on its own would give.
 
-    Weakest preconditions and (lam(s), w) answers are memoized in
-    ``solver.wp_memo`` and ``solver.triple_memo`` for the solver's lifetime,
-    so a pair seen in an earlier automaton builds no formula and asks nothing.
+    Each location's proposition, each negated target and each label is
+    numbered once per call by ``solver.number``, and the rest of the call
+    works on the numbers: the edge set is built over (s, label number, t),
+    and ``solver.wp_memo`` and ``solver.triple_memo`` are keyed by number
+    pairs, so no formula is hashed inside the (s, w) loop.  Both memos last
+    for the solver's lifetime, so a pair seen in an earlier automaton builds
+    no formula and asks nothing.
 
     Before asking about a new pair, the witnesses in ``solver.witnesses``
-    are tried: each lam(s) and each w is evaluated once per witness, into a
-    bitset extended as the list grows, and a witness in both sets satisfies
-    lam(s) && w, so the pair is memoized as failing with no conjunction
-    built and no query asked.  Only pairs no witness refutes reach
-    ``solver.is_sat``, whose sat answers add witnesses in turn.
+    are tried: lam(s) and w each have a bitset of the witnesses they hold
+    in, in ``solver.bits``, extended only by the witnesses stored since it
+    was last read, so each formula meets each witness once per run.  A
+    witness in both sets satisfies lam(s) && w, so the pair is memoized as
+    failing with no conjunction built and no query asked.  Only pairs no
+    witness refutes reach ``solver.is_sat``, whose sat answers add witnesses
+    in turn.
     """
-    labels = sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
-    trans = set(fha.base.transitions)
+    number, numbered, bits_of = solver.number, solver.numbered, solver.bits
+    labels = [
+        number(lab) for lab in sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
+    ]
+    trans = {(s, solver.ids[lab], t) for s, lab, t in fha.base.transitions}
     locs = sorted(fha.base.locations)
     wp_memo, triple_memo, witnesses = solver.wp_memo, solver.triple_memo, solver.witnesses
-    # bitsets of the witnesses a formula holds in, with the number of
-    # witnesses they cover, extended as the witness list grows
-    lam_bits: dict[int, tuple[int, int]] = {}  # by location
+    lam = {s: number(fha.lam[s]) for s in locs}
 
-    def holds(cache: dict, key, f: Formula) -> int:
-        bits, n = cache.get(key, (0, 0))
+    def holds(i: int) -> int:
+        bits, n = bits_of[i]
         if n < len(witnesses):
-            bits |= feval_bits(f, witnesses[n:]) << n
-            cache[key] = bits, len(witnesses)
+            bits |= feval_bits(numbered[i], witnesses[n:]) << n
+            bits_of[i] = bits, len(witnesses)
         return bits
 
     for t in locs:
         nq = fnot(fha.lam[t])
-        groups: dict[Formula, list[Label]] = {}
-        for lab in labels:
-            w = wp_memo.get((lab, nq))
+        q = number(nq)
+        groups: dict[int, list[int]] = {}
+        for a in labels:
+            w = wp_memo.get((a, q))
             if w is None:
-                w = wp_memo[lab, nq] = pre_exists(lab, nq)
-            groups.setdefault(w, []).append(lab)
-        w_bits: dict[int, tuple[int, int]] = {}  # by group index
+                w = wp_memo[a, q] = number(pre_exists(numbered[a], nq))
+            groups.setdefault(w, []).append(a)
         for s in locs:
-            p = fha.lam[s]
-            for i, (w, labs) in enumerate(groups.items()):
-                missing = [(s, lab, t) for lab in labs if (s, lab, t) not in trans]
+            p = lam[s]
+            for w, group in groups.items():
+                missing = [(s, a, t) for a in group if (s, a, t) not in trans]
                 if not missing:
                     continue
                 valid = triple_memo.get((p, w))
                 if valid is None:
-                    if holds(lam_bits, s, p) & holds(w_bits, i, w):
+                    if holds(p) & holds(w):
                         solver.witness_refutations += 1
                         valid = triple_memo[p, w] = False
                     else:
-                        valid = triple_memo[p, w] = not solver.is_sat(fand(p, w))
+                        query = fand(numbered[p], numbered[w])
+                        valid = triple_memo[p, w] = not solver.is_sat(query)
                 if valid:
                     trans.update(missing)
-    base = PCFA(trans, fha.base.initial, fha.base.accepting, fha.base.locations)
+    base = PCFA(
+        {(s, numbered[a], t) for s, a, t in trans},
+        fha.base.initial,
+        fha.base.accepting,
+        fha.base.locations,
+    )
     return FloydHoareAutomaton(base, dict(fha.lam))
 
 

@@ -451,26 +451,36 @@ class Solver:
     """Caching facade over the builtin backend; all verifier queries go
     through here.  One solver serves one run.
 
-    Besides the query cache it holds two maps that Hoare saturation fills for
-    the solver's lifetime: ``wp_memo`` takes (label, proposition) to
-    ``pre_exists(label, proposition)``, and ``triple_memo`` takes
-    (proposition, weakest precondition) to whether their conjunction is
-    unsat, i.e. whether the triple holds.  A triple answered from
-    ``triple_memo`` does not reach ``is_sat``, so ``cache_hits`` does not
-    count it; ``queries`` is unchanged.
+    Besides the query cache it holds what Hoare saturation keeps for the
+    solver's lifetime.  `number` gives each formula or label saturation sees
+    a small int, equal values the same one: ``ids`` maps the value to its
+    number and ``numbered`` lists the values by number.  The memos are keyed
+    by these numbers, so a lookup hashes two ints, not two formula trees:
+    ``wp_memo`` takes (label, proposition) to ``pre_exists(label,
+    proposition)``, and ``triple_memo`` takes (proposition, weakest
+    precondition) to whether their conjunction is unsat, i.e. whether the
+    triple holds.  A triple answered from ``triple_memo`` does not reach
+    ``is_sat``, so ``cache_hits`` does not count it; ``queries`` is
+    unchanged.
 
     Each model the backend returns with a sat answer is also kept, in the
     order found, in ``witnesses``: a concrete state in which every variable
     the model leaves out reads 0 or False, the completion rule of
-    `get_model`.  A proposition true in some witness is satisfiable, so Hoare
-    saturation refutes a triple whose two sides share a witness without
-    asking; ``witness_refutations`` counts those triples."""
+    `get_model`.  The list only grows.  ``bits[i]`` is (bitset, n): bit k of
+    the bitset is set when ``numbered[i]`` holds in ``witnesses[k]``, for
+    the first n witnesses, so each formula is evaluated on each witness at
+    most once per run.  A proposition true in some witness is satisfiable,
+    so Hoare saturation refutes a triple whose two sides share a witness
+    without asking; ``witness_refutations`` counts those triples."""
 
     def __init__(self):
         self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
-        self.wp_memo: dict[tuple, Formula] = {}
-        self.triple_memo: dict[tuple[Formula, Formula], bool] = {}
+        self.ids: dict = {}
+        self.numbered: list = []
+        self.bits: list[tuple[int, int]] = []
+        self.wp_memo: dict[tuple[int, int], int] = {}
+        self.triple_memo: dict[tuple[int, int], bool] = {}
         self.witnesses: list[dict] = []
         self.queries = 0
         self.cache_hits = 0
@@ -480,6 +490,15 @@ class Solver:
     @property
     def backend_name(self) -> str:
         return self.backend.name
+
+    def number(self, x) -> int:
+        """The number of formula or label `x` in this run."""
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.numbered)
+            self.numbered.append(x)
+            self.bits.append((0, 0))
+        return i
 
     def _lookup(self, f: Formula) -> Optional[dict]:
         """None when `f` is unsat, else the backend's model of it; one cache,

@@ -5,6 +5,7 @@ operations, the set identity restricted to traces of length <= d must hold
 exactly, so randomized comparisons against Python set algebra are decisive.
 """
 
+import itertools
 import random
 import signal
 
@@ -92,6 +93,18 @@ def test_enumerate_traces_matches_accepts():
         a = random_nfa(rng)
         for tr in bounded_language(a, 4):
             assert a.accepts(tr)
+
+
+def test_accepts_twice_agrees_with_the_bounded_language_seeded():
+    # an automaton keeps its adjacency after the first `accepts`, so the
+    # second round of calls reads the kept one
+    rng = random.Random(1901)
+    words = [w for n in range(4) for w in itertools.product(ALPHABET, repeat=n)]
+    for _ in range(30):
+        a = random_nfa(rng)
+        lang = bounded_language(a, 3)
+        for _ in range(2):
+            assert {w for w in words if a.accepts(w)} == lang
 
 
 def test_trim_removes_dead_locations():
