@@ -54,7 +54,6 @@ from .cfa import (
     intersect,
     is_empty,
     label_key,
-    minimize,
     nfa_is_empty,
     nfa_shortest,
     trace_tree,
@@ -159,7 +158,7 @@ def verify(
                 return Unsat(_checked(p, spec, beta, cex, solver), iters)
             gv = generalize_violating(tau, spec, sigma, solver)
             cand = gv.base if a_lang is None else union(a_lang, gv.base)
-            a_cand = intersect(p, cand)  # examine minimizes its input
+            a_cand = intersect(p, cand)
             outcome, cover_aut, new_q = examine(
                 a_cand,
                 spec,
@@ -245,7 +244,7 @@ def verify_refutational(
             if fresh:
                 uncovered, fresh = difference_nfa(uncovered, fresh), []
             residual = _to_pcfa(uncovered)
-            bound = mdp_upper_bound(minimize(residual))[0] + found_mass
+            bound = mdp_upper_bound(residual)[0] + found_mass
             if bound <= beta:
                 events.append(("sat", bound))
                 return Sat(bound, iters)
@@ -320,7 +319,7 @@ def check_decomposition(
         if not nfa_is_empty(difference_nfa(p, bases + [a])):
             return Rejected("program traces escape the certified union")
         residual = difference_all(a, bases) if bases else a
-        bound, _ = mdp_upper_bound(minimize(intersect(residual, p)))
+        bound, _ = mdp_upper_bound(intersect(residual, p))
         if bound <= beta:
             return Certified(bound)
         return Rejected(f"violating mass bound {bound} exceeds threshold {beta}")

@@ -157,14 +157,9 @@ class PCFA:
         return frozenset(lab for _, lab, _ in self.transitions)
 
     def is_deterministic(self) -> bool:
-        for loc in self.locations:
-            seen = set()
-            for lab, _ in self.out_edges(loc):
-                k = label_key(lab)
-                if k in seen:
-                    return False
-                seen.add(k)
-        return True
+        return all(
+            len(out) < 2 or len({lab for lab, _ in out}) == len(out) for out in self._out.values()
+        )
 
     def is_cfmdp(self) -> bool:
         return self.is_deterministic() and not self.out_edges(self.accepting)

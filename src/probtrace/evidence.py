@@ -27,7 +27,6 @@ from .cfa import (
     Label,
     Pb,
     difference_all,
-    minimize,
     trace_key,
     trace_tree,
     trim,
@@ -184,6 +183,10 @@ def examine(
 
     The module may be any CFMDP: paired coin branches may share a target,
     since maximal reachability and the mined traces do not depend on it.
+    Cells are kept as the products build them (the union, difference and
+    erasures below are deterministic and trimmed) and never minimized: the
+    bounds, optimal actions and mined traces depend only on the languages
+    of the locations, which bisimilar copies share.
 
     Returns (outcome, cover automaton, certified non-violating automata).
     The cover automaton is the union of all surviving compartments with
@@ -197,14 +200,14 @@ def examine(
     if events is None:
         events = []
     sigma = frozenset(alphabet) if alphabet is not None else a.alphabet
-    cells = [_Cell(spec.pre, minimize(a))]
+    cells = [_Cell(spec.pre, a)]
     q_new: list[FloydHoareAutomaton] = []
 
     def cover() -> PCFA:
         out = cells[0].aut
         for c in cells[1:]:
             out = union(out, c.aut)
-        return minimize(out)
+        return out
 
     for round_no in range(1, round_cap + 1):
         analyses = [analyze_mdp(c.aut) for c in cells]
@@ -293,7 +296,7 @@ def examine(
         if fresh_fhas:
             q_new.extend(fresh_fhas)
             for c in cells:
-                c.aut = minimize(difference_all(c.aut, [f.base for f in fresh_fhas]))
+                c.aut = difference_all(c.aut, [f.base for f in fresh_fhas])
 
         # split on the mainstream's shared precondition, erasing each trace
         # only from compartments whose states cannot run it
@@ -301,7 +304,7 @@ def examine(
         if mainstream_traces:
             h = fand(cell.guard, pc_core)
             events.append(("split", pc_core))
-            mined_aut = minimize(_erase_traces(cells[idx].aut, incompat_traces))
+            mined_aut = _erase_traces(cells[idx].aut, incompat_traces)
             new_cells = [_Cell(h, mined_aut, mined=True)]
             other_guard = fand(cell.guard, fnot(pc_core))
             if solver.is_sat(other_guard):
@@ -310,11 +313,11 @@ def examine(
                     for tr, pc in zip(mainstream_traces, mainstream_pcs)
                     if not solver.is_sat(fand(other_guard, pc))
                 ]
-                other_aut = minimize(_erase_traces(cells[idx].aut, erasable))
+                other_aut = _erase_traces(cells[idx].aut, erasable)
                 new_cells.append(_Cell(other_guard, other_aut, mined=False))
             cells[idx : idx + 1] = new_cells
         else:
-            cells[idx].aut = minimize(_erase_traces(cells[idx].aut, incompat_traces))
+            cells[idx].aut = _erase_traces(cells[idx].aut, incompat_traces)
             cells[idx].mined = True
 
     reason = f"round cap ({round_cap}) exhausted"

@@ -101,13 +101,14 @@ def saturate_edges(
     does not depend on which edges already exist, so the edge set is the one
     checking each triple on its own would give.
 
-    Each location's proposition, each negated target and each label is
-    numbered once per call by ``solver.number``, and the rest of the call
-    works on the numbers: the edge set is built over (s, label number, t),
-    and ``solver.wp_memo`` and ``solver.triple_memo`` are keyed by number
-    pairs, so no formula is hashed inside the (s, w) loop.  Both memos last
-    for the solver's lifetime, so a pair seen in an earlier automaton builds
-    no formula and asks nothing.
+    Each location's proposition and each label is numbered once per call by
+    ``solver.number``, and each negated target is built once per run, since
+    ``solver.neg_memo`` maps a proposition's number to its negation's.  The
+    rest of the call works on the numbers: the edge set is built over
+    (s, label number, t), and ``solver.wp_memo`` and ``solver.triple_memo``
+    are keyed by number pairs, so no formula is hashed inside the (s, w)
+    loop.  The memos last for the solver's lifetime, so a pair seen in an
+    earlier automaton builds no formula and asks nothing.
 
     Before asking about a new pair, the witnesses in ``solver.witnesses``
     are tried: lam(s) and w each have a bitset of the witnesses they hold
@@ -125,6 +126,7 @@ def saturate_edges(
     trans = {(s, solver.ids[lab], t) for s, lab, t in fha.base.transitions}
     locs = sorted(fha.base.locations)
     wp_memo, triple_memo, witnesses = solver.wp_memo, solver.triple_memo, solver.witnesses
+    neg_memo = solver.neg_memo
     lam = {s: number(fha.lam[s]) for s in locs}
 
     def holds(i: int) -> int:
@@ -135,13 +137,14 @@ def saturate_edges(
         return bits
 
     for t in locs:
-        nq = fnot(fha.lam[t])
-        q = number(nq)
+        q = neg_memo.get(lam[t])
+        if q is None:
+            q = neg_memo[lam[t]] = number(fnot(fha.lam[t]))
         groups: dict[int, list[int]] = {}
         for a in labels:
             w = wp_memo.get((a, q))
             if w is None:
-                w = wp_memo[a, q] = number(pre_exists(numbered[a], nq))
+                w = wp_memo[a, q] = number(pre_exists(numbered[a], numbered[q]))
             groups.setdefault(w, []).append(a)
         for s in locs:
             p = lam[s]

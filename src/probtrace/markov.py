@@ -8,12 +8,16 @@ action to play; applying it yields a CFMC whose language refines the CFMDP's.
 The upper-bound computation casts the CFMDP to a plain MDP — coins become
 half/half distributions, a coin with a missing partner branch loses half its
 mass to a dead sink — and runs exact policy iteration over rationals, so
-results like 1/2 or 7/16 come out as the precise dyadic they are.  Each
-policy's linear system is solved one strongly connected component at a
-time, successors first: acyclic states take one back-substitution each, and
-elimination runs only inside cycles.  There it runs sparsely and in
-integers, on the system doubled so that every coefficient is whole, and
-builds one Fraction per value at the end.
+results like 1/2 or 7/16 come out as the precise dyadic they are.  Every
+successor carries an integer weight out of 2, so the arithmetic stays in
+integers and each value is one Fraction.  Each policy's linear system is
+solved one strongly connected component at a time, successors first: an
+acyclic state is one back-substitution over its successors' common
+denominator, and elimination runs only inside cycles.  There it runs
+sparsely and in integers, on the system doubled so that every coefficient
+is whole.  The improvement sweep brings the values to one common
+denominator once and compares each action's weighted sum of numerators
+against twice the location's own, with no Fraction built per action.
 """
 
 from __future__ import annotations
@@ -377,23 +381,27 @@ def _solve_cyclic(comp: list[int], succ: dict, values: dict) -> None:
         values[loc] = Fraction(rhs[i], rows[i][i] * den)
 
 
+def _weighted(act: Action, step) -> list[tuple[int, int]]:
+    """An action's successors with integer weights out of 2: 1 for each side
+    of a coin (a missing side's mass is lost), 2 for a plain label."""
+    if isinstance(act, int):
+        return [(1, t) for t in step.values()]
+    return [(2, step)]
+
+
 def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
     """Exact value of a fixed policy: probability of reaching the accepting
     location.  States that cannot reach it under the policy get 0, which
     pins down the unique (least) solution of the linear system.  The system
     is solved one strongly connected component at a time, successors first:
-    a single state without a self-loop is one back-substitution, and only a
-    cyclic component is eliminated, with its successors' values as
-    constants.  Successors carry integer weights out of 2: 1 for each side
-    of a coin, 2 for a plain label."""
+    a single state without a self-loop is one back-substitution, one
+    Fraction(Σ w·numerator·(d // denominator), 2d) with d the lcm of its
+    successors' denominators, and only a cyclic component is eliminated,
+    with its successors' values as constants."""
     succ: dict[int, list[tuple[int, int]]] = {}
     pred: dict[int, list[int]] = {}
     for loc, act in policy.items():
-        step = acts[loc][act]
-        if isinstance(act, int):
-            succ[loc] = [(1, t) for t in step.values()]  # missing side: mass lost
-        else:
-            succ[loc] = [(2, step)]
+        succ[loc] = _weighted(act, acts[loc][act])
         for _, t in succ[loc]:
             pred.setdefault(t, []).append(loc)
 
@@ -403,23 +411,25 @@ def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
     for comp in _sccs(reach - {a.accepting}, succ):
         loc = comp[0]
         if len(comp) == 1 and all(t != loc for _, t in succ[loc]):
-            values[loc] = sum(w * values[t] for w, t in succ[loc]) / 2
+            vs = [(w, values[t]) for w, t in succ[loc]]
+            d = lcm(*(v.denominator for _, v in vs))
+            total = sum(w * v.numerator * (d // v.denominator) for w, v in vs)
+            values[loc] = Fraction(total, 2 * d)
         else:
             _solve_cyclic(comp, succ, values)
     return values
 
 
-def _q_value(acts: dict, values: dict, loc: int, act: Action) -> Fraction:
-    step = acts[loc][act]
-    if isinstance(act, int):
-        total = Fraction(0)
-        for t in step.values():
-            total += Fraction(1, 2) * values[t]
-        return total
-    return values[step]
-
-
 def analyze_mdp(a: PCFA) -> MdpAnalysis:
+    """Maximal reachability of the accepting location by policy iteration,
+    from the first action in `_action_key` order at every location.
+
+    After each evaluation the values are brought to one common denominator
+    D, so each improvement sweep compares integers: an action's q-value
+    times 2D is Σ w·num[t] over its weighted successors, against 2·num[loc]
+    for the location's value.  An action improves only when strictly better,
+    and the sweep that improves nothing records every value-maximal action,
+    in `_action_key` order, as `optimal_actions`."""
     check_cfmdp(a)
     # location -> {action: step}, actions in `_action_key` order
     acts = {
@@ -427,21 +437,28 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
         for loc in sorted(a.locations)
         if loc != a.accepting and a.out_edges(loc)
     }
+    steps = {
+        loc: [(act, _weighted(act, step)) for act, step in here.items()]
+        for loc, here in acts.items()
+    }
     policy = {loc: next(iter(here)) for loc, here in acts.items()}
     values = _policy_value(a, acts, policy)
     for _ in range(10_000):
+        den = lcm(*(v.denominator for v in values.values()))
+        num = {loc: v.numerator * (den // v.denominator) for loc, v in values.items()}
         improved = False
         optimal = {}  # the sweep that improves nothing leaves the optimal actions
-        for loc, here in acts.items():
-            best_act, best_q = policy[loc], values[loc]
+        for loc, here in steps.items():
+            own = 2 * num[loc]
+            best_act, best_q = policy[loc], own
             optimal[loc] = []
-            for act in here:
-                q = _q_value(acts, values, loc, act)
-                if q == values[loc]:
+            for act, succ in here:
+                q = sum(w * num[t] for w, t in succ)
+                if q == own:
                     optimal[loc].append(act)
                 if q > best_q:
                     best_act, best_q = act, q
-            if best_act != policy[loc] and best_q > values[loc]:
+            if best_act != policy[loc] and best_q > own:
                 policy[loc] = best_act
                 improved = True
         if not improved:

@@ -455,11 +455,11 @@ class Solver:
     solver's lifetime.  `number` gives each formula or label saturation sees
     a small int, equal values the same one: ``ids`` maps the value to its
     number and ``numbered`` lists the values by number.  The memos are keyed
-    by these numbers, so a lookup hashes two ints, not two formula trees:
-    ``wp_memo`` takes (label, proposition) to ``pre_exists(label,
-    proposition)``, and ``triple_memo`` takes (proposition, weakest
-    precondition) to whether their conjunction is unsat, i.e. whether the
-    triple holds.  A triple answered from ``triple_memo`` does not reach
+    by these numbers, so a lookup hashes ints, not formula trees:
+    ``neg_memo`` takes a proposition to its negation, ``wp_memo`` takes
+    (label, proposition) to ``pre_exists(label, proposition)``, and
+    ``triple_memo`` takes (proposition, weakest precondition) to whether
+    their conjunction is unsat, i.e. whether the triple holds.  A triple answered from ``triple_memo`` does not reach
     ``is_sat``, so ``cache_hits`` does not count it; ``queries`` is
     unchanged.
 
@@ -479,6 +479,7 @@ class Solver:
         self.ids: dict = {}
         self.numbered: list = []
         self.bits: list[tuple[int, int]] = []
+        self.neg_memo: dict[int, int] = {}
         self.wp_memo: dict[tuple[int, int], int] = {}
         self.triple_memo: dict[tuple[int, int], bool] = {}
         self.witnesses: list[dict] = []

@@ -388,6 +388,31 @@ def test_saturate_evaluates_each_proposition_on_each_witness_once_per_run(monkey
     assert len(evaluated) == len(set(evaluated))
 
 
+def test_saturate_negates_each_target_once_per_run(monkeypatch):
+    # the two automata share le(X, 0) and ge(X, 1), built afresh for each
+    solver, reference = Solver(), Solver()
+    negated = []
+    fnot = hoare.fnot
+
+    def recorded(f):
+        negated.append(f)
+        return fnot(f)
+
+    monkeypatch.setattr(hoare, "fnot", recorded)
+    alphabet = [lab(s) for s in ["skip", "X := 0", "X := X + 1"]]
+    first = FloydHoareAutomaton(
+        PCFA({(0, lab("X := X + 1"), 1)}, 0, 1), {0: le(X, 0), 1: ge(X, 1)}
+    )
+    second = FloydHoareAutomaton(
+        PCFA({(0, lab("skip"), 1), (1, lab("X := 0"), 2)}, 0, 2),
+        {0: ge(X, 1), 1: le(X, 0), 2: eq(X, 0)},
+    )
+    for fha in (first, second):
+        fat = saturate_edges(fha, alphabet, solver)
+        assert fat.base.transitions == _saturate_naive(fha, alphabet, reference)
+    assert sorted(negated, key=str) == sorted([le(X, 0), ge(X, 1), eq(X, 0)], key=str)
+
+
 # ---------------------------------------------------------------------------
 # generalizing trustworthy traces
 

@@ -9,8 +9,21 @@ from itertools import islice
 import pytest
 
 from probtrace import markov
-from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL, empty_pcfa, minimize
-from probtrace.evidence import enumerate_by_weight
+from probtrace.cfa import (
+    PCFA,
+    Assign,
+    Assume,
+    Nd,
+    NotRepresentable,
+    Pb,
+    SkipL,
+    difference_all,
+    empty_pcfa,
+    intersect,
+    minimize,
+    union,
+)
+from probtrace.evidence import _optimal_subcfmdp, enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
 from probtrace.markov import (
     Strategy,
@@ -315,6 +328,117 @@ def test_solve_cyclic_rejects_a_closed_cycle():
     values = {0: Fraction(0), 1: Fraction(0)}
     with pytest.raises(ArithmeticError, match="singular"):
         _solve_cyclic([0, 1], {0: [(2, 1)], 1: [(2, 0)]}, values)
+
+
+def _fraction_analyze_mdp(a: PCFA) -> markov.MdpAnalysis:
+    """Reference: policy iteration with every q-value a Fraction and every
+    policy evaluated by `_dense_policy_value`, as `analyze_mdp` did before
+    it compared integers."""
+
+    def q_value(loc, act):
+        step = acts[loc][act]
+        if isinstance(act, int):
+            return sum((Fraction(1, 2) * values[t] for t in step.values()), Fraction(0))
+        return values[step]
+
+    acts = {
+        loc: dict(sorted(here.items(), key=lambda kv: markov._action_key(kv[0])))
+        for loc, here in _action_map(a).items()
+    }
+    policy = {loc: next(iter(here)) for loc, here in acts.items()}
+    values = _dense_policy_value(a, policy)
+    while True:
+        improved = False
+        optimal = {}
+        for loc, here in acts.items():
+            best_act, best_q = policy[loc], values[loc]
+            optimal[loc] = []
+            for act in here:
+                q = q_value(loc, act)
+                if q == values[loc]:
+                    optimal[loc].append(act)
+                if q > best_q:
+                    best_act, best_q = act, q
+            if best_act != policy[loc] and best_q > values[loc]:
+                policy[loc] = best_act
+                improved = True
+        if not improved:
+            return markov.MdpAnalysis(values.get(a.initial, Fraction(0)), values, policy, optimal)
+        values = _dense_policy_value(a, policy)
+
+
+def _subset_built_cfmdps(rng: random.Random, count: int) -> list:
+    """Deterministic, trimmed CFMDPs as the subset construction builds them:
+    the product, union or difference of two random CFMDPs, kept when it is a
+    non-empty CFMDP (a union need not be prefix-free)."""
+    ops = [intersect, union, lambda x, y: difference_all(x, [y])]
+    out = []
+    while len(out) < count:
+        a, b = random_cfmdp(rng, max_locs=7), random_cfmdp(rng, max_locs=7)
+        try:
+            m = rng.choice(ops)(a, b)
+        except NotRepresentable:
+            continue
+        if m.transitions and m.is_cfmdp():
+            out.append(m)
+    return out
+
+
+def _has_cycle(a: PCFA) -> bool:
+    succ = {loc: [(1, t) for _, t in a.out_edges(loc)] for loc in a.locations}
+    return any(
+        len(c) > 1 or any(t == c[0] for _, t in succ[c[0]]) for c in _sccs(set(a.locations), succ)
+    )
+
+
+def test_analysis_does_not_depend_on_minimization_seeded():
+    # language-equivalent states of a deterministic automaton are bisimilar,
+    # so the automaton as built and its minimization agree location by
+    # location on values and optimal actions, and so on the optimal sub-CFMDP
+    rng = random.Random(2004)
+    seen = {"non_minimal": 0, "cyclic_non_minimal": 0, "ties": 0}
+    for a in _subset_built_cfmdps(rng, 250):
+        m = minimize(a)
+        ra, rm = analyze_mdp(a), analyze_mdp(m)
+        assert ra.bound == rm.bound
+        pairs = {(a.initial, m.initial)}
+        todo = list(pairs)
+        while todo:
+            la, lm = todo.pop()
+            assert ra.values[la] == rm.values[lm]
+            assert ra.optimal_actions.get(la) == rm.optimal_actions.get(lm)
+            seen["ties"] += len(ra.optimal_actions.get(la, ())) > 1
+            steps = dict(m.out_edges(lm))
+            for lab, t in a.out_edges(la):
+                if (t, steps[lab]) not in pairs:
+                    pairs.add((t, steps[lab]))
+                    todo.append((t, steps[lab]))
+        sub_a = _optimal_subcfmdp(a, ra.optimal_actions)
+        sub_m = _optimal_subcfmdp(m, rm.optimal_actions)
+        depth = (len(sub_a.locations) + 1) * (len(sub_m.locations) + 1)
+        assert bounded_equal_deterministic(sub_a, sub_m, depth)
+        shrunk = len(m.locations) < len(a.locations)
+        seen["non_minimal"] += shrunk
+        seen["cyclic_non_minimal"] += shrunk and _has_cycle(a)
+    assert seen["non_minimal"] >= 80 and seen["cyclic_non_minimal"] >= 60 and seen["ties"], seen
+
+
+def test_integer_sweep_matches_the_fraction_reference_seeded():
+    rng = random.Random(2005)
+    seen = {"improved": 0, "ties": 0, "non_dyadic": 0}
+    automata = [random_cfmdp(rng, max_locs=10) for _ in range(300)]
+    automata += _subset_built_cfmdps(rng, 100)
+    for a in automata:
+        got, want = analyze_mdp(a), _fraction_analyze_mdp(a)
+        assert got.bound == want.bound
+        assert got.values == want.values
+        assert got.policy == want.policy
+        assert got.optimal_actions == want.optimal_actions
+        start = {loc: min(here, key=markov._action_key) for loc, here in _action_map(a).items()}
+        seen["improved"] += got.policy != start
+        seen["ties"] += any(len(acts) > 1 for acts in got.optimal_actions.values())
+        seen["non_dyadic"] += any(v.denominator & (v.denominator - 1) for v in got.values.values())
+    assert seen["improved"] >= 100 and seen["ties"] >= 100 and seen["non_dyadic"] >= 5, seen
 
 
 # ---------------------------------------------------------------------------
