@@ -408,13 +408,12 @@ class NotRepresentable(Exception):
 
 
 def _to_pcfa(n: _NFA) -> PCFA:
-    """Coerce a multi-accepting automaton with one initial state to the
-    single-accepting shape (every producer here starts from state 0 alone).
-    Exact when accepted words are prefix-free (accepting states are dead
-    ends after trimming) — the case for program trace languages; general
-    ε-free languages are handled with a fresh final (may lose determinism,
-    fine for membership/emptiness uses)."""
-    n = _nfa_trim(n)
+    """Coerce a trimmed multi-accepting automaton with one initial state to
+    the single-accepting shape (every producer here starts from state 0
+    alone, and trims before coercing).  Exact when accepted words are
+    prefix-free (accepting states are dead ends) — the case for program
+    trace languages; general ε-free languages are handled with a fresh
+    final (may lose determinism, fine for membership/emptiness uses)."""
     if not n.accepting or not n.initials:
         return empty_pcfa()
     (init,) = n.initials
@@ -444,16 +443,16 @@ def _to_pcfa(n: _NFA) -> PCFA:
 def determinize(a: PCFA) -> PCFA:
     if a.is_deterministic():
         return trim(a)
-    return _to_pcfa(_subset_product(_nfa_of(trim(a)), [], lambda x, y: x))
+    return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(trim(a)), [], lambda x, y: x)))
 
 
 def intersect(a: PCFA, b: PCFA) -> PCFA:
-    return _to_pcfa(_subset_product(_nfa_of(a), [b], lambda x, y: x and y))
+    return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(a), [b], lambda x, y: x and y)))
 
 
 def union(a: PCFA, b: PCFA) -> PCFA:
     parts = _nfa_union([_nfa_of(a), _nfa_of(b)])
-    return _to_pcfa(_subset_product(parts, [], lambda x, y: x))
+    return _to_pcfa(_nfa_trim(_subset_product(parts, [], lambda x, y: x)))
 
 
 def difference_all(a: PCFA, bs: list["PCFA"]) -> PCFA:

@@ -27,7 +27,7 @@ from .cfa import (
     Label,
     Pb,
     difference_all,
-    trace_key,
+    label_key,
     trace_tree,
     trim,
     union,
@@ -88,27 +88,28 @@ def enumerate_by_weight(m: PCFA) -> Iterator[Trace]:
     then by the label order.  Best-first search; the stream may be infinite.
 
     Works for any CFMDP (in particular any CFMC): determinism makes partial
-    traces identify unique paths, so the ordering is total.
+    traces identify unique paths, so the ordering is total.  Each entry
+    carries its trace's ``trace_key``, extended by one ``label_key`` per
+    push, so no trace is keyed twice.
     """
     check_cfmdp(m)
     counter = itertools.count()
     heap = [(0, 0, (), next(counter), m.initial, ())]
     while heap:
-        npb, length, _, _, loc, trace = heapq.heappop(heap)
+        npb, length, key, _, loc, trace = heapq.heappop(heap)
         if loc == m.accepting:
             yield trace
             continue
         for lab, tgt in m.out_edges(loc):
-            ext = trace + (lab,)
             heapq.heappush(
                 heap,
                 (
                     npb + (1 if isinstance(lab, Pb) else 0),
                     length + 1,
-                    trace_key(ext),
+                    key + (label_key(lab),),
                     next(counter),
                     tgt,
-                    ext,
+                    trace + (lab,),
                 ),
             )
 
@@ -239,7 +240,7 @@ def examine(
         for batch in _weight_batches(stream, trace_budget):
             for tr in batch:
                 w = weight(tr)
-                pc = path_condition(tr, spec)
+                pc = path_condition(tr, spec, solver)
                 guarded = fand(cell.guard, pc)
                 if not solver.is_sat(guarded):
                     if solver.is_sat(pc):

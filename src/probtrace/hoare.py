@@ -36,6 +36,7 @@ from .semantics import (
     classify,
     hoare_valid,
     pre_exists,
+    pre_exists_chain,
 )
 from .solver import Solver, sequence_interpolants
 
@@ -215,17 +216,15 @@ def generalize_violating(
     preconditions of the negated postcondition, so the head equals the
     trace's violation precondition exactly.  Accepted traces need not all be
     violating; only the per-edge Hoare invariant is promised.
+
+    The propositions are the trace's ``pre_exists_chain``, the chain
+    ``classify`` has just walked for the path condition, so every step is
+    a hit in ``solver.wp_memo``.
     """
     if not isinstance(classify(trace, spec, solver), Violating):
         raise ValueError("trace does not violate the contract")
     labels = list(trace)
-    acc = fnot(spec.post)
-    props = [acc]
-    cur = acc
-    for lab in reversed(labels):
-        cur = pre_exists(lab, cur)
-        props.append(cur)
-    props.reverse()
+    props = pre_exists_chain(labels, fnot(spec.post), solver)
     props[0] = fand(spec.pre, props[0])
     fha = _chain(props, labels)
     return saturate_edges(merge_same_proposition(fha), alphabet, solver)

@@ -406,7 +406,7 @@ def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
             pred.setdefault(t, []).append(loc)
 
     reach = _reach({a.accepting}, pred)
-    values = {loc: Fraction(0) for loc in a.locations}
+    values = dict.fromkeys(a.locations, Fraction(0))
     values[a.accepting] = Fraction(1)
     for comp in _sccs(reach - {a.accepting}, succ):
         loc = comp[0]
@@ -431,12 +431,15 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
     and the sweep that improves nothing records every value-maximal action,
     in `_action_key` order, as `optimal_actions`."""
     check_cfmdp(a)
-    # location -> {action: step}, actions in `_action_key` order
-    acts = {
-        loc: dict(sorted(actions_at(a, loc).items(), key=lambda kv: _action_key(kv[0])))
-        for loc in sorted(a.locations)
-        if loc != a.accepting and a.out_edges(loc)
-    }
+    # location -> {action: step}, actions in `_action_key` order; the
+    # accepting location is a sink, so it offers no action
+    acts = {}
+    for loc in sorted(a.locations):
+        here = actions_at(a, loc)
+        if len(here) > 1:
+            here = dict(sorted(here.items(), key=lambda kv: _action_key(kv[0])))
+        if here:
+            acts[loc] = here
     steps = {
         loc: [(act, _weighted(act, step)) for act, step in here.items()]
         for loc, here in acts.items()

@@ -6,6 +6,14 @@ right reading for path conditions of individual traces; ``wp_demonic`` turns
 the guard into a hypothesis (states that cannot slip past it into error),
 which is the right reading for Hoare-triple validity.  On assumption-free
 traces they coincide.
+
+Every backward chain the verifier builds (path conditions, the propositions
+of a violating trace's automaton, the rests of sequence interpolation) comes
+from ``pre_exists_chain``, which walks the run's ``Solver.wp_memo``: the
+same memo Hoare saturation fills, keyed by (label number, formula number),
+so a step some earlier chain or automaton took builds no formula.
+``pre_exists_trace`` stays the plain fold, for readers that must not share
+the verifier's memo, such as counterexample validation.
 """
 
 from __future__ import annotations
@@ -80,16 +88,43 @@ def pre_exists_trace(trace: Sequence[Label], phi: Formula) -> Formula:
     return phi
 
 
+def pre_exists_chain(trace: Sequence[Label], phi: Formula, solver) -> list[Formula]:
+    """Every suffix precondition of `trace`: entry k is
+    ``pre_exists_trace(trace[k:], phi)``, so the first entry is the whole
+    trace's and the last is `phi`.
+
+    The walk runs backwards on the run's numbering: from the number of
+    `phi`, each label steps through ``solver.wp_memo``, which maps
+    (label number, formula number) to the number of ``pre_exists`` of the
+    two, built and numbered only on a miss.  A hit hashes ints and builds no
+    formula.  Equal entries come back as the same object, the one the
+    numbering first saw."""
+    number, numbered, wp_memo = solver.number, solver.numbered, solver.wp_memo
+    q = number(phi)
+    out = [numbered[q]]
+    for lab in reversed(trace):
+        a = number(lab)
+        w = wp_memo.get((a, q))
+        if w is None:
+            w = wp_memo[a, q] = number(pre_exists(lab, numbered[q]))
+        q = w
+        out.append(numbered[q])
+    out.reverse()
+    return out
+
+
 def wp_demonic_trace(trace: Sequence[Label], phi: Formula) -> Formula:
     for lab in reversed(trace):
         phi = wp_demonic(lab, phi)
     return phi
 
 
-def path_condition(trace: Sequence[Label], spec) -> Formula:
+def path_condition(trace: Sequence[Label], spec, solver) -> Formula:
     """Initial states satisfying the precondition from which the trace runs
-    to completion and ends in violation of the postcondition."""
-    return fand(spec.pre, pre_exists_trace(trace, fnot(spec.post)))
+    to completion and ends in violation of the postcondition.  The backward
+    chain comes from ``pre_exists_chain``, so traces that share a suffix
+    share its steps for the rest of the solver's run."""
+    return fand(spec.pre, pre_exists_chain(trace, fnot(spec.post), solver)[0])
 
 
 @dataclass(frozen=True)
@@ -106,7 +141,7 @@ TraceClass = object  # NonViolating | Violating
 
 
 def classify(trace: Sequence[Label], spec, solver) -> TraceClass:
-    pc = path_condition(trace, spec)
+    pc = path_condition(trace, spec, solver)
     if solver.is_sat(pc):
         return Violating(pc)
     return NonViolating()

@@ -54,7 +54,7 @@ from .formula import (
     subst_bool,
     subst_int,
 )
-from .semantics import pre_exists, wp_demonic
+from .semantics import pre_exists_chain, wp_demonic
 
 
 class SolverUnknown(Exception):
@@ -451,17 +451,21 @@ class Solver:
     """Caching facade over the builtin backend; all verifier queries go
     through here.  One solver serves one run.
 
-    Besides the query cache it holds what Hoare saturation keeps for the
-    solver's lifetime.  `number` gives each formula or label saturation sees
-    a small int, equal values the same one: ``ids`` maps the value to its
-    number and ``numbered`` lists the values by number.  The memos are keyed
-    by these numbers, so a lookup hashes ints, not formula trees:
-    ``neg_memo`` takes a proposition to its negation, ``wp_memo`` takes
-    (label, proposition) to ``pre_exists(label, proposition)``, and
-    ``triple_memo`` takes (proposition, weakest precondition) to whether
-    their conjunction is unsat, i.e. whether the triple holds.  A triple answered from ``triple_memo`` does not reach
-    ``is_sat``, so ``cache_hits`` does not count it; ``queries`` is
-    unchanged.
+    Besides the query cache it holds what the verifier's formula work keeps
+    for the solver's lifetime.  `number` gives each formula or label that
+    Hoare saturation or a backward chain sees a small int, equal values the
+    same one: ``ids`` maps the value to its number and ``numbered`` lists
+    the values by number.  The memos are keyed by these numbers, so a lookup
+    hashes ints, not formula trees: ``neg_memo`` takes a proposition to its
+    negation, ``wp_memo`` takes (label, proposition) to
+    ``pre_exists(label, proposition)``, and ``triple_memo`` takes
+    (proposition, weakest precondition) to whether their conjunction is
+    unsat, i.e. whether the triple holds.  ``wp_memo`` serves every backward
+    chain of the run, not only saturation: path conditions, the
+    propositions of violating traces and the rests of sequence
+    interpolation all walk it through ``semantics.pre_exists_chain``.  A
+    triple answered from ``triple_memo`` does not reach ``is_sat``, so
+    ``cache_hits`` does not count it; ``queries`` is unchanged.
 
     Each model the backend returns with a sat answer is also kept, in the
     order found, in ``witnesses``: a concrete state in which every variable
@@ -726,31 +730,26 @@ def sequence_interpolants(
     postcondition sp(σk, Ik−1), and its top-level conjuncts are dropped one
     at a time while Ik ∧ rests[k] stays unsat, so no single remaining
     conjunct can be dropped.  Each Ik is implied by sp(σk, Ik−1), so every
-    triple stays valid.  One backward walk gives every
-    rests[k] = pre_exists_trace(σk+1…σn, target).  The target is True when
-    the trace cannot run from the prefix at all: a proof of that does not
-    mention the suffix and carries over to longer unrollings of a loop,
-    where the final state a suffix-based proof keeps does not.  Otherwise
-    the target is the suffix.  A step that leaves both the proposition and
-    the rest unchanged (skip, coins, nondeterministic tags) reuses Ik−1,
-    which is already minimal against that rest, without a query.
+    triple stays valid.  One ``pre_exists_chain`` through the run's
+    ``wp_memo`` gives every rests[k] = pre_exists_trace(σk+1…σn, target),
+    sharing its steps with every other backward chain of the run.  The
+    target is True when the trace cannot run from the prefix at all: a
+    proof of that does not mention the suffix and carries over to longer
+    unrollings of a loop, where the final state a suffix-based proof keeps
+    does not.  Otherwise the target is the suffix.  A step that leaves both
+    the proposition and the rest unchanged (skip, coins, nondeterministic
+    tags) reuses Ik−1, which is already minimal against that rest, without
+    a query.  Equal rests of the chain are one object, the one the run's
+    numbering holds, so the identity test sees every such step.
 
     If any label resists exact forward computation, falls back to the
     demonic weakest-precondition chain (always valid, weakest useful
     generalization).
     """
     labels = list(labels)
-
-    def rests_to(target: Formula) -> list[Formula]:
-        rests = [target]
-        for lab in reversed(labels):
-            rests.append(pre_exists(lab, rests[-1]))
-        rests.reverse()
-        return rests
-
-    rests = rests_to(TRUE)
+    rests = pre_exists_chain(labels, TRUE, solver)
     if solver.is_sat(fand(prefix, rests[0])):
-        rests = rests_to(suffix)
+        rests = pre_exists_chain(labels, suffix, solver)
         if solver.is_sat(fand(prefix, rests[0])):
             raise ValueError("interpolation requires an unsatisfiable chain")
     if not labels:

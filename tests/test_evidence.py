@@ -1,12 +1,25 @@
 """The quantitative examination loop: best-first trace mining, mainstream
 accumulation, certificates, splits, and counterexample validation."""
 
+import itertools
 import random
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
-from probtrace.cfa import PCFA, SkipL, difference_all, intersect, minimize, normalize
+from probtrace.cfa import (
+    PCFA,
+    Pb,
+    SkipL,
+    difference_all,
+    intersect,
+    is_empty,
+    minimize,
+    normalize,
+    trace_key,
+    trim,
+)
 from probtrace.evidence import (
     Certificate,
     Counterexample,
@@ -23,8 +36,9 @@ from probtrace.hoare import check_floyd_hoare
 from probtrace.lang import Specification
 from probtrace.markov import mdp_upper_bound
 from probtrace.semantics import weight
+from probtrace.solver import Solver
 
-from helpers import load_program, random_cfmdp
+from helpers import bounded_language, load_program, random_cfmdp
 
 C = ivar("C")
 
@@ -285,3 +299,58 @@ def test_erasing_through_one_trace_tree_matches_per_trace_difference_seeded():
             want.transitions,
         )
         checked += 1
+
+
+def _coin_free_acyclic(a: PCFA) -> bool:
+    """Whether every cycle of `a` reads a coin: otherwise the weight-first
+    search can unroll a coin-free cycle forever before a heavier trace."""
+    preds: dict = {}
+    for s, lab, t in a.transitions:
+        if not isinstance(lab, Pb):
+            preds.setdefault(t, set()).add(s)
+    try:
+        TopologicalSorter(preds).prepare()
+    except CycleError:
+        return False
+    return True
+
+
+def test_enumeration_order_is_the_sorted_bounded_language_seeded():
+    # the first traces, of at most `depth` labels, are the least traces of
+    # the bounded language of that depth in (coin count, length, trace_key)
+    # order: a shorter trace can never come after them
+    rng = random.Random(2113)
+    checked = full = 0
+    while checked < 60:
+        a = trim(random_cfmdp(rng))
+        if is_empty(a) or not _coin_free_acyclic(a):
+            continue
+        got = list(itertools.islice(enumerate_by_weight(a), 30))
+        depth = max(map(len, got))
+        if depth > 8:
+            continue
+        want = sorted(
+            bounded_language(a, depth),
+            key=lambda tr: (sum(isinstance(l, Pb) for l in tr), len(tr), trace_key(tr)),
+        )
+        assert got == want[:30]
+        checked += 1
+        full += len(got) == 30
+    assert full >= 20
+
+
+class _Untouchable(dict):
+    def _refuse(self, *args):
+        raise AssertionError("the verifier's wp_memo was used")
+
+    get = __getitem__ = __setitem__ = __contains__ = setdefault = _refuse
+
+
+def test_validation_never_uses_the_wp_memo(setting, good_cex):
+    # Unsat validation recomputes each trace's precondition with the plain
+    # fold, so a wrong entry in the verifier's memo cannot validate itself
+    P, spec, _ = setting
+    solver = Solver()
+    solver.wp_memo = _Untouchable()
+    ok, reasons = validate_counterexample(P, spec, Fraction(3, 10), good_cex, solver)
+    assert ok and not reasons

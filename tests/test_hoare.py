@@ -472,7 +472,7 @@ def test_violating_head_is_the_exact_violation_precondition(motivating, solver):
     assert check_floyd_hoare(fha, solver)
     assert fha.base.accepts(VIOLATING)
     head = simplify(fha.lam[fha.base.initial])
-    want = path_condition(VIOLATING, spec)
+    want = path_condition(VIOLATING, spec, Solver())
     assert solver.equivalent(head, want)
     # the one-iteration violation demands exactly one loop traversal left
     assert solver.equivalent(head, eq(C, 1))
@@ -494,3 +494,26 @@ def test_violating_accepted_traces_end_badly_from_head_states(motivating, solver
         if isinstance(classify(tr, spec, solver), Violating):
             seen_violation = True
     assert seen_violation
+
+
+def test_violating_generalization_reuses_the_chain_classify_walked(motivating, monkeypatch):
+    # classify walks the trace's backward chain into the run's wp_memo, so
+    # the propositions of the violating automaton build no precondition;
+    # saturation is stubbed out, since its weakest preconditions start from
+    # negated targets, which are other formulas
+    from probtrace import semantics
+
+    _, spec, p = motivating
+    solver = Solver()
+    assert isinstance(classify(VIOLATING, spec, solver), Violating)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(args) or fn(*args)
+
+    monkeypatch.setattr(semantics, "pre_exists", counted(semantics.pre_exists))
+    monkeypatch.setattr(hoare, "pre_exists", counted(hoare.pre_exists))
+    monkeypatch.setattr(hoare, "saturate_edges", lambda fha, alphabet, solver: fha)
+    fha = generalize_violating(VIOLATING, spec, p.alphabet, solver)
+    assert calls == []
+    assert fha.lam[fha.base.initial] == path_condition(VIOLATING, spec, Solver())

@@ -15,6 +15,7 @@ from probtrace.formula import (
     fand,
     feval,
     fnot,
+    for_,
     ge,
     ivar,
     le,
@@ -31,10 +32,12 @@ from probtrace.semantics import (
     interpret_trace,
     path_condition,
     pre_exists,
+    pre_exists_chain,
     pre_exists_trace,
     weight,
     wp_demonic_trace,
 )
+from probtrace.solver import Solver
 
 from helpers import load_program
 
@@ -128,7 +131,7 @@ def test_path_condition_includes_the_precondition():
         labs["C := C - 1"],
         labs["assume C <= 0"],
     )
-    pc = path_condition(trace, spec)
+    pc = path_condition(trace, spec, Solver())
     # one loop iteration that increments X: feasible exactly from C = 1
     for c in range(-2, 5):
         assert feval(pc, {"C": c, "X": 7}) == (c == 1)
@@ -201,3 +204,49 @@ def test_hoare_valid_randomized_against_interpreter(solver):
         # validity implies box-validity; a box counterexample refutes.
         if verdict:
             assert brute, (p, lab, q)
+
+
+def _random_label(rng):
+    """Assignments, assumptions, skip and coins over X, Y and Z, with unit
+    coefficients."""
+    terms = [X, Y, ivar("Z")]
+    kind = rng.randrange(4)
+    if kind == 0:
+        expr = rng.choice(terms).scale(rng.choice([-1, 1])) + as_term(rng.randint(-2, 2))
+        if rng.random() < 0.3:
+            expr = as_term(rng.randint(-2, 2))
+        return Assign(rng.choice("XYZ"), expr)
+    if kind == 1:
+        return Assume(_random_atom(rng, terms))
+    if kind == 2:
+        return SkipL()
+    return Pb(rng.randrange(3), rng.choice("LR"))
+
+
+def _random_atom(rng, terms):
+    a, b = rng.sample(terms, 2)
+    lhs = a + b.scale(rng.choice([-1, 0, 1]))
+    return rng.choice([eq, ne, le, ge])(lhs, rng.randint(-2, 2))
+
+
+def _random_target(rng):
+    terms = [X, Y, ivar("Z")]
+    atoms = [_random_atom(rng, terms) for _ in range(rng.randint(1, 3))]
+    return rng.choice([fand, for_])(*atoms)
+
+
+def test_pre_exists_chain_equals_the_plain_folds_seeded():
+    # one solver stays warm across the whole sequence, as in one run, so
+    # later chains walk steps earlier ones numbered; a fresh one starts
+    # empty
+    rng = random.Random(2112)
+    warm = Solver()
+    labels = [_random_label(rng) for _ in range(12)]
+    targets = [_random_target(rng) for _ in range(6)]
+    for _ in range(150):
+        trace = tuple(rng.choice(labels) for _ in range(rng.randint(0, 7)))
+        phi = rng.choice(targets)
+        want = [pre_exists_trace(trace[k:], phi) for k in range(len(trace) + 1)]
+        assert pre_exists_chain(trace, phi, Solver()) == want, (trace, phi)
+        assert pre_exists_chain(trace, phi, warm) == want, (trace, phi)
+    assert warm.wp_memo

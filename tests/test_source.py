@@ -40,3 +40,40 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The functions that call `name`, directly or as an attribute; a call
+    at module level counts as made by "<module>"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_backward_chains_walk_the_run_memo():
+    # every backward chain goes through semantics.pre_exists_chain and the
+    # run's wp_memo; only saturation steps the memo itself, one label at a
+    # time, so a new hand-rolled fold of pre_exists fails here
+    assert callers("def f():\n    g(pre_exists(a, b))\nx.pre_exists(c)\n", "pre_exists") == [
+        "f",
+        "<module>",
+    ]
+    found = {
+        (path.name, caller)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "semantics.py"
+        for caller in callers(path.read_text(), "pre_exists")
+    }
+    assert found == {("hoare.py", "saturate_edges")}
