@@ -13,6 +13,11 @@ the left operand reach are built, so neither side is determinized or
 completed over the alphabet up front.  Intersection and difference have
 right operands; determinize and union are the same construction with none.
 
+Labels are hash-consed: each distinct label is one object, so `==` and
+`hash` on labels are identity, and every set and dict keyed by labels here
+and in the layers above hashes them in C.  Construct a label through its
+class only; the class returns the existing object when there is one.
+
 Also here: the normalization procedure that forces paired probabilistic
 branches to target distinct locations, and the fixed total order on labels
 that makes every enumeration in the package reproducible.  Only the
@@ -23,9 +28,11 @@ reachability probability.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
 from .formula import Formula, IntTerm, _key as formula_key
 
@@ -34,11 +41,59 @@ from .formula import Formula, IntTerm, _key as formula_key
 # labels
 # ---------------------------------------------------------------------------
 
+_TABLE: "weakref.WeakValueDictionary[tuple, Label]" = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()  # held to insert, so two threads cannot mint twins
+
+
 class Label:
+    """A program label, hash-consed: constructing a label returns the one
+    live object with its class and field values, so `==` and `hash` are
+    object identity, computed in C without visiting the formula or term a
+    label carries.  Build labels through their class only (`Assume(c)`,
+    `Pb(0, "L")`); copying, pickling and `dataclasses.replace` come back
+    through it too.  The table holds its labels weakly: one no one holds is
+    dropped, and building it again makes a fresh canonical object."""
+
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        names = cls.__dataclass_fields__
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, args, kwargs)
+        key = (cls, *args)
+        lab = _TABLE.get(key)
+        if lab is None:
+            fresh = object.__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(fresh, name, value)
+            with _TABLE_LOCK:
+                lab = _TABLE.setdefault(key, fresh)
+        return lab
 
-@dataclass(frozen=True)
+    def __init__(self, *args, **kwargs):
+        pass  # __new__ has set the fields
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """The field values, in field order, of a call that names some of them
+    or passes the wrong number of them."""
+    names = tuple(cls.__dataclass_fields__)
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+    values = list(args)
+    for name in names[len(args):]:
+        if name not in kwargs:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        values.append(kwargs.pop(name))
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments {sorted(kwargs)}")
+    return tuple(values)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Assign(Label):
     var: str
     expr: Union[IntTerm, Formula]  # Formula when the variable is boolean
@@ -47,7 +102,7 @@ class Assign(Label):
         return f"{self.var} := {self.expr}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Assume(Label):
     cond: Formula
 
@@ -55,7 +110,7 @@ class Assume(Label):
         return f"assume {self.cond}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SkipL(Label):
     def __str__(self) -> str:
         return "skip"
@@ -64,7 +119,7 @@ class SkipL(Label):
 SKIP = SkipL()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Pb(Label):
     pid: int
     side: str  # "L" or "R"
@@ -73,7 +128,7 @@ class Pb(Label):
         return f"pb({self.pid},{self.side})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Nd(Label):
     tag: int
 
@@ -309,33 +364,38 @@ def shortest_accepted_trace(a: PCFA) -> Optional[tuple[Label, ...]]:
 # internal multi-accepting layer
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _NFA:
-    transitions: set[tuple[int, Label, int]]
-    initials: set[int]
-    accepting: set[int]
-    states: set[int]
+    transitions: AbstractSet[tuple[int, Label, int]]
+    initials: AbstractSet[int]
+    accepting: AbstractSet[int]
+    states: AbstractSet[int]
+
+    @cached_property
+    def _adj(self) -> dict[int, dict[Label, set[int]]]:
+        return _adjacency(self.transitions)
 
 
 def _nfa_of(a: PCFA) -> _NFA:
-    return _NFA(
-        set(a.transitions), {a.initial}, {a.accepting}, set(a.locations)
-    )
+    """`a` as an internal value, sharing its transitions and its adjacency."""
+    n = _NFA(a.transitions, {a.initial}, {a.accepting}, a.locations)
+    n._adj = a._adj
+    return n
 
 
-def _nfa_union(parts: list[_NFA]) -> _NFA:
+def _nfa_union(parts: Sequence[PCFA]) -> _NFA:
     trans: set[tuple[int, Label, int]] = set()
     inits: set[int] = set()
     accs: set[int] = set()
     states: set[int] = set()
     base = 0
-    for n in parts:
-        remap = {s: base + i for i, s in enumerate(sorted(n.states))}
-        trans |= {(remap[s], lab, remap[t]) for s, lab, t in n.transitions}
-        inits |= {remap[s] for s in n.initials}
-        accs |= {remap[s] for s in n.accepting}
+    for a in parts:
+        remap = {s: base + i for i, s in enumerate(sorted(a.locations))}
+        trans |= {(remap[s], lab, remap[t]) for s, lab, t in a.transitions}
+        inits.add(remap[a.initial])
+        accs.add(remap[a.accepting])
         states |= set(remap.values())
-        base += len(n.states)
+        base += len(a.locations)
     return _NFA(trans, inits, accs, states)
 
 
@@ -367,8 +427,8 @@ def _subset_product(a: _NFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
     empty b-side, those pairs are not entered at all.  With no `bs` every
     b-side is that sink, so the result is the plain subset construction of
     `a`: determinize and union are this construction with no right operand."""
-    b = _nfa_union([_nfa_of(x) for x in bs])
-    a_adj, b_adj = _adjacency(a.transitions), _adjacency(b.transitions)
+    b = _nfa_of(bs[0]) if len(bs) == 1 else _nfa_union(bs)
+    a_adj, b_adj = a._adj, b._adj
     sink_live = accept_pair(True, False)
     start = (frozenset(a.initials), frozenset(b.initials))
     index = {start: 0}
@@ -451,8 +511,7 @@ def intersect(a: PCFA, b: PCFA) -> PCFA:
 
 
 def union(a: PCFA, b: PCFA) -> PCFA:
-    parts = _nfa_union([_nfa_of(a), _nfa_of(b)])
-    return _to_pcfa(_nfa_trim(_subset_product(parts, [], lambda x, y: x)))
+    return _to_pcfa(_nfa_trim(_subset_product(_nfa_union([a, b]), [], lambda x, y: x)))
 
 
 def difference_all(a: PCFA, bs: list["PCFA"]) -> PCFA:

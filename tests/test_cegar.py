@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import probtrace
-from probtrace import cegar
+from probtrace import cegar, cfa
 from probtrace.cegar import (
     Certified,
     Inconclusive,
@@ -447,6 +447,58 @@ def test_results_do_not_depend_on_the_hash_seed():
     assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
     assert outputs[0].count("Unsat(") == 2
     assert outputs[0] == outputs[1]
+
+
+# Builds and keeps `n` labels no program uses, then prints the alphabet of
+# each program, iterated as a set, to stderr; the programs stay alive, so the
+# loops that follow run on those very label objects.
+_KEEP_LABELS = """
+import sys
+from probtrace import parse, to_pcfa
+from probtrace.cfa import Nd
+kept = [Nd(10_000 + i) for i in range({n})]
+shown = [to_pcfa(parse(open(path).read())[0]) for path in sys.argv[1:]]
+print(*(list(map(str, frozenset(p.alphabet))) for p in shown), sep="\\n", file=sys.stderr)
+"""
+
+
+def test_results_do_not_depend_on_label_addresses():
+    # labels hash by identity, so set and dict iteration orders over them
+    # follow memory addresses: the labels built first move them, and so
+    # does address-space layout randomization between any two runs
+    paths = [str(DATA_DIR / "motivating.prob"), str(BENCH_DIR / "coupon.prob")]
+    src = str(Path(probtrace.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
+    orders, outputs = [], []
+    for n in (0, 300):
+        proc = subprocess.run(
+            [sys.executable, "-c", _KEEP_LABELS.format(n=n) + _RUN_BOTH_LOOPS, *paths],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        orders.append(proc.stderr)
+        outputs.append(proc.stdout)
+    assert orders[0] != orders[1]
+    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_builds_each_adjacency_once(monkeypatch):
+    # the program, the kept residual and every right operand keep the
+    # adjacency they were given or built, so no subset product builds it
+    # again for the same automaton
+    program, spec = parse((BENCH_DIR / "coupon.prob").read_text())
+    built = []  # the transitions of each adjacency built, held so no id is reused
+    adjacency = cfa._adjacency
+
+    def counted(transitions):
+        built.append(transitions)
+        return adjacency(transitions)
+
+    monkeypatch.setattr(cfa, "_adjacency", counted)
+    verdict = verify(to_pcfa(program), spec, solver=Solver())
+    assert isinstance(verdict, (Sat, Unsat))
+    assert len(built) > 10
+    assert len({id(t) for t in built}) == len(built)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ operations, the set identity restricted to traces of length <= d must hold
 exactly, so randomized comparisons against Python set algebra are decisive.
 """
 
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
 import random
 import signal
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -16,6 +23,7 @@ from probtrace.cfa import (
     PCFA,
     Assign,
     Assume,
+    Nd,
     Pb,
     SkipL,
     determinize,
@@ -37,8 +45,11 @@ from probtrace.cfa import (
     union,
 )
 from probtrace.formula import as_term, ge, ivar, le
+from probtrace.lang import parse, parse_label, to_pcfa
 
 from helpers import (
+    BENCH_DIR,
+    DATA_DIR,
     bounded_equal_deterministic,
     bounded_language,
     random_cfmdp,
@@ -539,3 +550,96 @@ def test_sub_cfmc_language_contained():
         a = normalize(random_cfmdp(rng, max_locs=6))
         m = random_sub_cfmc(rng, a)
         assert nfa_is_empty(difference_nfa(m, [a]))
+
+
+# ---------------------------------------------------------------------------
+# hash-consed labels
+
+def test_equal_constructions_give_one_label():
+    assert Assign("X", X + as_term(1)) is INC
+    assert Assign(var="X", expr=X + as_term(1)) is INC
+    assert Assign("X", expr=X + as_term(1)) is INC
+    assert Assume(cond=ge(X, 1)) is POS
+    assert Pb(0, side="L") is Pb(pid=0, side="L") is ALPHABET[5]
+    assert Nd(tag=3) is Nd(3)
+    assert SkipL() is SKIP is cfa.SKIP
+    assert Pb(0, "L") is not Pb(0, "R")
+    assert Assume(ge(X, 1)) is not Assume(ge(X, 2))
+
+
+def test_label_construction_checks_its_arguments():
+    for bad in (lambda: Pb(0), lambda: Pb(0, "L", 1), lambda: Pb(0, "L", pid=0), lambda: Nd(tag=1, side="L")):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_copies_of_a_label_are_the_label():
+    for lab in ALPHABET + (Nd(2),):
+        assert copy.copy(lab) is lab
+        assert copy.deepcopy(lab) is lab
+        assert pickle.loads(pickle.dumps(lab)) is lab
+        assert dataclasses.replace(lab) is lab
+    assert dataclasses.replace(Pb(0, "L"), side="R") is Pb(0, "R")
+    assert dataclasses.replace(INC, expr=as_term(0)) is RESET
+
+
+def test_labels_stay_frozen():
+    for lab in ALPHABET + (Nd(2),):
+        for f in dataclasses.fields(lab):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(lab, f.name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SKIP.extra = 1
+    assert POS.cond == ge(X, 1)
+
+
+def test_labels_compare_and_hash_by_identity():
+    for cls in (Assign, Assume, SkipL, Pb, Nd):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+    assert repr(POS) == f"Assume(cond={ge(X, 1)!r})"
+    assert str(INC) == "X := X + 1"
+
+
+def test_printed_labels_of_every_program_parse_back_to_themselves():
+    # the certificate loader reads labels this way
+    paths = sorted(BENCH_DIR.glob("*.prob")) + [DATA_DIR / "motivating.prob"]
+    for path in paths:
+        program, _ = parse(path.read_text())
+        sorts = dict(program.declarations)
+        alphabet = to_pcfa(program).alphabet
+        assert alphabet
+        for lab in alphabet:
+            assert parse_label(str(lab), sorts) is lab, (path.name, str(lab))
+
+
+def test_a_label_no_one_holds_leaves_the_table():
+    key = (Nd, 987_654)
+    ref = weakref.ref(Nd(987_654))
+    gc.collect()
+    assert ref() is None
+    assert key not in cfa._TABLE
+    lab = Nd(987_654)
+    assert cfa._TABLE[key] is lab
+    assert Nd(tag=987_654) is lab
+
+
+def test_threads_building_equal_labels_get_one_object():
+    # a lost race in the table would hand two threads two equal labels
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    built = [None] * 4
+    try:
+        def build(i):
+            built[i] = [Nd(500_000 + k) for k in range(2_000)]
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(built))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for labs in built[1:]:
+        assert all(a is b for a, b in zip(labs, built[0], strict=True))
