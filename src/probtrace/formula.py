@@ -11,8 +11,11 @@ on when it merges equal propositions.
 Comparisons on one linear base are resolved by one rule, the conjunctive
 one in `_absorb_cmps`; a disjunction is resolved as the negation of the
 conjunction of its negated atoms, so `for_` of comparisons always equals
-`fnot` of `fand` of their negations.  How to negate an atom is written
-only in `fnot`.
+`fnot` of `fand` of their negations.  `cmp_fact` is the one reading of a
+comparison as a fact on its base (a bound, a point or an excluded point);
+the rule and the solver's search both work on facts, and a fact is
+negated arithmetically by `negate_fact`, which agrees with `fnot` on
+every comparison.
 
 Constructor output is canonical, and this module is the only one that
 knows the canonical form: no code elsewhere in the package builds a node
@@ -297,6 +300,38 @@ def _key(f: Formula):
     return (5, tuple(_key(a) for a in f.args))
 
 
+def cmp_fact(a: Cmp) -> tuple[tuple, str, int]:
+    """Read a comparison as a fact on its linear base: (base, kind, bound).
+
+    The base is the comparison's coefficients with a positive first one;
+    the fact says base <= bound ("ub"), base >= bound ("lb"), base = bound
+    ("eq") or base != bound ("ne").  Every canonical comparison has a
+    gcd-reduced term, so `_fact_cmp` builds the same node back."""
+    coeffs, const = a.term.coeffs, a.term.const
+    if a.op == LE:
+        if coeffs[0][1] < 0:
+            return tuple((v, -c) for v, c in coeffs), "lb", const  # -base + const <= 0
+        return coeffs, "ub", -const  # base + const <= 0
+    return coeffs, "eq" if a.op == EQ else "ne", -const
+
+
+def negate_fact(kind: str, bound: int) -> tuple[str, int]:
+    """The fact on the same base that holds exactly where (kind, bound)
+    fails, over the integers: it reads as `fnot` of the fact's comparison."""
+    if kind == "ub":
+        return "lb", bound + 1
+    if kind == "lb":
+        return "ub", bound - 1
+    return "ne" if kind == "eq" else "eq", bound
+
+
+def _fact_cmp(base: tuple, kind: str, bound: int) -> Cmp:
+    """The canonical comparison that reads as the fact (base, kind, bound)."""
+    if kind == "lb":
+        return Cmp(IntTerm(tuple((v, -c) for v, c in base), bound), LE)
+    return Cmp(IntTerm(base, -bound), {"ub": LE, "eq": EQ, "ne": NE}[kind])
+
+
 def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
     """Resolve comparison atoms sharing one linear base into interval facts.
 
@@ -305,30 +340,21 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
     bound moves it inward, bounds that meet collapse into an equality, an
     equality absorbs every atom it satisfies, and exclusions outside the
     interval go.  A disjunction is the negation of the conjunction of its
-    negated atoms, so it negates each fact that rule returns.  Returns None
-    when the atoms alone force the absorbing element (false for a
-    conjunction, true for a disjunction)."""
-    if not conj:
-        facts = _absorb_cmps([fnot(a) for a in cmps], True)
-        return None if facts is None else [fnot(f) for f in facts]
+    negated atoms, so it negates each atom's fact on the way in and each
+    resulting fact on the way out.  Returns None when the atoms alone force
+    the absorbing element (false for a conjunction, true for a
+    disjunction)."""
     groups: dict[tuple, dict] = {}
     for a in cmps:
-        coeffs, const = a.term.coeffs, a.term.const
-        if a.op == LE and coeffs[0][1] < 0:
-            key = tuple((v, -c) for v, c in coeffs)
-            g = groups.setdefault(key, {"ub": [], "lb": [], "eq": set(), "ne": set()})
-            g["lb"].append(const)  # -base + const <= 0  <=>  base >= const
-        else:
-            key = coeffs
-            g = groups.setdefault(key, {"ub": [], "lb": [], "eq": set(), "ne": set()})
-            if a.op == LE:
-                g["ub"].append(-const)  # base + const <= 0  <=>  base <= -const
-            elif a.op == EQ:
-                g["eq"].add(-const)
-            else:
-                g["ne"].add(-const)
+        key, kind, bound = cmp_fact(a)
+        if not conj:
+            kind, bound = negate_fact(kind, bound)
+        g = groups.get(key)
+        if g is None:
+            g = groups[key] = {"ub": set(), "lb": set(), "eq": set(), "ne": set()}
+        g[kind].add(bound)
 
-    out: list[Formula] = []
+    facts: list[tuple[tuple, str, int]] = []
     for key, g in groups.items():
         eqs, nes = g["eq"], g["ne"]
         ub = min(g["ub"]) if g["ub"] else None
@@ -339,7 +365,7 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
             e = next(iter(eqs))
             if (ub is not None and e > ub) or (lb is not None and e < lb) or e in nes:
                 return None
-            out.append(_cmp(IntTerm(key, -e), EQ))
+            facts.append((key, "eq", e))
             continue
         while ub in nes or lb in nes:  # boundary exclusions tighten the interval
             if ub in nes:
@@ -350,18 +376,20 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
             if lb > ub:
                 return None
             if lb == ub:
-                out.append(_cmp(IntTerm(key, -lb), EQ))
+                facts.append((key, "eq", lb))
                 continue
         if ub is not None:
-            out.append(_cmp(IntTerm(key, -ub), LE))
+            facts.append((key, "ub", ub))
         if lb is not None:
-            out.append(_cmp(IntTerm(tuple((v, -c) for v, c in key), lb), LE))
-        out.extend(
-            _cmp(IntTerm(key, -v), NE)
+            facts.append((key, "lb", lb))
+        facts.extend(
+            (key, "ne", v)
             for v in nes
             if (ub is None or v < ub) and (lb is None or v > lb)
         )
-    return out
+    if conj:
+        return [_fact_cmp(*f) for f in facts]
+    return [_fact_cmp(key, *negate_fact(kind, bound)) for key, kind, bound in facts]
 
 
 def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):

@@ -17,6 +17,16 @@ sound because a canonical formula minus some of its arguments is still
 canonical.  An atom that is a conjunct of the query, or the whole query,
 is never tried false: that branch is FALSE by construction.
 
+Each comparison the search sets is also a fact on its linear base (an
+upper or lower bound, a point, an excluded point; `formula.cmp_fact` reads
+it).  When the search reaches a comparison on a base it has already set,
+those facts may settle it: one that implies it leaves only the true branch,
+one that contradicts it only the false one.  The other branch holds no
+integer solution, so skipping it changes neither the answer nor the model,
+while the subtree it cuts would have sent every closed branch to the Omega
+test.  The settled comparison is still set, as before, so each cube the
+Omega test solves is the one it solved without the rule.
+
 :class:`Solver` is the caching facade the verifier asks; it always runs the
 builtin procedure.
 """
@@ -42,6 +52,8 @@ from .formula import (
     _cmp,
     _key,
     IntTerm,
+    cmp_fact,
+    negate_fact,
     Or,
     bool_vars,
     bvar,
@@ -330,6 +342,53 @@ def _least_atom(f: Formula) -> Formula:
     return best
 
 
+def _span(kind: str, bound: int) -> tuple:
+    """The interval an "ub", "lb" or "eq" fact allows on its base."""
+    if kind == "ub":
+        return (-math.inf, bound)
+    if kind == "lb":
+        return (bound, math.inf)
+    return (bound, bound)
+
+
+def _settle(fact: tuple[str, int], other: tuple[str, int]) -> Optional[bool]:
+    """What a fact on a linear base makes of another fact on the same base:
+    True when it implies it, False when the two allow no common value, None
+    when neither.  Facts are (kind, bound) as `cmp_fact` reads them."""
+    (kind, k), (okind, o) = fact, other
+    if okind == "ne":
+        if kind == "ne":
+            return True if k == o else None
+        lo, hi = _span(kind, k)
+        if not lo <= o <= hi:
+            return True
+        return False if lo == hi else None
+    olo, ohi = _span(okind, o)
+    if kind == "ne":
+        return False if olo == ohi == k else None
+    lo, hi = _span(kind, k)
+    if olo <= lo and hi <= ohi:
+        return True
+    if hi < olo or ohi < lo:
+        return False
+    return None
+
+
+def _settled_value(atom: Cmp, cmps: list[tuple[Cmp, bool]]) -> Optional[bool]:
+    """The value a branch's comparisons force on the comparison `atom`: True
+    when one of them, read as a fact on the atom's base, implies it, False
+    when one contradicts it, None when none settles it.  They cannot
+    disagree: the search never sets two comparisons that contradict."""
+    base, kind, bound = cmp_fact(atom)
+    for c, value in cmps:
+        cbase, k, b = cmp_fact(c)
+        if cbase == base:
+            settled = _settle((k, b) if value else negate_fact(k, b), (kind, bound))
+            if settled is not None:
+                return settled
+    return None
+
+
 def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
     """`f` with `atom` set to `value` (its complementary literal to the
     opposite), equal to the rebuild of every node through `fand`/`for_`.
@@ -400,6 +459,9 @@ class BuiltinSolver:
 
     name = "builtin"
 
+    def __init__(self):
+        self.theory_checks = 0  # closed branches handed to the Omega test
+
     def check(self, f: Formula) -> tuple[str, Optional[dict]]:
         """Decide `f` as given: branching splits on its atoms and the Omega
         test solves each closed branch's cube of comparisons.  A sat
@@ -421,16 +483,26 @@ class BuiltinSolver:
 
         Branches on the atom with the least `_key`, true before false.  The
         false branch of an atom that is `f` itself or a conjunct of `f` is
-        FALSE, so it is skipped: the answer and the model stay those of the
-        search that tries it."""
+        FALSE, so it is skipped.  A comparison that the comparisons already
+        set on its linear base imply (contradict) is tried true (false)
+        only: the other branch has no integer solution.  Either way the
+        answer and the model stay those of the search that tries both."""
         if f == FALSE:
             return None
         if f == TRUE:
+            self.theory_checks += 1
             model = _theory_model(cmps)
             return None if model is None else {**model, **bools}
         atom = _least_atom(f)
         forced = atom is f or (isinstance(f, And) and atom in f.args)
-        for value in (True,) if forced else (True, False):
+        values = (True,) if forced else (True, False)
+        if isinstance(atom, Cmp) and cmps:
+            settled = _settled_value(atom, cmps)
+            if settled is True:
+                values = (True,)
+            elif settled is False:
+                values = () if forced else (False,)
+        for value in values:
             g = _replace_atom(f, atom, value)
             if isinstance(atom, BoolLit):
                 b2 = dict(bools)
@@ -475,7 +547,9 @@ class Solver:
     the first n witnesses, so each formula is evaluated on each witness at
     most once per run.  A proposition true in some witness is satisfiable,
     so Hoare saturation refutes a triple whose two sides share a witness
-    without asking; ``witness_refutations`` counts those triples."""
+    without asking; ``witness_refutations`` counts those triples.
+    ``stats()`` also reports ``theory_checks``, the closed branches the
+    backend handed to the Omega test over the run."""
 
     def __init__(self):
         self.backend = BuiltinSolver()
@@ -570,6 +644,7 @@ class Solver:
             "queries": self.queries,
             "cache_hits": self.cache_hits,
             "witness_refutations": self.witness_refutations,
+            "theory_checks": self.backend.theory_checks,
             "solver_time": self.time_spent,
         }
 

@@ -191,6 +191,15 @@ def test_verify_reports_triples_refuted_by_witnesses(capsys):
     assert f"{report['solver']['witness_refutations']} triples refuted by witnesses" in line
 
 
+def test_verify_reports_theory_checks(capsys):
+    main(["verify", PROG, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"]["theory_checks"] > 0
+    main(["verify", PROG])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("solver:"))
+    assert line.endswith(f"{report['solver']['theory_checks']} theory checks)")
+
+
 def test_verify_refutational_flag(capsys):
     code = main(["verify", PROG, "--refutational", "--json"])
     report = json.loads(capsys.readouterr().out)

@@ -18,10 +18,12 @@ from probtrace.formula import (
     IntTerm,
     Or,
     _absorb_cmps,
+    _fact_cmp,
     _key,
     as_term,
     bool_vars,
     bvar,
+    cmp_fact,
     eq,
     fand,
     feval,
@@ -36,6 +38,7 @@ from probtrace.formula import (
     le,
     lt,
     ne,
+    negate_fact,
     simplify,
     subst_bool,
     subst_int,
@@ -364,3 +367,33 @@ def test_negative_weight_rendering_roundtrip():
         g = parse_formula(str(f), sorts)
         for s in STATES:
             assert feval(f, s) == feval(g, s), f"{f} reparsed as {g}"
+
+
+def test_a_comparison_reads_as_a_fact_on_its_base():
+    # (base, kind, bound) holds exactly where the comparison does, builds
+    # the same node back, and its arithmetic negation builds `fnot` of it
+    x, y = ivar("X"), ivar("Y")
+    states = [{"X": a, "Y": b} for a in range(-6, 7) for b in range(-6, 7)]
+    holds = {
+        "ub": lambda v, k: v <= k,
+        "lb": lambda v, k: v >= k,
+        "eq": lambda v, k: v == k,
+        "ne": lambda v, k: v != k,
+    }
+    kinds = set()
+    for t in (x, -x, x - y, y - x, x.scale(2) + y.scale(3), x.scale(2) - y.scale(4)):
+        for op in (le, lt, ge, gt, eq, ne):
+            for k in range(-3, 4):
+                a = op(t, k)
+                if not isinstance(a, Cmp):
+                    continue
+                base, kind, bound = cmp_fact(a)
+                assert base[0][1] > 0
+                value = IntTerm(base, 0)
+                assert all(
+                    holds[kind](value.eval(s), bound) == feval(a, s) for s in states
+                ), (str(a), kind, bound)
+                assert _fact_cmp(base, kind, bound) == a
+                assert _fact_cmp(base, *negate_fact(kind, bound)) == fnot(a)
+                kinds.add(kind)
+    assert kinds == {"ub", "lb", "eq", "ne"}

@@ -18,6 +18,7 @@ from probtrace.formula import (
     _key,
     as_term,
     bool_vars,
+    cmp_fact,
     bvar,
     eq,
     fand,
@@ -460,6 +461,117 @@ def test_search_skips_the_false_branch_of_a_conjunct(monkeypatch):
     assert BuiltinSolver().check(f) == ("unsat", None) == _reference_check(f)
     assert FALSE not in calls
     assert len(calls) == len(units) + 1
+
+
+# ---------------------------------------------------------------------------
+# settling comparisons on a base the search has already set
+
+
+def test_settle_rule_matches_brute_force_on_every_pair():
+    # every comparison on the bases X and X - Y, both orientations of <=,
+    # = and !=, against every other on the same base; the states cover
+    # each base from -8 to 8, past every bound the constants give
+    states = [{"X": x, "Y": y} for x in range(-4, 5) for y in range(-4, 5)]
+    seen = {True: 0, False: 0, None: 0}
+    for base in (X, X - Y):
+        cmps = [op(base, k) for op in (le, ge, eq, ne) for k in range(-3, 4)]
+        for a, b in product(cmps, cmps):
+            (base_a, *fact_a), (base_b, *fact_b) = cmp_fact(a), cmp_fact(b)
+            assert base_a == base_b
+            both = [feval(a, s) and feval(b, s) for s in states]
+            implies = all(feval(b, s) for s in states if feval(a, s))
+            want = True if implies else False if not any(both) else None
+            got = solver_module._settle(tuple(fact_a), tuple(fact_b))
+            assert got is want, (str(a), str(b), got)
+            seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _same_base_formulas(rng: random.Random, n: int):
+    """`n` random formulas with nested disjunctions and boolean literals
+    over a pool of eight atoms, of which the comparisons share three linear
+    bases, X, Y and X + Y; every other one is conjoined with the negation of
+    its own weakening, which makes it unsat."""
+    def atom():
+        if rng.random() < 0.15:
+            return rng.choice([B, C_BOOL])
+        base = rng.choice([X, Y, X + Y])
+        return rng.choice([le, ge, eq, ne])(base, rng.randint(-3, 3))
+
+    out = []
+    for i in range(n):
+        pool = [atom() for _ in range(8)]
+
+        def tree(depth, conj):
+            if depth == 0 or rng.random() < 0.25:
+                lit = rng.choice(pool)
+                return lit if rng.random() < 0.5 else fnot(lit)
+            parts = [tree(depth - 1, not conj) for _ in range(rng.randint(2, 3))]
+            return fand(*parts) if conj else for_(*parts)
+
+        g = fand(*(tree(3, False) for _ in range(rng.randint(1, 3))))
+        out.append(g if i % 2 else fand(g, fnot(for_(g, tree(2, False)))))
+    return out
+
+
+def test_settling_keeps_the_reference_answer_and_model_seeded(monkeypatch):
+    # the search skips only branches with no integer solution, so it
+    # returns the first satisfying branch of the search that tries them,
+    # with the same model, key order too, and never asks the Omega test more
+    reference_checks = []
+    theory_model = solver_module._theory_model
+
+    def counted(cmps):
+        reference_checks.append(cmps)
+        return theory_model(cmps)
+
+    shapes = {"sat": 0, "unsat": 0, "fewer": 0}
+    ours = theirs = 0
+    for f in _same_base_formulas(random.Random(2301), 300):
+        backend = BuiltinSolver()
+        got = backend.check(f)
+        monkeypatch.setattr(solver_module, "_theory_model", counted)
+        reference_checks.clear()
+        want = _reference_check(f)
+        monkeypatch.setattr(solver_module, "_theory_model", theory_model)
+        assert got == want, str(f)
+        if got[1] is not None:
+            assert list(got[1].items()) == list(want[1].items()), str(f)
+        assert backend.theory_checks <= len(reference_checks), str(f)
+        shapes[got[0]] += 1
+        shapes["fewer"] += backend.theory_checks < len(reference_checks)
+        ours += backend.theory_checks
+        theirs += len(reference_checks)
+    assert min(shapes.values()) >= 30, shapes
+    assert 2 * ours < theirs, (ours, theirs)
+
+
+def test_a_unit_equality_settles_its_disequality_without_the_omega_test(monkeypatch):
+    T = ivar("T")
+    f = fand(eq(T, 1), for_(ne(T, 1), eq(X, 0)), for_(ge(X, 2), le(X, -4)))
+    calls = []
+    theory_model = solver_module._theory_model
+
+    def counted(cmps):
+        calls.append(cmps)
+        return theory_model(cmps)
+
+    monkeypatch.setattr(solver_module, "_theory_model", counted)
+    assert _reference_check(f) == ("unsat", None) and calls  # tries leaves
+    calls.clear()
+    backend = BuiltinSolver()
+    assert backend.check(f) == ("unsat", None)
+    assert calls == [] and backend.theory_checks == 0
+
+
+def test_solver_stats_count_the_theory_checks():
+    s = Solver()
+    assert s.stats()["theory_checks"] == 0
+    s.is_sat(fand(ge(X, 0), le(X + Y, -1), ge(Y, 0)))
+    assert s.stats()["theory_checks"] == s.backend.theory_checks > 0
+    before = s.stats()["theory_checks"]
+    s.is_sat(fand(ge(X, 0), le(X + Y, -1), ge(Y, 0)))  # answered from the cache
+    assert s.stats()["theory_checks"] == before
 
 
 # ---------------------------------------------------------------------------

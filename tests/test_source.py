@@ -77,3 +77,18 @@ def test_backward_chains_walk_the_run_memo():
         for caller in callers(path.read_text(), "pre_exists")
     }
     assert found == {("hoare.py", "saturate_edges")}
+
+
+def test_one_reading_of_a_comparison_as_a_fact():
+    # `formula.cmp_fact` is the only code that reads a comparison's sign
+    # and orientation as a bound on its base: the same-base rule of the
+    # constructors and the backend's settling of comparisons call it, and
+    # the rule negates facts arithmetically, without building `fnot` nodes
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = {
+        (name, caller)
+        for name, source in sources.items()
+        for caller in callers(source, "cmp_fact")
+    }
+    assert found == {("formula.py", "_absorb_cmps"), ("solver.py", "_settled_value")}
+    assert "_absorb_cmps" not in callers(sources["formula.py"], "fnot")
