@@ -136,48 +136,49 @@ def verify(
     last_bound = Fraction(0)
     iters = 0
     try:
-        while iters < max_iters:
-            if fresh:
-                residual, fresh = difference_nfa(residual, fresh), []
-            # examine's erasures can drop words from a_lang, so it is
-            # subtracted afresh at each pick and never kept in the residual
-            tau = nfa_shortest(residual if a_lang is None else difference_nfa(residual, [a_lang]))
-            if tau is None:
-                events.append(("sat", last_bound))
-                return Sat(last_bound, iters)
-            iters += 1
-            events.append(("pick", iters, tau))
-            cls = classify(tau, spec, solver)
-            if isinstance(cls, NonViolating):
-                fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
-                continue
-            w = weight(tau)
-            if w > beta:
-                cex = Counterexample((tuple(tau),), cls.error_pre, w)
-                events.append(("counterexample", cex))
-                return Unsat(_checked(p, spec, beta, cex, solver), iters)
-            gv = generalize_violating(tau, spec, sigma, solver)
-            cand = gv.base if a_lang is None else union(a_lang, gv.base)
-            a_cand = intersect(p, cand)
-            outcome, cover_aut, new_q = examine(
-                a_cand,
-                spec,
-                beta,
-                solver,
-                alphabet=sigma,
-                trace_budget=trace_budget,
-                events=events,
-            )
-            fresh.extend(q.base for q in new_q)
-            if isinstance(outcome, Verified):
-                a_lang = cover_aut
-                last_bound = outcome.upper_bound
-                continue
-            if isinstance(outcome, CounterexampleFound):
-                cex = outcome.counterexample
-                return Unsat(_checked(p, spec, beta, cex, solver), iters)
-            return Inconclusive(outcome.reason, iters)
-        return Inconclusive(f"iteration cap ({max_iters}) reached", iters)
+        with solver.run():
+            while iters < max_iters:
+                if fresh:
+                    residual, fresh = difference_nfa(residual, fresh), []
+                # examine's erasures can drop words from a_lang, so it is
+                # subtracted afresh at each pick and never kept in the residual
+                tau = nfa_shortest(residual if a_lang is None else difference_nfa(residual, [a_lang]))
+                if tau is None:
+                    events.append(("sat", last_bound))
+                    return Sat(last_bound, iters)
+                iters += 1
+                events.append(("pick", iters, tau))
+                cls = classify(tau, spec, solver)
+                if isinstance(cls, NonViolating):
+                    fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
+                    continue
+                w = weight(tau)
+                if w > beta:
+                    cex = Counterexample((tuple(tau),), cls.error_pre, w)
+                    events.append(("counterexample", cex))
+                    return Unsat(_checked(p, spec, beta, cex, solver), iters)
+                gv = generalize_violating(tau, spec, sigma, solver)
+                cand = gv.base if a_lang is None else union(a_lang, gv.base)
+                a_cand = intersect(p, cand)
+                outcome, cover_aut, new_q = examine(
+                    a_cand,
+                    spec,
+                    beta,
+                    solver,
+                    alphabet=sigma,
+                    trace_budget=trace_budget,
+                    events=events,
+                )
+                fresh.extend(q.base for q in new_q)
+                if isinstance(outcome, Verified):
+                    a_lang = cover_aut
+                    last_bound = outcome.upper_bound
+                    continue
+                if isinstance(outcome, CounterexampleFound):
+                    cex = outcome.counterexample
+                    return Unsat(_checked(p, spec, beta, cex, solver), iters)
+                return Inconclusive(outcome.reason, iters)
+            return Inconclusive(f"iteration cap ({max_iters}) reached", iters)
     except SolverUnknown as exc:
         return Inconclusive(f"solver gave up: {exc}", iters)
 
@@ -240,35 +241,36 @@ def verify_refutational(
     fresh: list[PCFA] = []
     iters = 0
     try:
-        while iters < max_iters:
-            if fresh:
-                uncovered, fresh = difference_nfa(uncovered, fresh), []
-            residual = _to_pcfa(uncovered)
-            bound = mdp_upper_bound(residual)[0] + found_mass
-            if bound <= beta:
-                events.append(("sat", bound))
-                return Sat(bound, iters)
-            if is_empty(residual):
-                return Inconclusive(
-                    "all traces classified, but the found violating traces are "
-                    "not jointly realizable above the threshold",
-                    iters,
-                )
-            tau = nfa_shortest(uncovered)
-            iters += 1
-            events.append(("pick", iters, tau))
-            cls = classify(tau, spec, solver)
-            if isinstance(cls, NonViolating):
-                fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
-                continue
-            found.append((tuple(tau), cls.error_pre))
-            found_mass += weight(tau)
-            cex = _greedy_counterexample(found, beta, solver)
-            if cex is not None:
-                events.append(("counterexample", cex))
-                return Unsat(_checked(p, spec, beta, cex, solver), iters)
-            fresh.append(trace_tree([tau]))
-        return Inconclusive(f"iteration cap ({max_iters}) reached", iters)
+        with solver.run():
+            while iters < max_iters:
+                if fresh:
+                    uncovered, fresh = difference_nfa(uncovered, fresh), []
+                residual = _to_pcfa(uncovered)
+                bound = mdp_upper_bound(residual)[0] + found_mass
+                if bound <= beta:
+                    events.append(("sat", bound))
+                    return Sat(bound, iters)
+                if is_empty(residual):
+                    return Inconclusive(
+                        "all traces classified, but the found violating traces are "
+                        "not jointly realizable above the threshold",
+                        iters,
+                    )
+                tau = nfa_shortest(uncovered)
+                iters += 1
+                events.append(("pick", iters, tau))
+                cls = classify(tau, spec, solver)
+                if isinstance(cls, NonViolating):
+                    fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
+                    continue
+                found.append((tuple(tau), cls.error_pre))
+                found_mass += weight(tau)
+                cex = _greedy_counterexample(found, beta, solver)
+                if cex is not None:
+                    events.append(("counterexample", cex))
+                    return Unsat(_checked(p, spec, beta, cex, solver), iters)
+                fresh.append(trace_tree([tau]))
+            return Inconclusive(f"iteration cap ({max_iters}) reached", iters)
     except SolverUnknown as exc:
         return Inconclusive(f"solver gave up: {exc}", iters)
 
@@ -301,28 +303,29 @@ def check_decomposition(
     the module's residual violation mass stays within the threshold."""
     solver = solver or Solver()
     try:
-        for i, q in enumerate(qs):
-            if not check_floyd_hoare(q, solver):
-                return Rejected(f"component {i}: an edge is not Hoare-valid")
-            head = q.lam[q.base.initial]
-            if not solver.entails(spec.pre, head):
-                return Rejected(
-                    f"component {i}: initial proposition not implied by the precondition"
-                )
-            accp = q.lam[q.base.accepting]
-            if solver.is_sat(accp) and not solver.entails(accp, spec.post):
-                return Rejected(
-                    f"component {i}: accepting proposition satisfiable "
-                    "but not implying the postcondition"
-                )
-        bases = [q.base for q in qs]
-        if not nfa_is_empty(difference_nfa(p, bases + [a])):
-            return Rejected("program traces escape the certified union")
-        residual = difference_all(a, bases) if bases else a
-        bound, _ = mdp_upper_bound(intersect(residual, p))
-        if bound <= beta:
-            return Certified(bound)
-        return Rejected(f"violating mass bound {bound} exceeds threshold {beta}")
+        with solver.run():
+            for i, q in enumerate(qs):
+                if not check_floyd_hoare(q, solver):
+                    return Rejected(f"component {i}: an edge is not Hoare-valid")
+                head = q.lam[q.base.initial]
+                if not solver.entails(spec.pre, head):
+                    return Rejected(
+                        f"component {i}: initial proposition not implied by the precondition"
+                    )
+                accp = q.lam[q.base.accepting]
+                if solver.is_sat(accp) and not solver.entails(accp, spec.post):
+                    return Rejected(
+                        f"component {i}: accepting proposition satisfiable "
+                        "but not implying the postcondition"
+                    )
+            bases = [q.base for q in qs]
+            if not nfa_is_empty(difference_nfa(p, bases + [a])):
+                return Rejected("program traces escape the certified union")
+            residual = difference_all(a, bases) if bases else a
+            bound, _ = mdp_upper_bound(intersect(residual, p))
+            if bound <= beta:
+                return Certified(bound)
+            return Rejected(f"violating mass bound {bound} exceeds threshold {beta}")
     except SolverUnknown as exc:
         return Rejected(f"solver gave up: {exc}")
 

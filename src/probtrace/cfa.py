@@ -13,10 +13,13 @@ the left operand reach are built, so neither side is determinized or
 completed over the alphabet up front.  Intersection and difference have
 right operands; determinize and union are the same construction with none.
 
-Labels are hash-consed: each distinct label is one object, so `==` and
+Labels are hash-consed, by the mechanism formulas use
+(`formula.HashConsed`): each distinct label is one object, so `==` and
 `hash` on labels are identity, and every set and dict keyed by labels here
 and in the layers above hashes them in C.  Construct a label through its
-class only; the class returns the existing object when there is one.
+class only; the class returns the existing object when there is one.  Each
+label stores its key in the fixed label order (``sort_key``, which
+`label_key` reads) when it is built.
 
 Also here: the normalization procedure that forces paired probabilistic
 branches to target distinct locations, and the fixed total order on labels
@@ -28,13 +31,12 @@ reachability probability.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
-from .formula import Formula, IntTerm, _key as formula_key
+from .formula import Formula, HashConsed, IntTerm
 
 
 # ---------------------------------------------------------------------------
@@ -42,55 +44,34 @@ from .formula import Formula, IntTerm, _key as formula_key
 # ---------------------------------------------------------------------------
 
 _TABLE: "weakref.WeakValueDictionary[tuple, Label]" = weakref.WeakValueDictionary()
-_TABLE_LOCK = threading.Lock()  # held to insert, so two threads cannot mint twins
 
 
-class Label:
-    """A program label, hash-consed: constructing a label returns the one
-    live object with its class and field values, so `==` and `hash` are
-    object identity, computed in C without visiting the formula or term a
-    label carries.  Build labels through their class only (`Assume(c)`,
-    `Pb(0, "L")`); copying, pickling and `dataclasses.replace` come back
-    through it too.  The table holds its labels weakly: one no one holds is
-    dropped, and building it again makes a fresh canonical object."""
+class Label(HashConsed):
+    """A program label, hash-consed in ``_TABLE`` (see `formula.HashConsed`):
+    constructing a label returns the one live object with its class and
+    field values, so `==` and `hash` are object identity, computed in C
+    without visiting the formula or term a label carries.  Build labels
+    through their class only (`Assign(x, e)`, `Pb(0, "L")`)."""
 
     __slots__ = ()
+    _table = _TABLE
 
-    def __new__(cls, *args, **kwargs):
-        names = cls.__dataclass_fields__
-        if kwargs or len(args) != len(names):
-            args = _bind(cls, args, kwargs)
-        key = (cls, *args)
-        lab = _TABLE.get(key)
-        if lab is None:
-            fresh = object.__new__(cls)
-            for name, value in zip(names, args):
-                object.__setattr__(fresh, name, value)
-            with _TABLE_LOCK:
-                lab = _TABLE.setdefault(key, fresh)
-        return lab
-
-    def __init__(self, *args, **kwargs):
-        pass  # __new__ has set the fields
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
-
-
-def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-    """The field values, in field order, of a call that names some of them
-    or passes the wrong number of them."""
-    names = tuple(cls.__dataclass_fields__)
-    if len(args) > len(names):
-        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
-    values = list(args)
-    for name in names[len(args):]:
-        if name not in kwargs:
-            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        values.append(kwargs.pop(name))
-    if kwargs:
-        raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments {sorted(kwargs)}")
-    return tuple(values)
+    def _order(self):
+        """Fixed total order: Assign < Assume < Skip < Pb < Nd, then
+        operands; stored as ``sort_key`` when the label is built."""
+        if isinstance(self, Assign):
+            if isinstance(self.expr, IntTerm):
+                ek = (0, self.expr.coeffs, self.expr.const)
+            else:
+                ek = (1, self.expr.sort_key)
+            return (0, self.var, ek)
+        if isinstance(self, Assume):
+            return (1, self.cond.sort_key)
+        if isinstance(self, SkipL):
+            return (2,)
+        if isinstance(self, Pb):
+            return (3, self.pid, 0 if self.side == "L" else 1)
+        return (4, self.tag)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -137,33 +118,19 @@ class Nd(Label):
 
 
 def label_key(lab: Label):
-    """Fixed total order: Assign < Assume < Skip < Pb < Nd, then operands."""
-    if isinstance(lab, Assign):
-        if isinstance(lab.expr, IntTerm):
-            ek = (0, lab.expr.coeffs, lab.expr.const)
-        else:
-            ek = (1, formula_key(lab.expr))
-        return (0, lab.var, ek)
-    if isinstance(lab, Assume):
-        return (1, formula_key(lab.cond))
-    if isinstance(lab, SkipL):
-        return (2,)
-    if isinstance(lab, Pb):
-        return (3, lab.pid, 0 if lab.side == "L" else 1)
-    if isinstance(lab, Nd):
-        return (4, lab.tag)
-    raise TypeError(f"not a label: {lab!r}")
+    """The label's key in the fixed total order on labels."""
+    return lab.sort_key
 
 
 def trace_key(trace: Sequence[Label]):
-    return tuple(label_key(l) for l in trace)
+    return tuple(l.sort_key for l in trace)
 
 
 def action_of(lab: Label):
     """The CFMDP action a label belongs to: both sides of a coin share one."""
     if isinstance(lab, Pb):
         return ("pb", lab.pid)
-    return ("lab", label_key(lab))
+    return ("lab", lab.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +513,7 @@ def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:
     for s, lab, t in n.transitions:
         adj.setdefault(s, []).append((lab, t))
     for s in adj:
-        adj[s].sort(key=lambda e: (label_key(e[0]), e[1]))
+        adj[s].sort(key=lambda e: (e[0].sort_key, e[1]))
     while best:
         hits = [s for s in best if s in n.accepting]
         if hits:

@@ -27,7 +27,6 @@ from .cfa import (
     Label,
     Pb,
     difference_all,
-    label_key,
     trace_tree,
     trim,
     union,
@@ -106,7 +105,7 @@ def enumerate_by_weight(m: PCFA) -> Iterator[Trace]:
                 (
                     npb + (1 if isinstance(lab, Pb) else 0),
                     length + 1,
-                    key + (label_key(lab),),
+                    key + (lab.sort_key,),
                     next(counter),
                     tgt,
                     trace + (lab,),

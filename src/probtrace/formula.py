@@ -20,18 +20,36 @@ every comparison.
 Constructor output is canonical, and this module is the only one that
 knows the canonical form: no code elsewhere in the package builds a node
 directly (parsed programs and certificates both go through the
-constructors), so every formula is used as built.  The one exception is
-the solver's branching step, which drops arguments from a canonical
-`And`/`Or`; that is sound because a canonical node minus some of its
-arguments is canonical.  ``simplify``, which rebuilds a formula through the
-constructors, returns every formula they built unchanged; it is the
-reference the tests hold the constructors to, and no verifier code calls
-it.
+constructors, and `tests/test_source.py` checks that no other module calls
+a node class by name), so every formula is used as built.  The one
+exception is the solver's branching step, which drops arguments from a
+canonical `And`/`Or`; that is sound because a canonical formula minus some
+of its arguments is canonical.  ``simplify``, which rebuilds a formula
+through the constructors, returns every formula they built unchanged; it
+is the reference the tests hold the constructors to, and no verifier code
+calls it.
+
+Nodes are hash-consed (`HashConsed`, which program labels share): each
+distinct formula is one live object, so `==` and `hash` are identity,
+computed in C, and every dict or set keyed by formulas, here and in the
+layers above, hashes them without walking a tree.  Each node stores its
+key in the fixed total order (``sort_key``) when it is built, from its
+arguments' stored keys, and finds its least atom (``least_atom``, where
+the solver branches) at most once.  While a run is in progress (`memoizing`,
+which `Solver.run` enters for each verification loop) `fand` and `for_`
+look their argument list up in the run's memo before building, so an
+argument list the run has built before costs one dict lookup; outside a
+run they build every time, and the result is the same object either way.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -136,22 +154,108 @@ def ivar(name: str) -> IntTerm:
 
 
 # ---------------------------------------------------------------------------
-# formulas
+# hash-consing
 # ---------------------------------------------------------------------------
 
-class Formula:
-    """Base class; all nodes are frozen dataclasses."""
+_TABLE: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()  # held to insert, so two threads cannot mint twins
+
+
+class HashConsed:
+    """A frozen value of which each distinct one is a single live object.
+
+    Constructing one looks (class, field values) up in the class's weak
+    ``_table`` and returns the live object there, so `==` and `hash` are
+    object identity, computed in C without visiting the values an object
+    holds.  A miss builds the object, stores its ``sort_key`` (the class's
+    fixed total order, computed once by ``_order`` from the fields) and
+    inserts it under a lock.  Copying, pickling and `dataclasses.replace`
+    come back through the constructor too.  The table holds its objects
+    weakly: one no one holds is dropped, and building it again makes a
+    fresh canonical object.  Subclasses are dataclasses declared
+    ``frozen=True, eq=False, init=False``."""
 
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        names = cls.__dataclass_fields__
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, args, kwargs)
+        key = (cls, *args)
+        table = cls._table
+        obj = table.get(key)
+        if obj is None:
+            fresh = object.__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(fresh, name, value)
+            object.__setattr__(fresh, "sort_key", fresh._order())
+            with _TABLE_LOCK:
+                obj = table.setdefault(key, fresh)
+        return obj
 
-@dataclass(frozen=True)
+    def __init__(self, *args, **kwargs):
+        pass  # __new__ has set the fields
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """The field values, in field order, of a call that names some of them
+    or passes the wrong number of them."""
+    names = tuple(cls.__dataclass_fields__)
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+    values = list(args)
+    for name in names[len(args):]:
+        if name not in kwargs:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        values.append(kwargs.pop(name))
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments {sorted(kwargs)}")
+    return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# formulas
+# ---------------------------------------------------------------------------
+
+class Formula(HashConsed):
+    """Base class; all nodes are hash-consed frozen dataclasses."""
+
+    __slots__ = ()
+    _table = _TABLE
+
+    def _order(self):
+        """Deterministic total order on formulas, used to canonicalise arg
+        lists; stored as ``sort_key`` when the node is built."""
+        if isinstance(self, TrueF):
+            return (0,)
+        if isinstance(self, FalseF):
+            return (1,)
+        if isinstance(self, BoolLit):
+            return (2, self.name, self.positive)
+        if isinstance(self, Cmp):
+            return (3, self.op, self.term.coeffs, self.term.const)
+        return (4 if isinstance(self, And) else 5, tuple(a.sort_key for a in self.args))
+
+    @cached_property
+    def least_atom(self) -> Optional["Formula"]:
+        """The atom (a boolean literal or a comparison) with the least
+        ``sort_key``, None in TRUE and FALSE: the atom the solver's search
+        branches on.  Found once per node, from its arguments' own."""
+        if isinstance(self, (And, Or)):
+            return min((a.least_atom for a in self.args), key=_key)
+        return self if isinstance(self, (BoolLit, Cmp)) else None
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class TrueF(Formula):
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FalseF(Formula):
     def __str__(self) -> str:
         return "false"
@@ -161,12 +265,12 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class BoolLit(Formula):
     """A boolean program variable or its negation."""
 
     name: str
-    positive: bool = True
+    positive: bool
 
     def __str__(self) -> str:
         return self.name if self.positive else f"!{self.name}"
@@ -178,7 +282,7 @@ EQ = "=="   # term == 0
 NE = "!="   # term != 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Cmp(Formula):
     """term op 0, canonicalised (gcd-reduced, tightened, sign-normalised)."""
 
@@ -189,7 +293,7 @@ class Cmp(Formula):
         return _render_cmp(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     args: tuple[Formula, ...]
 
@@ -197,7 +301,7 @@ class And(Formula):
         return " && ".join(_paren(a, self) for a in self.args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
     args: tuple[Formula, ...]
 
@@ -286,18 +390,8 @@ def bvar(name: str) -> Formula:
 
 
 def _key(f: Formula):
-    """Deterministic total order on formulas, used to canonicalise arg lists."""
-    if isinstance(f, TrueF):
-        return (0,)
-    if isinstance(f, FalseF):
-        return (1,)
-    if isinstance(f, BoolLit):
-        return (2, f.name, f.positive)
-    if isinstance(f, Cmp):
-        return (3, f.op, f.term.coeffs, f.term.const)
-    if isinstance(f, And):
-        return (4, tuple(_key(a) for a in f.args))
-    return (5, tuple(_key(a) for a in f.args))
+    """The node's key in the deterministic total order on formulas."""
+    return f.sort_key
 
 
 def cmp_fact(a: Cmp) -> tuple[tuple, str, int]:
@@ -400,20 +494,18 @@ def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
     resolves a complementary pair on one linear base the same way."""
     flat: list[Formula] = []
     for p in parts:
-        if p == zero:
+        if p is zero:
             return zero
-        if p == unit:
+        if p is unit:
             continue
         if isinstance(p, node):
             flat.extend(p.args)
         else:
             flat.append(p)
-    seen: dict[tuple, Formula] = {}
-    for p in flat:
-        seen.setdefault(_key(p), p)
-    items = [seen[k] for k in sorted(seen)]
+    seen = dict.fromkeys(flat)  # equal nodes are one object
+    items = sorted(seen, key=_key)
     for p in items:
-        if isinstance(p, BoolLit) and _key(fnot(p)) in seen:
+        if isinstance(p, BoolLit) and fnot(p) in seen:
             return zero
     cmps = [p for p in items if isinstance(p, Cmp)]
     if len(cmps) > 1:
@@ -421,8 +513,7 @@ def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
         if absorbed is None:
             return zero
         rest = [p for p in items if not isinstance(p, Cmp)]
-        merged = {_key(p): p for p in rest + absorbed}
-        items = [merged[k] for k in sorted(merged)]
+        items = sorted(set(rest + absorbed), key=_key)
     if not items:
         return unit
     if len(items) == 1:
@@ -430,12 +521,42 @@ def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
     return node(tuple(items))
 
 
+# The memo of `fand`/`for_` of the run in progress: (node class, parts) to
+# the result, or None outside a run.  Parts are hash-consed, so a lookup
+# hashes them by identity.
+_RUN_MEMO: ContextVar[Optional[dict]] = ContextVar("probtrace_run_memo", default=None)
+
+
+@contextmanager
+def memoizing(memo: dict):
+    """Make `memo` the memo of `fand` and `for_` for the body: each
+    argument list is built once and looked up after.  Outside such a body
+    the constructors build every time; the output is the same object
+    either way."""
+    token = _RUN_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def _build(parts: tuple, unit: Formula, zero: Formula, node) -> Formula:
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return _assoc(parts, unit, zero, node)
+    key = (node, parts)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _assoc(parts, unit, zero, node)
+    return out
+
+
 def fand(*parts: Formula) -> Formula:
-    return _assoc(parts, TRUE, FALSE, And)
+    return _build(parts, TRUE, FALSE, And)
 
 
 def for_(*parts: Formula) -> Formula:
-    return _assoc(parts, FALSE, TRUE, Or)
+    return _build(parts, FALSE, TRUE, Or)
 
 
 def fnot(f: Formula) -> Formula:

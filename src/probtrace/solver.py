@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 from .cfa import Assign, Assume
@@ -50,7 +51,6 @@ from .formula import (
     Cmp,
     Formula,
     _cmp,
-    _key,
     IntTerm,
     cmp_fact,
     negate_fact,
@@ -63,6 +63,7 @@ from .formula import (
     for_,
     int_vars,
     ivar,
+    memoizing,
     subst_bool,
     subst_int,
 )
@@ -326,22 +327,6 @@ def _ineqs_model(ineqs: list[Lin], depth: int) -> Optional[dict]:
 _UNASKED = object()  # cache miss; a cached None means unsat
 
 
-def _least_atom(f: Formula) -> Formula:
-    """The atom of `f` (a boolean literal or a comparison) with the least
-    `_key`: the one `BuiltinSolver._search` branches on."""
-    best = None
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (And, Or)):
-            stack.extend(g.args)
-        elif isinstance(g, (BoolLit, Cmp)):
-            k = _key(g)
-            if best is None or k < best_key:
-                best, best_key = g, k
-    return best
-
-
 def _span(kind: str, bound: int) -> tuple:
     """The interval an "ub", "lb" or "eq" fact allows on its base."""
     if kind == "ub":
@@ -395,8 +380,10 @@ def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
 
     Only what changes is rebuilt.  A subformula without the atom is returned
     as the same object.  When every changed argument of an `And` became
-    TRUE (of an `Or`, FALSE), those arguments are sliced out of `args`; a
-    single survivor stands alone and none gives TRUE (FALSE).  This relies
+    TRUE (of an `Or`, FALSE), those arguments are sliced out of `args`
+    through the node's class, the one place outside `formula` that builds a
+    node, so the slice is hash-consed too; a single survivor stands alone
+    and none gives TRUE (FALSE).  This relies
     on a canonical formula minus some of its arguments being canonical: the
     rest stay sorted, distinct, flat and complement-free, and comparisons on
     one linear base stay absorbed, so the constructors would return the
@@ -481,19 +468,20 @@ class BuiltinSolver:
     ) -> Optional[dict]:
         """A model of the first branch that satisfies `f`, or None.
 
-        Branches on the atom with the least `_key`, true before false.  The
-        false branch of an atom that is `f` itself or a conjunct of `f` is
-        FALSE, so it is skipped.  A comparison that the comparisons already
-        set on its linear base imply (contradict) is tried true (false)
-        only: the other branch has no integer solution.  Either way the
-        answer and the model stay those of the search that tries both."""
+        Branches on `f.least_atom`, the atom with the least `sort_key`,
+        true before false.  The false branch of an atom that is `f` itself
+        or a conjunct of `f` is FALSE, so it is skipped.  A comparison that
+        the comparisons already set on its linear base imply (contradict) is
+        tried true (false) only: the other branch has no integer solution.
+        Either way the answer and the model stay those of the search that
+        tries both."""
         if f == FALSE:
             return None
         if f == TRUE:
             self.theory_checks += 1
             model = _theory_model(cmps)
             return None if model is None else {**model, **bools}
-        atom = _least_atom(f)
+        atom = f.least_atom
         forced = atom is f or (isinstance(f, And) and atom in f.args)
         values = (True,) if forced else (True, False)
         if isinstance(atom, Cmp) and cmps:
@@ -524,11 +512,15 @@ class Solver:
     through here.  One solver serves one run.
 
     Besides the query cache it holds what the verifier's formula work keeps
-    for the solver's lifetime.  `number` gives each formula or label that
-    Hoare saturation or a backward chain sees a small int, equal values the
-    same one: ``ids`` maps the value to its number and ``numbered`` lists
-    the values by number.  The memos are keyed by these numbers, so a lookup
-    hashes ints, not formula trees: ``neg_memo`` takes a proposition to its
+    for the solver's lifetime.  ``memo`` is the run's memo of `fand` and
+    `for_`: `run` makes it current (`formula.memoizing`) while a
+    verification loop runs its body and empties it when the body ends, so
+    nothing it holds outlives the run.  `number` gives each formula or
+    label that Hoare saturation or a backward chain sees a small int:
+    ``ids`` maps the value to its number and ``numbered`` lists the values
+    by number.  Formulas and labels are hash-consed, so equal values are one
+    object and every lookup here hashes by identity.  The memos are keyed
+    by these numbers: ``neg_memo`` takes a proposition to its
     negation, ``wp_memo`` takes (label, proposition) to
     ``pre_exists(label, proposition)``, and ``triple_memo`` takes
     (proposition, weakest precondition) to whether their conjunction is
@@ -554,6 +546,7 @@ class Solver:
     def __init__(self):
         self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
+        self.memo: dict[tuple, Formula] = {}
         self.ids: dict = {}
         self.numbered: list = []
         self.bits: list[tuple[int, int]] = []
@@ -569,6 +562,15 @@ class Solver:
     @property
     def backend_name(self) -> str:
         return self.backend.name
+
+    @contextmanager
+    def run(self):
+        """The body of one verification run, with ``memo`` current."""
+        try:
+            with memoizing(self.memo):
+                yield
+        finally:
+            self.memo.clear()
 
     def number(self, x) -> int:
         """The number of formula or label `x` in this run."""
@@ -814,8 +816,8 @@ def sequence_interpolants(
     does not.  Otherwise the target is the suffix.  A step that leaves both
     the proposition and the rest unchanged (skip, coins, nondeterministic
     tags) reuses Ik−1, which is already minimal against that rest, without
-    a query.  Equal rests of the chain are one object, the one the run's
-    numbering holds, so the identity test sees every such step.
+    a query.  Equal formulas are one object (they are hash-consed), so the
+    identity test sees every such step.
 
     If any label resists exact forward computation, falls back to the
     demonic weakest-precondition chain (always valid, weakest useful

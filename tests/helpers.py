@@ -7,8 +7,23 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from probtrace.cfa import PCFA, Assign, Assume, Pb, SkipL, trim
-from probtrace.formula import as_term, bool_vars, eq, ge, int_vars, ivar, le
+from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL, trim
+from probtrace.formula import (
+    And,
+    BoolLit,
+    Cmp,
+    FalseF,
+    IntTerm,
+    Or,
+    TrueF,
+    as_term,
+    bool_vars,
+    eq,
+    ge,
+    int_vars,
+    ivar,
+    le,
+)
 from probtrace.lang import parse, to_pcfa
 from probtrace.markov import actions_at
 
@@ -258,3 +273,57 @@ def program_pcfa(text: str):
 
 
 HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# references for the keys and atoms each node stores: the walks the library
+# made on every call before it stored them
+
+
+def reference_formula_key(f):
+    """The fixed total order on formulas, walked through the whole tree."""
+    if isinstance(f, TrueF):
+        return (0,)
+    if isinstance(f, FalseF):
+        return (1,)
+    if isinstance(f, BoolLit):
+        return (2, f.name, f.positive)
+    if isinstance(f, Cmp):
+        return (3, f.op, f.term.coeffs, f.term.const)
+    if isinstance(f, And):
+        return (4, tuple(reference_formula_key(a) for a in f.args))
+    return (5, tuple(reference_formula_key(a) for a in f.args))
+
+
+def reference_label_key(lab):
+    """Fixed total order: Assign < Assume < Skip < Pb < Nd, then operands."""
+    if isinstance(lab, Assign):
+        if isinstance(lab.expr, IntTerm):
+            ek = (0, lab.expr.coeffs, lab.expr.const)
+        else:
+            ek = (1, reference_formula_key(lab.expr))
+        return (0, lab.var, ek)
+    if isinstance(lab, Assume):
+        return (1, reference_formula_key(lab.cond))
+    if isinstance(lab, SkipL):
+        return (2,)
+    if isinstance(lab, Pb):
+        return (3, lab.pid, 0 if lab.side == "L" else 1)
+    if isinstance(lab, Nd):
+        return (4, lab.tag)
+    raise TypeError(f"not a label: {lab!r}")
+
+
+def reference_least_atom(f):
+    """The atom of `f` with the least key, found by walking every node."""
+    best = None
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (And, Or)):
+            stack.extend(g.args)
+        elif isinstance(g, (BoolLit, Cmp)):
+            k = reference_formula_key(g)
+            if best is None or k < best_key:
+                best, best_key = g, k
+    return best

@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import probtrace
-from probtrace import cegar, cfa
+from probtrace import cegar, cfa, formula
 from probtrace.cegar import (
     Certified,
     Inconclusive,
@@ -482,6 +483,39 @@ def test_results_do_not_depend_on_label_addresses():
     assert outputs[0] == outputs[1]
 
 
+# Builds and keeps `n` formulas no program uses, then prints the conditions
+# of each program's assumptions, iterated as a set, to stderr; the programs
+# stay alive, so the loops that follow run on those very formula objects.
+_KEEP_FORMULAS = """
+import sys
+from probtrace import parse, to_pcfa
+from probtrace.formula import bvar, fand
+kept = [fand(bvar(f"Unused{{i}}"), bvar("Unused")) for i in range({n})]
+shown = [to_pcfa(parse(open(path).read())[0]) for path in sys.argv[1:]]
+conds = [{{lab.cond for lab in p.alphabet if hasattr(lab, "cond")}} for p in shown]
+print(*(list(map(str, c)) for c in conds), sep="\\n", file=sys.stderr)
+"""
+
+
+def test_results_do_not_depend_on_formula_addresses():
+    # formulas hash by identity, so set and dict iteration orders over them
+    # follow memory addresses: the formulas built first move them
+    paths = [str(DATA_DIR / "motivating.prob"), str(BENCH_DIR / "coupon.prob")]
+    src = str(Path(probtrace.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
+    orders, outputs = [], []
+    for n in (0, 300):
+        proc = subprocess.run(
+            [sys.executable, "-c", _KEEP_FORMULAS.format(n=n) + _RUN_BOTH_LOOPS, *paths],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        orders.append(proc.stderr)
+        outputs.append(proc.stdout)
+    assert orders[0] != orders[1]
+    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_builds_each_adjacency_once(monkeypatch):
     # the program, the kept residual and every right operand keep the
     # adjacency they were given or built, so no subset product builds it
@@ -499,6 +533,109 @@ def test_verify_builds_each_adjacency_once(monkeypatch):
     assert isinstance(verdict, (Sat, Unsat))
     assert len(built) > 10
     assert len({id(t) for t in built}) == len(built)
+
+
+# ---------------------------------------------------------------------------
+# the run memo of fand/for_
+
+
+def test_each_loop_runs_with_its_solver_memo_and_leaves_none_current(motivating, certificate, monkeypatch):
+    program, spec, p = motivating
+    beta, a, qs = certificate
+    current = []
+
+    def recording(fn):
+        def wrapped(*args):
+            current.append(formula._RUN_MEMO.get())
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cegar, "classify", recording(cegar.classify))
+    monkeypatch.setattr(cegar, "check_floyd_hoare", recording(cegar.check_floyd_hoare))
+    for run_loop in (
+        lambda s: verify(p, spec, solver=s),
+        lambda s: verify_refutational(p, spec, solver=s),
+        lambda s: check_decomposition(p, spec, beta, qs, a, s),
+    ):
+        current.clear()
+        s = Solver()
+        assert isinstance(run_loop(s), (Unsat, Certified))
+        assert current and all(m is s.memo for m in current)
+        assert formula._RUN_MEMO.get() is None
+        assert s.memo == {}
+
+
+def test_no_memo_stays_current_when_a_loop_raises(motivating, monkeypatch):
+    program, spec, p = motivating
+
+    def boom(*args):
+        assert formula._RUN_MEMO.get() is not None
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cegar, "classify", boom)
+    for run_loop in (verify, verify_refutational):
+        s = Solver()
+        with pytest.raises(RuntimeError, match="boom"):
+            run_loop(p, spec, solver=s)
+        assert formula._RUN_MEMO.get() is None
+        assert s.memo == {}
+
+
+def test_each_run_starts_with_a_cold_memo(monkeypatch):
+    # nothing a run memoized serves the next run, even with the formulas of
+    # the first still alive
+    program, spec = parse((BENCH_DIR / "coupon.prob").read_text())
+    p = to_pcfa(program)
+    builds = []
+    assoc = formula._assoc
+
+    def counted(*args):
+        builds.append(args[3])
+        return assoc(*args)
+
+    monkeypatch.setattr(formula, "_assoc", counted)
+    counts, verdicts = [], []
+    for _ in range(2):
+        builds.clear()
+        verdicts.append(verify(p, spec, solver=Solver()))
+        counts.append(len(builds))
+    assert counts[0] == counts[1] > 100
+    assert verdicts[0] == verdicts[1]
+
+
+def test_threads_running_verify_do_not_share_a_memo(monkeypatch):
+    program, spec = parse((BENCH_DIR / "coupon.prob").read_text())
+    p = to_pcfa(program)
+    solvers = [Solver(), Solver()]
+    current: dict[int, list] = {0: [], 1: []}
+    classify = cegar.classify
+
+    def recording(tau, spec_, solver):
+        current[solvers.index(solver)].append(formula._RUN_MEMO.get())
+        return classify(tau, spec_, solver)
+
+    monkeypatch.setattr(cegar, "classify", recording)
+    verdicts = [None, None]
+
+    def work(i):
+        verdicts[i] = verify(p, spec, solver=solvers[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert solvers[0].memo is not solvers[1].memo
+    for i, s in enumerate(solvers):
+        assert current[i] and all(m is s.memo for m in current[i])
+    assert isinstance(verdicts[0], Sat) and verdicts[0] == verdicts[1]
+    assert formula._RUN_MEMO.get() is None
 
 
 # ---------------------------------------------------------------------------

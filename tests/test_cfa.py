@@ -44,7 +44,7 @@ from probtrace.cfa import (
     trim,
     union,
 )
-from probtrace.formula import as_term, ge, ivar, le
+from probtrace.formula import as_term, bvar, for_, ge, ivar, le
 from probtrace.lang import parse, parse_label, to_pcfa
 
 from helpers import (
@@ -54,6 +54,7 @@ from helpers import (
     bounded_language,
     random_cfmdp,
     random_sub_cfmc,
+    reference_label_key,
 )
 
 X = ivar("X")
@@ -611,6 +612,17 @@ def test_printed_labels_of_every_program_parse_back_to_themselves():
         assert alphabet
         for lab in alphabet:
             assert parse_label(str(lab), sorts) is lab, (path.name, str(lab))
+
+
+def test_each_label_stores_its_key_in_the_label_order():
+    paths = sorted(BENCH_DIR.glob("*.prob")) + [DATA_DIR / "motivating.prob"]
+    labels = {*ALPHABET, Assign("B", for_(bvar("B"), le(X, 3)))}
+    for path in paths:
+        labels |= to_pcfa(parse(path.read_text())[0]).alphabet
+    assert len(labels) > 20 and any(isinstance(lab, Assume) for lab in labels)
+    for lab in labels:
+        assert lab.sort_key == reference_label_key(lab), str(lab)
+        assert label_key(lab) is lab.sort_key
 
 
 def test_a_label_no_one_holds_leaves_the_table():

@@ -4,10 +4,21 @@ Randomized checks treat `feval` over concrete states as ground truth, so
 every simplification is validated against brute-force evaluation.
 """
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 from itertools import product
 
+import pytest
+
+from probtrace import formula
 from probtrace.formula import (
+    EQ,
     FALSE,
     LE,
     NE,
@@ -15,8 +26,11 @@ from probtrace.formula import (
     And,
     BoolLit,
     Cmp,
+    FalseF,
+    Formula,
     IntTerm,
     Or,
+    TrueF,
     _absorb_cmps,
     _fact_cmp,
     _key,
@@ -37,12 +51,15 @@ from probtrace.formula import (
     ivar,
     le,
     lt,
+    memoizing,
     ne,
     negate_fact,
     simplify,
     subst_bool,
     subst_int,
 )
+
+from helpers import BENCH_DIR, DATA_DIR, reference_formula_key
 
 X, Y = ivar("X"), ivar("Y")
 
@@ -397,3 +414,158 @@ def test_a_comparison_reads_as_a_fact_on_its_base():
                 assert _fact_cmp(base, *negate_fact(kind, bound)) == fnot(a)
                 kinds.add(kind)
     assert kinds == {"ub", "lb", "eq", "ne"}
+
+
+# ---------------------------------------------------------------------------
+# hash-consed nodes
+
+NODE_CLASSES = (TrueF, FalseF, BoolLit, Cmp, And, Or)
+X_LE_3 = Cmp(IntTerm((("X", 1),), -3), LE)
+SAMPLES = (
+    TRUE,
+    FALSE,
+    bvar("B"),
+    fnot(bvar("B")),
+    X_LE_3,
+    fand(X_LE_3, bvar("B")),
+    for_(X_LE_3, eq(Y, 1)),
+    fand(for_(X_LE_3, bvar("C")), ne(X + Y, 2)),
+)
+
+
+def test_equal_constructions_give_one_formula():
+    term = IntTerm.make({"X": 1}, -3)
+    assert le(X, 3) is X_LE_3 is Cmp(term, LE) is Cmp(term=term, op=LE) is Cmp(term, op=LE)
+    assert TrueF() is TRUE and FalseF() is FALSE
+    assert BoolLit(name="B", positive=False) is fnot(bvar("B")) is BoolLit("B", False)
+    conj = fand(X_LE_3, bvar("B"))
+    assert conj is fand(bvar("B"), le(X, 3)) is And((bvar("B"), X_LE_3)) is And(args=conj.args)
+    assert for_(X_LE_3, eq(Y, 1)) is Or((X_LE_3, eq(Y, 1)))
+    assert le(X, 3) is not le(X, 4)
+    assert And(conj.args) is not Or(conj.args)
+
+
+def test_formula_construction_checks_its_arguments():
+    for bad in (
+        lambda: BoolLit("B"),
+        lambda: BoolLit("B", True, 1),
+        lambda: BoolLit("B", True, name="B"),
+        lambda: Cmp(X, op=LE, side=1),
+        lambda: TrueF(1),
+        lambda: And(),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_copies_of_a_formula_are_the_formula():
+    for f in SAMPLES:
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert dataclasses.replace(f) is f
+    assert dataclasses.replace(X_LE_3, op=EQ) is eq(X, 3)
+    assert dataclasses.replace(bvar("B"), positive=False) is fnot(bvar("B"))
+
+
+def test_formulas_stay_frozen():
+    for f in SAMPLES:
+        for field in dataclasses.fields(f):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.sort_key = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TRUE.extra = 1
+    assert X_LE_3.term == IntTerm((("X", 1),), -3)
+
+
+def test_formulas_compare_and_hash_by_identity():
+    for cls in NODE_CLASSES:
+        assert issubclass(cls, Formula)
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+    assert repr(X_LE_3) == "Cmp(term=IntTerm(coeffs=(('X', 1),), const=-3), op='<=')"
+    assert repr(fand(X_LE_3, bvar("B"))) == f"And(args=(BoolLit(name='B', positive=True), {X_LE_3!r}))"
+    assert str(fand(for_(X_LE_3, bvar("C")), ne(X + Y, 2))) == "X + Y != 2 && (C || X <= 3)"
+
+
+def test_each_node_stores_its_key_in_the_formula_order_randomized():
+    rng = random.Random(4405)
+    for _ in range(300):
+        f = _random_built(rng)
+        assert f.sort_key == reference_formula_key(f), str(f)
+        assert _key(f) is f.sort_key
+
+
+def test_a_formula_no_one_holds_leaves_the_table():
+    key = (BoolLit, "Unheld987654", True)
+    ref = weakref.ref(bvar("Unheld987654"))
+    gc.collect()
+    assert ref() is None
+    assert key not in formula._TABLE
+    f = bvar("Unheld987654")
+    assert formula._TABLE[key] is f
+    assert BoolLit(name="Unheld987654", positive=True) is f
+
+
+def test_threads_building_equal_formulas_get_one_object():
+    # a lost race in the table would hand two threads two equal formulas
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    built = [None] * 4
+    try:
+        def build(i):
+            built[i] = [fand(le(X, 500_000 + k), bvar(f"T{k}")) for k in range(2_000)]
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(built))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for fs in built[1:]:
+        assert all(a is b and a.args[1] is b.args[1] for a, b in zip(fs, built[0], strict=True))
+
+
+def test_the_run_memo_changes_no_constructor_output_randomized(monkeypatch):
+    # the generator of test_constructor_output_is_canonical_randomized builds
+    # the same objects inside a run as outside one; built twice in one run,
+    # every `fand`/`for_` of the second time is answered by the memo
+    outside = [_random_built(rng) for rng in [random.Random(4404)] for _ in range(2500)]
+    memo = {}
+    with memoizing(memo):
+        inside = [_random_built(rng) for rng in [random.Random(4404)] for _ in range(2500)]
+        assert all(simplify(f) is f for f in inside)
+        builds = []
+        assoc = formula._assoc
+
+        def counted(*args):
+            builds.append(args[3])
+            return assoc(*args)
+
+        monkeypatch.setattr(formula, "_assoc", counted)
+        again = [_random_built(rng) for rng in [random.Random(4404)] for _ in range(2500)]
+    assert formula._RUN_MEMO.get() is None
+    assert memo and not builds
+    assert all(a is b is c for a, b, c in zip(outside, inside, again, strict=True))
+
+
+def test_printed_formulas_parse_back_to_themselves():
+    # the certificate loader reads propositions this way; each parse builds
+    # through the constructors, so it must find the one canonical node
+    from probtrace.lang import parse, parse_formula, to_pcfa
+
+    for path in sorted(BENCH_DIR.glob("*.prob")) + [DATA_DIR / "motivating.prob"]:
+        program, spec = parse(path.read_text())
+        sorts = dict(program.declarations)
+        conds = [lab.cond for lab in to_pcfa(program).alphabet if hasattr(lab, "cond")]
+        for f in [spec.pre, spec.post, *conds]:
+            assert parse_formula(str(f), sorts) is f, (path.name, str(f))
+    rng = random.Random(4406)
+    sorts = {"X": "int", "Y": "int", "B": "bool", "C": "bool"}
+    for _ in range(300):
+        f = _random_built(rng)
+        assert parse_formula(str(f), sorts) is f, str(f)

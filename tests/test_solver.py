@@ -45,7 +45,7 @@ from probtrace.solver import (
     strongest_post,
 )
 
-from helpers import total_state
+from helpers import reference_least_atom, total_state
 
 X, Y, Z = ivar("X"), ivar("Y"), ivar("Z")
 B = bvar("B")
@@ -422,6 +422,16 @@ def test_replace_atom_equals_the_rebuild_seeded():
                     old = set(map(id, f.args))
                     seen["args_kept" if all(id(a) in old for a in got.args) else "args_new"] += 1
     assert seen["args_kept"] and seen["args_new"], seen
+
+
+def test_each_node_finds_its_least_atom_once_seeded():
+    # the search branches on `least_atom`, which each node finds from its
+    # arguments' own; the reference walks the whole formula
+    for f in _seeded_formulas(1403, 300):
+        assert f.least_atom is reference_least_atom(f), str(f)
+        assert "least_atom" in vars(f)  # stored on the node
+        for g in f.args if isinstance(f, (And, Or)) else ():
+            assert f.least_atom.sort_key <= g.least_atom.sort_key
 
 
 def test_replace_atom_slices_children_that_collapse_to_the_unit():

@@ -92,3 +92,20 @@ def test_one_reading_of_a_comparison_as_a_fact():
     }
     assert found == {("formula.py", "_absorb_cmps"), ("solver.py", "_settled_value")}
     assert "_absorb_cmps" not in callers(sources["formula.py"], "fnot")
+
+
+def test_only_the_formula_module_builds_nodes():
+    # hash-consing and the run memo of `fand`/`for_` rely on every formula
+    # being canonical as built, which only `formula.py` knows how to do; the
+    # solver's branching step slices a canonical node as `type(f)(...)`,
+    # which this check does not see and the solver's tests check
+    nodes = ("And", "Or", "Cmp", "BoolLit", "TrueF", "FalseF")
+    assert callers("def f():\n    return Cmp(t, op)\ng = And\n", "Cmp") == ["f"]
+    found = {
+        (path.name, name, caller)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "formula.py"
+        for name in nodes
+        for caller in callers(path.read_text(), name)
+    }
+    assert found == set()
