@@ -52,7 +52,6 @@ from .cfa import (
     difference_all,
     difference_nfa,
     intersect,
-    is_empty,
     label_key,
     nfa_is_empty,
     nfa_shortest,
@@ -69,7 +68,7 @@ from .evidence import (
 from .formula import Formula, fand
 from .hoare import FloydHoareAutomaton, check_floyd_hoare, generalize_nonviolating, generalize_violating
 from .lang import ParseError, parse_formula, parse_label
-from .markov import mdp_upper_bound, merge_traces
+from .markov import check_cfmdp, mdp_upper_bound, merge_traces
 from .semantics import NonViolating, classify, weight
 from .solver import Solver, SolverUnknown
 
@@ -227,7 +226,13 @@ def verify_refutational(
 ) -> Verdict:
     """Variant that keeps every violating trace verbatim: complete for
     refutation (a violated contract is eventually refuted) but may diverge
-    on satisfied ones, reported honestly via the iteration cap."""
+    on satisfied ones, reported honestly via the iteration cap.
+
+    Each iteration bounds the residual by policy iteration only when that
+    bound could still answer Sat: when the residual is empty, or when the
+    found mass plus the weight of its shortest trace tau is at most beta.
+    Any other time the bound is above beta anyway, since it is at least
+    that sum, so skipping it changes no verdict, iteration or event."""
     solver = solver or Solver()
     beta = spec.beta if beta is None else beta
     if events is None:
@@ -245,18 +250,21 @@ def verify_refutational(
             while iters < max_iters:
                 if fresh:
                     uncovered, fresh = difference_nfa(uncovered, fresh), []
-                residual = _to_pcfa(uncovered)
-                bound = mdp_upper_bound(residual)[0] + found_mass
-                if bound <= beta:
-                    events.append(("sat", bound))
-                    return Sat(bound, iters)
-                if is_empty(residual):
-                    return Inconclusive(
-                        "all traces classified, but the found violating traces are "
-                        "not jointly realizable above the threshold",
-                        iters,
-                    )
+                residual = check_cfmdp(_to_pcfa(uncovered))
                 tau = nfa_shortest(uncovered)
+                # the bound is at least found_mass + weight(tau), since a
+                # scheduler can follow tau: past beta, it cannot answer Sat
+                if tau is None or found_mass + weight(tau) <= beta:
+                    bound = mdp_upper_bound(residual)[0] + found_mass
+                    if bound <= beta:
+                        events.append(("sat", bound))
+                        return Sat(bound, iters)
+                    if tau is None:
+                        return Inconclusive(
+                            "all traces classified, but the found violating traces are "
+                            "not jointly realizable above the threshold",
+                            iters,
+                        )
                 iters += 1
                 events.append(("pick", iters, tau))
                 cls = classify(tau, spec, solver)

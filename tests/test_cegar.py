@@ -28,7 +28,7 @@ from probtrace.evidence import validate_counterexample
 from probtrace.formula import eq, fand, ge, ivar, le, simplify
 from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
-from probtrace.semantics import NonViolating
+from probtrace.semantics import NonViolating, weight
 from probtrace.solver import Solver
 
 from helpers import BENCH_DIR, DATA_DIR, load_program, random_counter_loop
@@ -483,14 +483,17 @@ def test_results_do_not_depend_on_label_addresses():
     assert outputs[0] == outputs[1]
 
 
-# Builds and keeps `n` formulas no program uses, then prints the conditions
-# of each program's assumptions, iterated as a set, to stderr; the programs
-# stay alive, so the loops that follow run on those very formula objects.
+# Builds `n` formulas no program uses and keeps every other one, so the
+# formulas and labels built next fill the holes left by the rest, in reverse
+# order; then prints the conditions of each program's assumptions, iterated
+# as a set, to stderr. The programs stay alive, so the loops that follow run
+# on those very formula objects.
 _KEEP_FORMULAS = """
 import sys
 from probtrace import parse, to_pcfa
 from probtrace.formula import bvar, fand
 kept = [fand(bvar(f"Unused{{i}}"), bvar("Unused")) for i in range({n})]
+del kept[::2]
 shown = [to_pcfa(parse(open(path).read())[0]) for path in sys.argv[1:]]
 conds = [{{lab.cond for lab in p.alphabet if hasattr(lab, "cond")}} for p in shown]
 print(*(list(map(str, c)) for c in conds), sep="\\n", file=sys.stderr)
@@ -499,21 +502,25 @@ print(*(list(map(str, c)) for c in conds), sep="\\n", file=sys.stderr)
 
 def test_results_do_not_depend_on_formula_addresses():
     # formulas hash by identity, so set and dict iteration orders over them
-    # follow memory addresses: the formulas built first move them
+    # follow memory addresses: the formulas built and freed first move them,
+    # though a given count need not move the two-element sets printed here,
+    # so counts are tried in turn until one does
     paths = [str(DATA_DIR / "motivating.prob"), str(BENCH_DIR / "coupon.prob")]
     src = str(Path(probtrace.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
     orders, outputs = [], []
-    for n in (0, 300):
+    for n in (0, 300, 301, 600, 1000, 1500, 2000, 2500):
         proc = subprocess.run(
             [sys.executable, "-c", _KEEP_FORMULAS.format(n=n) + _RUN_BOTH_LOOPS, *paths],
             capture_output=True, text=True, env=env, check=True,
         )
         orders.append(proc.stderr)
         outputs.append(proc.stdout)
-    assert orders[0] != orders[1]
+        if orders[-1] != orders[0]:
+            break
+    assert orders[-1] != orders[0]
     assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
-    assert outputs[0] == outputs[1]
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_verify_builds_each_adjacency_once(monkeypatch):
@@ -688,3 +695,50 @@ def test_loops_subtract_each_automaton_and_found_trace_once(name, loop, monkeypa
         for tr, since in found:
             in_tree = lambda b: any(b is t for t in trees) and b.accepts(tr)
             assert times(in_tree) == (1 if since < len(operands) else 0)
+
+
+# ---------------------------------------------------------------------------
+# the refutational loop's bound
+
+
+def test_refutational_bound_at_exactly_beta_answers_sat():
+    # the last trace left violates with weight exactly beta minus the found
+    # mass, so its own weight cannot rule the bound out, and the bound says Sat
+    text = "@pre X = 0\n@post X = 0\n@beta 1/2\nint X;\n{ skip; } <+> { X := 1; };\n"
+    program, spec = parse(text)
+    events = []
+    verdict = verify_refutational(to_pcfa(program), spec, solver=Solver(), events=events)
+    assert verdict == Sat(Fraction(1, 2), 1)
+    assert events[-1] == ("sat", Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name", ["motivating.prob", "coupon.prob"])
+def test_refutational_bound_runs_only_where_it_can_answer_sat(name, monkeypatch):
+    # the bound is at least the found mass plus the weight of the shortest
+    # residual trace, so the loop asks for it only when that sum is <= beta
+    folder = DATA_DIR if name == "motivating.prob" else BENCH_DIR
+    program, spec = parse((folder / name).read_text())
+    state = {"tau": None, "found": Fraction(0)}
+    sums = []  # found mass plus the weight of tau, at each bound asked for
+
+    def picked(args, out):
+        state["tau"] = out
+
+    def classified(args, out):
+        if not isinstance(out, NonViolating):
+            state["found"] += weight(args[0])
+
+    def bounded(args, out):
+        tau = state["tau"]
+        sums.append(None if tau is None else state["found"] + weight(tau))
+
+    for attr, record in (
+        ("nfa_shortest", picked),
+        ("classify", classified),
+        ("mdp_upper_bound", bounded),
+    ):
+        monkeypatch.setattr(cegar, attr, _recorded(getattr(cegar, attr), record))
+    verdict = verify_refutational(to_pcfa(program), spec, solver=Solver(), max_iters=60)
+    assert _record_of(verdict) == CORPUS_RECORD[name][1]
+    assert sums and all(s is None or s <= spec.beta for s in sums)
+    assert len(sums) < verdict.iterations

@@ -441,6 +441,31 @@ def test_integer_sweep_matches_the_fraction_reference_seeded():
     assert seen["improved"] >= 100 and seen["ties"] >= 100 and seen["non_dyadic"] >= 5, seen
 
 
+def test_every_accepted_trace_weighs_at_most_the_bound_seeded():
+    # a scheduler can follow any accepted trace, so maximal reachability is
+    # at least its weight; the refutational loop skips the bound on this
+    rng = random.Random(2506)
+    seen = {"cyclic": 0, "one_sided": 0, "plain_choice": 0, "tight": 0, "traces": 0}
+    automata = [random_cfmdp(rng, max_locs=7) for _ in range(150)]
+    automata += _subset_built_cfmdps(rng, 60)
+    for a in automata:
+        bound = analyze_mdp(a).bound
+        traces = a.enumerate_traces(6)
+        assert all(weight(tr) <= bound for tr in traces)
+        seen["traces"] += len(traces)
+        seen["tight"] += any(weight(tr) == bound for tr in traces)
+        seen["cyclic"] += _has_cycle(a)
+        here = [actions_at(a, loc) for loc in a.locations]
+        seen["one_sided"] += any(
+            len(step) == 1 for acts in here for act, step in acts.items() if isinstance(act, int)
+        )
+        seen["plain_choice"] += any(
+            sum(not isinstance(act, int) for act in acts) > 1 for acts in here
+        )
+    assert seen["traces"] >= 10_000 and seen["tight"] >= 50, seen
+    assert seen["cyclic"] >= 100 and seen["one_sided"] >= 40 and seen["plain_choice"] >= 70, seen
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
