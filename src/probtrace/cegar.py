@@ -68,7 +68,7 @@ from .evidence import (
 from .formula import Formula, fand
 from .hoare import FloydHoareAutomaton, check_floyd_hoare, generalize_nonviolating, generalize_violating
 from .lang import ParseError, parse_formula, parse_label
-from .markov import check_cfmdp, mdp_upper_bound, merge_traces
+from .markov import mdp_upper_bound, merge_traces
 from .semantics import NonViolating, classify, weight
 from .solver import Solver, SolverUnknown
 
@@ -250,12 +250,11 @@ def verify_refutational(
             while iters < max_iters:
                 if fresh:
                     uncovered, fresh = difference_nfa(uncovered, fresh), []
-                residual = check_cfmdp(_to_pcfa(uncovered))
                 tau = nfa_shortest(uncovered)
                 # the bound is at least found_mass + weight(tau), since a
                 # scheduler can follow tau: past beta, it cannot answer Sat
                 if tau is None or found_mass + weight(tau) <= beta:
-                    bound = mdp_upper_bound(residual)[0] + found_mass
+                    bound = mdp_upper_bound(_to_pcfa(uncovered))[0] + found_mass
                     if bound <= beta:
                         events.append(("sat", bound))
                         return Sat(bound, iters)

@@ -12,15 +12,14 @@ edge but asks the solver once per distinct weakest precondition: for a
 target t, skip, coin and nondeterministic labels, and assignments to
 variables lam(t) does not mention, all leave !lam(t) unchanged and share one
 query per source.  Propositions recur across the automata of one run (pre,
-post, false, repeated interpolants), so the solver numbers each formula and
-label saturation sees once per run, equal values alike, and weakest
-preconditions and triples are memoized by those numbers for the lifetime of
-the solver: each is decided once per run, and a memo lookup hashes ints,
-not formula trees.  Most candidate triples fail, and the solver keeps the
-model of every sat answer as a witness state: a triple whose source
-proposition and weakest precondition both hold in one witness fails without
-a query.  Which witnesses a numbered formula holds in is kept as a bitset
-for the run, so each formula is evaluated on each witness at most once.
+post, false, repeated interpolants), so the solver memoizes weakest
+preconditions and triples for the run, keyed by the hash-consed formulas and
+labels themselves, so a lookup hashes by identity.  Most candidate triples
+fail, and the solver keeps the model of every sat answer as a witness state:
+a triple whose source proposition and weakest precondition both hold in one
+witness fails without a query.  Which witnesses a formula holds in is kept
+as a bitset for the run, so each formula is evaluated on each witness at
+most once.
 """
 
 from __future__ import annotations
@@ -102,14 +101,11 @@ def saturate_edges(
     does not depend on which edges already exist, so the edge set is the one
     checking each triple on its own would give.
 
-    Each location's proposition and each label is numbered once per call by
-    ``solver.number``, and each negated target is built once per run, since
-    ``solver.neg_memo`` maps a proposition's number to its negation's.  The
-    rest of the call works on the numbers: the edge set is built over
-    (s, label number, t), and ``solver.wp_memo`` and ``solver.triple_memo``
-    are keyed by number pairs, so no formula is hashed inside the (s, w)
-    loop.  The memos last for the solver's lifetime, so a pair seen in an
-    earlier automaton builds no formula and asks nothing.
+    ``solver.neg_memo``, ``solver.wp_memo`` and ``solver.triple_memo`` are
+    keyed by the hash-consed propositions and labels, so a lookup hashes by
+    identity, and last for the solver's lifetime: a negation, weakest
+    precondition or triple seen in an earlier automaton builds no formula
+    and asks nothing.
 
     Before asking about a new pair, the witnesses in ``solver.witnesses``
     are tried: lam(s) and w each have a bitset of the witnesses they hold
@@ -120,35 +116,31 @@ def saturate_edges(
     witness refutes reach ``solver.is_sat``, whose sat answers add witnesses
     in turn.
     """
-    number, numbered, bits_of = solver.number, solver.numbered, solver.bits
-    labels = [
-        number(lab) for lab in sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
-    ]
-    trans = {(s, solver.ids[lab], t) for s, lab, t in fha.base.transitions}
+    labels = sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
+    trans = set(fha.base.transitions)
     locs = sorted(fha.base.locations)
-    wp_memo, triple_memo, witnesses = solver.wp_memo, solver.triple_memo, solver.witnesses
-    neg_memo = solver.neg_memo
-    lam = {s: number(fha.lam[s]) for s in locs}
+    bits_of, witnesses = solver.bits, solver.witnesses
+    neg_memo, wp_memo, triple_memo = solver.neg_memo, solver.wp_memo, solver.triple_memo
 
-    def holds(i: int) -> int:
-        bits, n = bits_of[i]
+    def holds(f: Formula) -> int:
+        bits, n = bits_of.get(f, (0, 0))
         if n < len(witnesses):
-            bits |= feval_bits(numbered[i], witnesses[n:]) << n
-            bits_of[i] = bits, len(witnesses)
+            bits |= feval_bits(f, witnesses[n:]) << n
+            bits_of[f] = bits, len(witnesses)
         return bits
 
     for t in locs:
-        q = neg_memo.get(lam[t])
+        q = neg_memo.get(fha.lam[t])
         if q is None:
-            q = neg_memo[lam[t]] = number(fnot(fha.lam[t]))
-        groups: dict[int, list[int]] = {}
+            q = neg_memo[fha.lam[t]] = fnot(fha.lam[t])
+        groups: dict[Formula, list[Label]] = {}
         for a in labels:
             w = wp_memo.get((a, q))
             if w is None:
-                w = wp_memo[a, q] = number(pre_exists(numbered[a], numbered[q]))
+                w = wp_memo[a, q] = pre_exists(a, q)
             groups.setdefault(w, []).append(a)
         for s in locs:
-            p = lam[s]
+            p = fha.lam[s]
             for w, group in groups.items():
                 missing = [(s, a, t) for a in group if (s, a, t) not in trans]
                 if not missing:
@@ -159,16 +151,10 @@ def saturate_edges(
                         solver.witness_refutations += 1
                         valid = triple_memo[p, w] = False
                     else:
-                        query = fand(numbered[p], numbered[w])
-                        valid = triple_memo[p, w] = not solver.is_sat(query)
+                        valid = triple_memo[p, w] = not solver.is_sat(fand(p, w))
                 if valid:
                     trans.update(missing)
-    base = PCFA(
-        {(s, numbered[a], t) for s, a, t in trans},
-        fha.base.initial,
-        fha.base.accepting,
-        fha.base.locations,
-    )
+    base = PCFA(trans, fha.base.initial, fha.base.accepting, fha.base.locations)
     return FloydHoareAutomaton(base, dict(fha.lam))
 
 

@@ -10,8 +10,8 @@ traces they coincide.
 Every backward chain the verifier builds (path conditions, the propositions
 of a violating trace's automaton, the rests of sequence interpolation) comes
 from ``pre_exists_chain``, which walks the run's ``Solver.wp_memo``: the
-same memo Hoare saturation fills, keyed by (label number, formula number),
-so a step some earlier chain or automaton took builds no formula.
+same memo Hoare saturation fills, keyed by (label, formula) and hashed by
+identity, so a step some earlier chain or automaton took builds no formula.
 ``pre_exists_trace`` stays the plain fold, for readers that must not share
 the verifier's memo, such as counterexample validation.
 """
@@ -93,22 +93,18 @@ def pre_exists_chain(trace: Sequence[Label], phi: Formula, solver) -> list[Formu
     ``pre_exists_trace(trace[k:], phi)``, so the first entry is the whole
     trace's and the last is `phi`.
 
-    The walk runs backwards on the run's numbering: from the number of
-    `phi`, each label steps through ``solver.wp_memo``, which maps
-    (label number, formula number) to the number of ``pre_exists`` of the
-    two, built and numbered only on a miss.  A hit hashes ints and builds no
-    formula.  Equal entries come back as the same object, the one the
-    numbering first saw."""
-    number, numbered, wp_memo = solver.number, solver.numbered, solver.wp_memo
-    q = number(phi)
-    out = [numbered[q]]
+    The walk runs backwards from `phi`: each label steps through
+    ``solver.wp_memo``, which maps (label, formula) to ``pre_exists`` of
+    the two, built only on a miss.  Labels and formulas are hash-consed, so
+    a hit hashes by identity and builds no formula."""
+    wp_memo = solver.wp_memo
+    out = [phi]
     for lab in reversed(trace):
-        a = number(lab)
-        w = wp_memo.get((a, q))
+        w = wp_memo.get((lab, phi))
         if w is None:
-            w = wp_memo[a, q] = number(pre_exists(lab, numbered[q]))
-        q = w
-        out.append(numbered[q])
+            w = wp_memo[lab, phi] = pre_exists(lab, phi)
+        phi = w
+        out.append(phi)
     out.reverse()
     return out
 

@@ -39,7 +39,7 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
-from .cfa import Assign, Assume
+from .cfa import Assign, Assume, Label
 from .formula import (
     EQ,
     FALSE,
@@ -515,13 +515,11 @@ class Solver:
     for the solver's lifetime.  ``memo`` is the run's memo of `fand` and
     `for_`: `run` makes it current (`formula.memoizing`) while a
     verification loop runs its body and empties it when the body ends, so
-    nothing it holds outlives the run.  `number` gives each formula or
-    label that Hoare saturation or a backward chain sees a small int:
-    ``ids`` maps the value to its number and ``numbered`` lists the values
-    by number.  Formulas and labels are hash-consed, so equal values are one
-    object and every lookup here hashes by identity.  The memos are keyed
-    by these numbers: ``neg_memo`` takes a proposition to its
-    negation, ``wp_memo`` takes (label, proposition) to
+    nothing it holds outlives the run.  The memos below last for the
+    solver's lifetime and are keyed by the formulas and labels themselves:
+    both are hash-consed, so equal values are one object and every lookup
+    hashes by identity.  ``neg_memo`` takes a proposition to its negation,
+    ``wp_memo`` takes (label, proposition) to
     ``pre_exists(label, proposition)``, and ``triple_memo`` takes
     (proposition, weakest precondition) to whether their conjunction is
     unsat, i.e. whether the triple holds.  ``wp_memo`` serves every backward
@@ -534,8 +532,8 @@ class Solver:
     Each model the backend returns with a sat answer is also kept, in the
     order found, in ``witnesses``: a concrete state in which every variable
     the model leaves out reads 0 or False, the completion rule of
-    `get_model`.  The list only grows.  ``bits[i]`` is (bitset, n): bit k of
-    the bitset is set when ``numbered[i]`` holds in ``witnesses[k]``, for
+    `get_model`.  The list only grows.  ``bits[f]`` is (bitset, n): bit k of
+    the bitset is set when formula f holds in ``witnesses[k]``, for
     the first n witnesses, so each formula is evaluated on each witness at
     most once per run.  A proposition true in some witness is satisfiable,
     so Hoare saturation refutes a triple whose two sides share a witness
@@ -547,12 +545,10 @@ class Solver:
         self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
         self.memo: dict[tuple, Formula] = {}
-        self.ids: dict = {}
-        self.numbered: list = []
-        self.bits: list[tuple[int, int]] = []
-        self.neg_memo: dict[int, int] = {}
-        self.wp_memo: dict[tuple[int, int], int] = {}
-        self.triple_memo: dict[tuple[int, int], bool] = {}
+        self.bits: dict[Formula, tuple[int, int]] = {}
+        self.neg_memo: dict[Formula, Formula] = {}
+        self.wp_memo: dict[tuple[Label, Formula], Formula] = {}
+        self.triple_memo: dict[tuple[Formula, Formula], bool] = {}
         self.witnesses: list[dict] = []
         self.queries = 0
         self.cache_hits = 0
@@ -571,15 +567,6 @@ class Solver:
                 yield
         finally:
             self.memo.clear()
-
-    def number(self, x) -> int:
-        """The number of formula or label `x` in this run."""
-        i = self.ids.get(x)
-        if i is None:
-            i = self.ids[x] = len(self.numbered)
-            self.numbered.append(x)
-            self.bits.append((0, 0))
-        return i
 
     def _lookup(self, f: Formula) -> Optional[dict]:
         """None when `f` is unsat, else the backend's model of it; one cache,

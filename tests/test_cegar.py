@@ -1,5 +1,6 @@
 """End-to-end verification loop and the decomposition certificate format."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -432,6 +433,24 @@ for path in sys.argv[1:]:
 """
 
 
+def _run_script(script, paths, env, what):
+    """Run `script` on `paths` in a fresh interpreter; a failure carries its
+    stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *paths], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, f"{what}: exit {proc.returncode}\n{proc.stderr}"
+    return proc
+
+
+def _first_difference(a, b):
+    """The first line at which texts `a` and `b` differ, from each."""
+    for x, y in itertools.zip_longest(a.splitlines(), b.splitlines()):
+        if x != y:
+            return f"{x!r} != {y!r}"
+    return "no line differs"
+
+
 def test_results_do_not_depend_on_the_hash_seed():
     # set and dict iteration orders follow the string hash seed; no verdict,
     # bound, iteration count or event may
@@ -440,14 +459,11 @@ def test_results_do_not_depend_on_the_hash_seed():
     outputs = []
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", _RUN_BOTH_LOOPS, *paths],
-            capture_output=True, text=True, env=env, check=True,
-        )
+        proc = _run_script(_RUN_BOTH_LOOPS, paths, env, f"hash seed {seed}")
         outputs.append(proc.stdout)
-    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
-    assert outputs[0].count("Unsat(") == 2
-    assert outputs[0] == outputs[1]
+    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0], outputs[0]
+    assert outputs[0].count("Unsat(") == 2, outputs[0]
+    assert outputs[0] == outputs[1], f"hash seed 2: {_first_difference(*outputs)}"
 
 
 # Builds and keeps `n` labels no program uses, then prints the alphabet of
@@ -472,15 +488,13 @@ def test_results_do_not_depend_on_label_addresses():
     env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
     orders, outputs = [], []
     for n in (0, 300):
-        proc = subprocess.run(
-            [sys.executable, "-c", _KEEP_LABELS.format(n=n) + _RUN_BOTH_LOOPS, *paths],
-            capture_output=True, text=True, env=env, check=True,
-        )
+        script = _KEEP_LABELS.format(n=n) + _RUN_BOTH_LOOPS
+        proc = _run_script(script, paths, env, f"kept {n} labels")
         orders.append(proc.stderr)
         outputs.append(proc.stdout)
-    assert orders[0] != orders[1]
-    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
-    assert outputs[0] == outputs[1]
+    assert orders[0] != orders[1], "kept 300 labels: the alphabets iterated as with none"
+    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0], outputs[0]
+    assert outputs[0] == outputs[1], f"kept 300 labels: {_first_difference(*outputs)}"
 
 
 # Builds `n` formulas no program uses and keeps every other one, so the
@@ -508,19 +522,18 @@ def test_results_do_not_depend_on_formula_addresses():
     paths = [str(DATA_DIR / "motivating.prob"), str(BENCH_DIR / "coupon.prob")]
     src = str(Path(probtrace.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
-    orders, outputs = [], []
-    for n in (0, 300, 301, 600, 1000, 1500, 2000, 2500):
-        proc = subprocess.run(
-            [sys.executable, "-c", _KEEP_FORMULAS.format(n=n) + _RUN_BOTH_LOOPS, *paths],
-            capture_output=True, text=True, env=env, check=True,
-        )
+    counts, orders, outputs = (0, 300, 301, 600, 1000, 1500, 2000, 2500), [], []
+    for n in counts:
+        script = _KEEP_FORMULAS.format(n=n) + _RUN_BOTH_LOOPS
+        proc = _run_script(script, paths, env, f"kept {n} formulas")
         orders.append(proc.stderr)
         outputs.append(proc.stdout)
         if orders[-1] != orders[0]:
             break
-    assert orders[-1] != orders[0]
-    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0]
-    assert all(out == outputs[0] for out in outputs)
+    assert orders[-1] != orders[0], f"no kept count up to {n} moved the conditions' order"
+    assert "Sat(upper_bound=Fraction(1, 4), iterations=7)" in outputs[0], outputs[0]
+    for n, out in zip(counts, outputs):
+        assert out == outputs[0], f"kept {n} formulas: {_first_difference(outputs[0], out)}"
 
 
 def test_verify_builds_each_adjacency_once(monkeypatch):
@@ -720,6 +733,7 @@ def test_refutational_bound_runs_only_where_it_can_answer_sat(name, monkeypatch)
     program, spec = parse((folder / name).read_text())
     state = {"tau": None, "found": Fraction(0)}
     sums = []  # found mass plus the weight of tau, at each bound asked for
+    converted = []  # each residual converted to a PCFA
 
     def picked(args, out):
         state["tau"] = out
@@ -736,9 +750,12 @@ def test_refutational_bound_runs_only_where_it_can_answer_sat(name, monkeypatch)
         ("nfa_shortest", picked),
         ("classify", classified),
         ("mdp_upper_bound", bounded),
+        ("_to_pcfa", lambda args, out: converted.append(out)),
     ):
         monkeypatch.setattr(cegar, attr, _recorded(getattr(cegar, attr), record))
     verdict = verify_refutational(to_pcfa(program), spec, solver=Solver(), max_iters=60)
     assert _record_of(verdict) == CORPUS_RECORD[name][1]
     assert sums and all(s is None or s <= spec.beta for s in sums)
     assert len(sums) < verdict.iterations
+    # the residual becomes a PCFA only to be bounded
+    assert len(converted) == len(sums)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -439,3 +440,32 @@ def test_package_invocation_help():
     assert proc.returncode == 0
     for command in ("verify", "check", "oracle", "bench"):
         assert command in proc.stdout
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises, and its
+    file descriptor is that of the file `fd` is open on."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["verify", PROG, "--refutational"], ["oracle", PROG]])
+def test_a_closed_stdout_pipe_ends_quietly_with_the_error_code(argv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "stdout"
+    with open(out, "wb") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        assert main(argv) == EXIT_ERROR
+        # the descriptor now writes to the null device, so the interpreter's
+        # final flush cannot fail again
+        os.write(f.fileno(), b"flushed at exit")
+    assert out.read_bytes() == b""
+    assert capsys.readouterr().err == ""

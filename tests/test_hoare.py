@@ -293,6 +293,7 @@ def test_a_fresh_solver_starts_with_empty_memos(monkeypatch):
     first = saturate_edges(fha, alphabet, Solver())
     fresh = Solver()
     assert not fresh.wp_memo and not fresh.triple_memo
+    assert not fresh.neg_memo and not fresh.bits
     calls = _count_decisions(monkeypatch, fresh)
     again = saturate_edges(fha, alphabet, fresh)
     assert calls["is_sat"] > 0 and calls["pre_exists"] > 0
@@ -322,7 +323,7 @@ def test_a_triple_a_stored_witness_refutes_asks_nothing(monkeypatch):
     # so their query X <= 0 is never asked
     assert solver.witness_refutations >= 2
     assert le(X, 0) not in [f for f, _ in asked]
-    assert solver.triple_memo[solver.ids[le(X, 0)], solver.ids[le(X, 0)]] is False
+    assert solver.triple_memo[le(X, 0), le(X, 0)] is False
     assert len(asked) == len(solver.triple_memo) - solver.witness_refutations
     monkeypatch.undo()
     assert fat.base.transitions == _saturate_naive(fha, alphabet, Solver())
@@ -344,20 +345,6 @@ def test_saturate_asks_nothing_a_stored_witness_answers_seeded(monkeypatch):
         assert not any(feval(f, total_state(f, w)) for w in witnesses), f
     assert solver.witness_refutations > 0 and len(solver.witnesses) > 1
     assert len(asked) == len(solver.triple_memo) - solver.witness_refutations
-
-
-def test_equal_formulas_get_one_number_per_solver():
-    solver = Solver()
-    f = solver.number(fand(eq(X, 0), le(C, 3)))
-    assert solver.number(fand(eq(X, 0), le(C, 3))) == f
-    assert solver.number(lab("skip")) == solver.number(lab("skip")) != f
-    assert solver.number(le(C, 3)) not in (f, solver.ids[lab("skip")])
-    assert solver.numbered[f] == fand(eq(X, 0), le(C, 3))
-    assert len(solver.ids) == len(solver.numbered) == len(solver.bits) == 3
-    base = PCFA({(0, lab("X := 0"), 1)}, 0, 1)
-    saturate_edges(FloydHoareAutomaton(base, {0: TRUE, 1: eq(X, 0)}), [lab("skip")], solver)
-    fresh = Solver()
-    assert not fresh.ids and not fresh.numbered and not fresh.bits
 
 
 def test_saturate_evaluates_each_proposition_on_each_witness_once_per_run(monkeypatch):

@@ -237,7 +237,7 @@ def _random_target(rng):
 
 def test_pre_exists_chain_equals_the_plain_folds_seeded():
     # one solver stays warm across the whole sequence, as in one run, so
-    # later chains walk steps earlier ones numbered; a fresh one starts
+    # later chains walk steps earlier ones memoized; a fresh one starts
     # empty
     rng = random.Random(2112)
     warm = Solver()
