@@ -318,6 +318,7 @@ def _print_verify_report(report: dict) -> None:
             f"solver: {stats['backend']}, {stats['queries']} queries "
             f"({stats['cache_hits']} cache hits, "
             f"{stats['witness_refutations']} triples refuted by witnesses, "
+            f"{stats['witness_drops']} drop trials answered by witnesses, "
             f"{stats['theory_checks']} theory checks)"
         )
     print(f"time: {report['time_s']}s")

@@ -120,10 +120,12 @@ def _weight_batches(stream: Iterator[Trace], budget: int) -> Iterator[list[Trace
     batch: list[Trace] = []
     used = 0
     for tr in stream:
-        if batch and weight(tr) != weight(batch[0]):
+        w = weight(tr)
+        if batch and w != batch_weight:
             yield batch
             batch = []
         batch.append(tr)
+        batch_weight = w
         used += 1
         if used >= budget:
             break

@@ -35,11 +35,14 @@ computed in C, and every dict or set keyed by formulas, here and in the
 layers above, hashes them without walking a tree.  Each node stores its
 key in the fixed total order (``sort_key``) when it is built, from its
 arguments' stored keys, and finds its least atom (``least_atom``, where
-the solver branches) at most once.  While a run is in progress (`memoizing`,
-which `Solver.run` enters for each verification loop) `fand` and `for_`
-look their argument list up in the run's memo before building, so an
-argument list the run has built before costs one dict lookup; outside a
-run they build every time, and the result is the same object either way.
+the solver branches) and its variables (``variables``) at most once.  While
+a run is in progress (`memoizing`, which `Solver.run` enters for each
+verification loop) the constructors `fand` and `for_` and the tree
+operations `fnot`, `subst_int` and `subst_bool` look their arguments up in
+the run's memo before building, so arguments the run has seen before cost
+one dict lookup; outside a run they build every time, and the result is
+the same object either way.  A substitution returns a node that does not
+mention its variable unchanged, without a lookup.
 """
 
 from __future__ import annotations
@@ -248,6 +251,16 @@ class Formula(HashConsed):
             return min((a.least_atom for a in self.args), key=_key)
         return self if isinstance(self, (BoolLit, Cmp)) else None
 
+    @cached_property
+    def variables(self) -> frozenset[str]:
+        """The names of the integer and boolean variables the formula
+        mentions.  Found once per node, from its arguments' own."""
+        if isinstance(self, (And, Or)):
+            return frozenset().union(*(a.variables for a in self.args))
+        if isinstance(self, Cmp):
+            return self.term.vars()
+        return frozenset({self.name}) if isinstance(self, BoolLit) else frozenset()
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class TrueF(Formula):
@@ -435,18 +448,25 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
     equality absorbs every atom it satisfies, and exclusions outside the
     interval go.  A disjunction is the negation of the conjunction of its
     negated atoms, so it negates each atom's fact on the way in and each
-    resulting fact on the way out.  Returns None when the atoms alone force
-    the absorbing element (false for a conjunction, true for a
-    disjunction)."""
-    groups: dict[tuple, dict] = {}
+    resulting fact on the way out.  A comparison alone on its base is kept
+    as given: its fact reads back as the same node.  Returns None when the
+    atoms alone force the absorbing element (false for a conjunction, true
+    for a disjunction)."""
+    by_base: dict[tuple, list] = {}
     for a in cmps:
         key, kind, bound = cmp_fact(a)
-        if not conj:
-            kind, bound = negate_fact(kind, bound)
-        g = groups.get(key)
-        if g is None:
-            g = groups[key] = {"ub": set(), "lb": set(), "eq": set(), "ne": set()}
-        g[kind].add(bound)
+        by_base.setdefault(key, []).append((a, kind, bound))
+    kept: list[Formula] = []
+    groups: dict[tuple, dict] = {}
+    for key, atoms in by_base.items():
+        if len(atoms) == 1:
+            kept.append(atoms[0][0])
+            continue
+        g = groups[key] = {"ub": set(), "lb": set(), "eq": set(), "ne": set()}
+        for _, kind, bound in atoms:
+            if not conj:
+                kind, bound = negate_fact(kind, bound)
+            g[kind].add(bound)
 
     facts: list[tuple[tuple, str, int]] = []
     for key, g in groups.items():
@@ -482,8 +502,8 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
             if (ub is None or v < ub) and (lb is None or v > lb)
         )
     if conj:
-        return [_fact_cmp(*f) for f in facts]
-    return [_fact_cmp(key, *negate_fact(kind, bound)) for key, kind, bound in facts]
+        return kept + [_fact_cmp(*f) for f in facts]
+    return kept + [_fact_cmp(key, *negate_fact(kind, bound)) for key, kind, bound in facts]
 
 
 def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
@@ -521,18 +541,18 @@ def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
     return node(tuple(items))
 
 
-# The memo of `fand`/`for_` of the run in progress: (node class, parts) to
-# the result, or None outside a run.  Parts are hash-consed, so a lookup
-# hashes them by identity.
+# The memo of the run in progress: (operation, *arguments) to the result,
+# or None outside a run.  Arguments are hash-consed formulas, names and
+# terms, so a lookup hashes formulas by identity.
 _RUN_MEMO: ContextVar[Optional[dict]] = ContextVar("probtrace_run_memo", default=None)
 
 
 @contextmanager
 def memoizing(memo: dict):
-    """Make `memo` the memo of `fand` and `for_` for the body: each
-    argument list is built once and looked up after.  Outside such a body
-    the constructors build every time; the output is the same object
-    either way."""
+    """Make `memo` the memo of `fand`, `for_`, `fnot`, `subst_int` and
+    `subst_bool` for the body: each argument list is built once and looked
+    up after.  Outside such a body they build every time; the output is the
+    same object either way."""
     token = _RUN_MEMO.set(memo)
     try:
         yield
@@ -540,26 +560,40 @@ def memoizing(memo: dict):
         _RUN_MEMO.reset(token)
 
 
-def _build(parts: tuple, unit: Formula, zero: Formula, node) -> Formula:
+def _run_memo(op, *args) -> Formula:
+    """``op(*args)``, answered from the run's memo under the key
+    (op, *args) while a run is in progress."""
     memo = _RUN_MEMO.get()
     if memo is None:
-        return _assoc(parts, unit, zero, node)
-    key = (node, parts)
+        return op(*args)
+    key = (op, *args)
     out = memo.get(key)
     if out is None:
-        out = memo[key] = _assoc(parts, unit, zero, node)
+        out = memo[key] = op(*args)
     return out
 
 
 def fand(*parts: Formula) -> Formula:
-    return _build(parts, TRUE, FALSE, And)
+    return _run_memo(_conjoin, *parts)
 
 
 def for_(*parts: Formula) -> Formula:
-    return _build(parts, FALSE, TRUE, Or)
+    return _run_memo(_disjoin, *parts)
 
 
 def fnot(f: Formula) -> Formula:
+    return _run_memo(_negate, f)
+
+
+def _conjoin(*parts: Formula) -> Formula:
+    return _assoc(parts, TRUE, FALSE, And)
+
+
+def _disjoin(*parts: Formula) -> Formula:
+    return _assoc(parts, FALSE, TRUE, Or)
+
+
+def _negate(f: Formula) -> Formula:
     if isinstance(f, TrueF):
         return FALSE
     if isinstance(f, FalseF):
@@ -598,6 +632,18 @@ def simplify(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 def subst_int(f: Formula, var: str, repl: IntTerm) -> Formula:
+    if var not in f.variables:
+        return f
+    return _run_memo(_subst_int, f, var, repl)
+
+
+def subst_bool(f: Formula, name: str, repl: Formula) -> Formula:
+    if name not in f.variables:
+        return f
+    return _run_memo(_subst_bool, f, name, repl)
+
+
+def _subst_int(f: Formula, var: str, repl: IntTerm) -> Formula:
     if isinstance(f, Cmp):
         return _cmp(f.term.subst(var, repl), f.op)
     if isinstance(f, And):
@@ -607,7 +653,7 @@ def subst_int(f: Formula, var: str, repl: IntTerm) -> Formula:
     return f
 
 
-def subst_bool(f: Formula, name: str, repl: Formula) -> Formula:
+def _subst_bool(f: Formula, name: str, repl: Formula) -> Formula:
     if isinstance(f, BoolLit) and f.name == name:
         return repl if f.positive else fnot(repl)
     if isinstance(f, And):

@@ -17,9 +17,10 @@ preconditions and triples for the run, keyed by the hash-consed formulas and
 labels themselves, so a lookup hashes by identity.  Most candidate triples
 fail, and the solver keeps the model of every sat answer as a witness state:
 a triple whose source proposition and weakest precondition both hold in one
-witness fails without a query.  Which witnesses a formula holds in is kept
-as a bitset for the run, so each formula is evaluated on each witness at
-most once.
+witness fails without a query.  Which witnesses a formula holds in comes
+from ``Solver.holds``, a bitset kept for the run, so each formula is
+evaluated on each witness at most once.  Negations of propositions come
+from `fnot`, which the run's formula memo answers after the first call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cfa import PCFA, Label, label_key
-from .formula import FALSE, Formula, fand, feval_bits, fnot
+from .formula import FALSE, Formula, fand, fnot
 from .semantics import (
     NonViolating,
     Violating,
@@ -101,16 +102,16 @@ def saturate_edges(
     does not depend on which edges already exist, so the edge set is the one
     checking each triple on its own would give.
 
-    ``solver.neg_memo``, ``solver.wp_memo`` and ``solver.triple_memo`` are
-    keyed by the hash-consed propositions and labels, so a lookup hashes by
-    identity, and last for the solver's lifetime: a negation, weakest
-    precondition or triple seen in an earlier automaton builds no formula
-    and asks nothing.
+    ``solver.wp_memo`` and ``solver.triple_memo`` are keyed by the
+    hash-consed propositions and labels, so a lookup hashes by identity,
+    and last for the solver's lifetime: a weakest precondition or triple
+    seen in an earlier automaton builds no formula and asks nothing.  The
+    negation of each target comes from `fnot`, which the run's memo answers
+    after its first call.
 
     Before asking about a new pair, the witnesses in ``solver.witnesses``
-    are tried: lam(s) and w each have a bitset of the witnesses they hold
-    in, in ``solver.bits``, extended only by the witnesses stored since it
-    was last read, so each formula meets each witness once per run.  A
+    are tried: ``solver.holds`` gives the witnesses lam(s) and w each hold
+    in as a bitset, so each formula meets each witness once per run.  A
     witness in both sets satisfies lam(s) && w, so the pair is memoized as
     failing with no conjunction built and no query asked.  Only pairs no
     witness refutes reach ``solver.is_sat``, whose sat answers add witnesses
@@ -119,20 +120,9 @@ def saturate_edges(
     labels = sorted(set(alphabet) | set(fha.base.alphabet), key=label_key)
     trans = set(fha.base.transitions)
     locs = sorted(fha.base.locations)
-    bits_of, witnesses = solver.bits, solver.witnesses
-    neg_memo, wp_memo, triple_memo = solver.neg_memo, solver.wp_memo, solver.triple_memo
-
-    def holds(f: Formula) -> int:
-        bits, n = bits_of.get(f, (0, 0))
-        if n < len(witnesses):
-            bits |= feval_bits(f, witnesses[n:]) << n
-            bits_of[f] = bits, len(witnesses)
-        return bits
-
+    holds, wp_memo, triple_memo = solver.holds, solver.wp_memo, solver.triple_memo
     for t in locs:
-        q = neg_memo.get(fha.lam[t])
-        if q is None:
-            q = neg_memo[fha.lam[t]] = fnot(fha.lam[t])
+        q = fnot(fha.lam[t])
         groups: dict[Formula, list[Label]] = {}
         for a in labels:
             w = wp_memo.get((a, q))

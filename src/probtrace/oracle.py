@@ -96,7 +96,11 @@ def exact_violation_probability(
     P: PCFA, spec, dom: Optional[StateDomain] = None, step_bound: int = 64
 ) -> Interval:
     """Interval containing the worst-case violation probability over all
-    initial states in the domain that satisfy the precondition."""
+    initial states in the domain that satisfy the precondition.
+
+    Raises ValueError when no state in the domain satisfies the
+    precondition and some integer variable took the default range: the
+    answer would be 0 only because that range misses the precondition."""
     if not P.is_deterministic():
         raise ValueError("oracle expects a deterministic automaton")
     dom = dom or StateDomain()
@@ -164,5 +168,12 @@ def exact_violation_probability(
         lo, hi = value(step_bound, P.initial, tuple(sorted(s0.items())))
         best = (max(best[0], lo), max(best[1], hi))
     if not seen_any:
-        return _ZERO
+        pinned = dict(dom.ranges)
+        unpinned = [v for v in _variables(P, spec)[0] if v not in pinned]
+        if unpinned:
+            ranges = ", ".join(f"{v}={DEFAULT_RANGE[0]}..{DEFAULT_RANGE[1]}" for v in unpinned)
+            raise ValueError(
+                f"no state in the domain satisfies the precondition; {ranges} "
+                "took the default range: pin each to a range that meets the precondition"
+            )
     return best

@@ -59,6 +59,7 @@ from .formula import (
     bvar,
     eq,
     fand,
+    feval_bits,
     fnot,
     for_,
     int_vars,
@@ -512,14 +513,14 @@ class Solver:
     through here.  One solver serves one run.
 
     Besides the query cache it holds what the verifier's formula work keeps
-    for the solver's lifetime.  ``memo`` is the run's memo of `fand` and
-    `for_`: `run` makes it current (`formula.memoizing`) while a
+    for the solver's lifetime.  ``memo`` is the run's memo of the formula
+    constructors and tree operations (`fand`, `for_`, `fnot`, `subst_int`,
+    `subst_bool`): `run` makes it current (`formula.memoizing`) while a
     verification loop runs its body and empties it when the body ends, so
     nothing it holds outlives the run.  The memos below last for the
     solver's lifetime and are keyed by the formulas and labels themselves:
     both are hash-consed, so equal values are one object and every lookup
-    hashes by identity.  ``neg_memo`` takes a proposition to its negation,
-    ``wp_memo`` takes (label, proposition) to
+    hashes by identity.  ``wp_memo`` takes (label, proposition) to
     ``pre_exists(label, proposition)``, and ``triple_memo`` takes
     (proposition, weakest precondition) to whether their conjunction is
     unsat, i.e. whether the triple holds.  ``wp_memo`` serves every backward
@@ -532,27 +533,30 @@ class Solver:
     Each model the backend returns with a sat answer is also kept, in the
     order found, in ``witnesses``: a concrete state in which every variable
     the model leaves out reads 0 or False, the completion rule of
-    `get_model`.  The list only grows.  ``bits[f]`` is (bitset, n): bit k of
-    the bitset is set when formula f holds in ``witnesses[k]``, for
-    the first n witnesses, so each formula is evaluated on each witness at
-    most once per run.  A proposition true in some witness is satisfiable,
-    so Hoare saturation refutes a triple whose two sides share a witness
-    without asking; ``witness_refutations`` counts those triples.
-    ``stats()`` also reports ``theory_checks``, the closed branches the
-    backend handed to the Omega test over the run."""
+    `get_model`.  The list only grows.  `holds` gives the witnesses a
+    formula holds in as a bitset, kept in ``bits`` and extended only by the
+    witnesses stored since it was last read, so each formula is evaluated
+    on each witness at most once per run.  A conjunction whose conjuncts
+    all hold in one witness is satisfiable, so it needs no query: Hoare
+    saturation refutes a triple whose two sides share a witness
+    (``witness_refutations`` counts those triples), and sequence
+    interpolation keeps a conjunct whose drop trial a witness satisfies
+    (``witness_drops`` counts those trials).  ``stats()`` also reports
+    ``theory_checks``, the closed branches the backend handed to the Omega
+    test over the run."""
 
     def __init__(self):
         self.backend = BuiltinSolver()
         self._cache: dict[Formula, Optional[dict]] = {}  # None (unsat) or a model
         self.memo: dict[tuple, Formula] = {}
         self.bits: dict[Formula, tuple[int, int]] = {}
-        self.neg_memo: dict[Formula, Formula] = {}
         self.wp_memo: dict[tuple[Label, Formula], Formula] = {}
         self.triple_memo: dict[tuple[Formula, Formula], bool] = {}
         self.witnesses: list[dict] = []
         self.queries = 0
         self.cache_hits = 0
         self.witness_refutations = 0
+        self.witness_drops = 0
         self.time_spent = 0.0
 
     @property
@@ -586,6 +590,16 @@ class Solver:
         if model is not None:
             self.witnesses.append(model)
         return model
+
+    def holds(self, f: Formula) -> int:
+        """The stored witnesses `f` holds in, as a bitset: bit k is set when
+        `f` holds in ``witnesses[k]``.  Evaluates `f` only on the witnesses
+        stored since it was last asked about."""
+        bits, n = self.bits.get(f, (0, 0))
+        if n < len(self.witnesses):
+            bits |= feval_bits(f, self.witnesses[n:]) << n
+            self.bits[f] = bits, len(self.witnesses)
+        return bits
 
     def is_sat(self, f: Formula) -> bool:
         """Satisfiability of `f`, cached on the formula as built (the smart
@@ -633,6 +647,7 @@ class Solver:
             "queries": self.queries,
             "cache_hits": self.cache_hits,
             "witness_refutations": self.witness_refutations,
+            "witness_drops": self.witness_drops,
             "theory_checks": self.backend.theory_checks,
             "solver_time": self.time_spent,
         }
@@ -804,7 +819,9 @@ def sequence_interpolants(
     the proposition and the rest unchanged (skip, coins, nondeterministic
     tags) reuses Ik−1, which is already minimal against that rest, without
     a query.  Equal formulas are one object (they are hash-consed), so the
-    identity test sees every such step.
+    identity test sees every such step.  A drop trial that one of the
+    solver's witnesses satisfies (every kept conjunct and the rest hold in
+    it) is sat with no conjunction built and no query asked.
 
     If any label resists exact forward computation, falls back to the
     demonic weakest-precondition chain (always valid, weakest useful
@@ -833,7 +850,11 @@ def sequence_interpolants(
             i = 0
             while i < len(parts):
                 trial = parts[:i] + parts[i + 1:]
-                if solver.is_sat(fand(*trial, rest)):
+                common = solver.holds(rest)
+                for part in trial:
+                    common &= solver.holds(part)
+                solver.witness_drops += bool(common)
+                if common or solver.is_sat(fand(*trial, rest)):
                     i += 1
                 else:
                     parts = trial

@@ -23,7 +23,7 @@ from probtrace.cli import (
     render_fraction,
 )
 
-from helpers import DATA_DIR
+from helpers import BENCH_DIR, DATA_DIR
 
 PROG = str(DATA_DIR / "motivating.prob")
 CERT = str(DATA_DIR / "motivating.cert")
@@ -192,6 +192,15 @@ def test_verify_reports_triples_refuted_by_witnesses(capsys):
     assert f"{report['solver']['witness_refutations']} triples refuted by witnesses" in line
 
 
+def test_verify_reports_drop_trials_answered_by_witnesses(capsys):
+    main(["verify", PROG, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"]["witness_drops"] > 0
+    main(["verify", PROG])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("solver:"))
+    assert f"{report['solver']['witness_drops']} drop trials answered by witnesses" in line
+
+
 def test_verify_reports_theory_checks(capsys):
     main(["verify", PROG, "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -326,6 +335,19 @@ def test_oracle_bad_domain(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert "--dom" in err
+
+
+def test_oracle_refuses_a_default_range_that_misses_the_precondition(tmp_path, capsys):
+    # T = 8 lies outside the default range -4..4, so no state of the default
+    # domain meets the precondition; pinned, T gives the exact probability
+    f = tmp_path / "walk8.prob"
+    f.write_text((BENCH_DIR / "walk.prob").read_text().replace("T = 4", "T = 8"))
+    assert main(["oracle", str(f)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "precondition" in err and "T=-4..4" in err
+    assert main(["oracle", str(f), "--dom", "T=8..8"]) == EXIT_SAT
+    out = capsys.readouterr().out
+    assert "37/128" in out and "exceeds" in out
 
 
 def test_oracle_resolves_branching_demonically(tmp_path, capsys):

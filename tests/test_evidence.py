@@ -8,6 +8,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
+from probtrace import evidence
 from probtrace.cfa import (
     PCFA,
     Pb,
@@ -313,6 +314,42 @@ def _coin_free_acyclic(a: PCFA) -> bool:
     except CycleError:
         return False
     return True
+
+
+def _weight_batches_weighing_the_batch_again(stream, budget):
+    """Reference: the grouping that weighed ``batch[0]`` again for every
+    trace."""
+    batch, used = [], 0
+    for tr in stream:
+        if batch and weight(tr) != weight(batch[0]):
+            yield batch
+            batch = []
+        batch.append(tr)
+        used += 1
+        if used >= budget:
+            break
+    if batch:
+        yield batch
+
+
+def test_weight_batches_weigh_each_trace_once_seeded(monkeypatch):
+    rng = random.Random(2727)
+    weighed = []
+    monkeypatch.setattr(evidence, "weight", lambda tr: weighed.append(tr) or weight(tr))
+    checked = split = 0
+    while checked < 40:
+        a = trim(random_cfmdp(rng))
+        if is_empty(a) or not _coin_free_acyclic(a):
+            continue
+        traces = list(itertools.islice(enumerate_by_weight(a), 30))
+        budget = rng.randint(1, 35)
+        weighed.clear()
+        got = list(evidence._weight_batches(iter(traces), budget))
+        assert got == list(_weight_batches_weighing_the_batch_again(iter(traces), budget))
+        assert weighed == traces[:budget]
+        checked += 1
+        split += len(got) > 1
+    assert split >= 10
 
 
 def test_enumeration_order_is_the_sorted_bounded_language_seeded():

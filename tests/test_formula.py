@@ -166,6 +166,77 @@ def test_disjunction_is_the_dual_of_conjunction_seeded():
     assert collapsed > 0
 
 
+def _absorb_cmps_round_trip(cmps, conj):
+    """Reference: `_absorb_cmps` reading every comparison as a fact and back,
+    lone ones included."""
+    groups = {}
+    for a in cmps:
+        key, kind, bound = cmp_fact(a)
+        if not conj:
+            kind, bound = negate_fact(kind, bound)
+        groups.setdefault(key, {"ub": set(), "lb": set(), "eq": set(), "ne": set()})[kind].add(bound)
+    facts = []
+    for key, g in groups.items():
+        eqs, nes = g["eq"], g["ne"]
+        ub = min(g["ub"]) if g["ub"] else None
+        lb = max(g["lb"]) if g["lb"] else None
+        if len(eqs) > 1:
+            return None
+        if eqs:
+            e = next(iter(eqs))
+            if (ub is not None and e > ub) or (lb is not None and e < lb) or e in nes:
+                return None
+            facts.append((key, "eq", e))
+            continue
+        while ub in nes or lb in nes:
+            if ub in nes:
+                ub -= 1
+            if lb in nes:
+                lb += 1
+        if ub is not None and lb is not None:
+            if lb > ub:
+                return None
+            if lb == ub:
+                facts.append((key, "eq", lb))
+                continue
+        if ub is not None:
+            facts.append((key, "ub", ub))
+        if lb is not None:
+            facts.append((key, "lb", lb))
+        facts.extend(
+            (key, "ne", v) for v in nes if (ub is None or v < ub) and (lb is None or v > lb)
+        )
+    if conj:
+        return [_fact_cmp(*f) for f in facts]
+    return [_fact_cmp(key, *negate_fact(kind, bound)) for key, kind, bound in facts]
+
+
+def test_absorption_matches_the_round_trip_reference_seeded():
+    # a comparison alone on its base is kept as the object given; the result
+    # is the one reading every atom as a fact and back gives
+    rng = random.Random(2727)
+    bases = [{"X": 1}, {"Y": 1}, {"X": 1, "Y": -2}, {"X": -1, "Y": 1}, {"X": 2, "Y": 3}]
+    kept = 0
+    for _ in range(1500):
+        atoms = []
+        for _ in range(rng.randint(2, 6)):
+            t = IntTerm.make(rng.choice(bases), 0)
+            atom = rng.choice([le, ge, eq, ne])(t, rng.randint(-3, 3))
+            if isinstance(atom, Cmp):
+                atoms.append(atom)
+        cmps = sorted(set(atoms), key=_key)
+        for conj in (True, False):
+            got = _absorb_cmps(cmps, conj)
+            want = _absorb_cmps_round_trip(cmps, conj)
+            assert (got is None) == (want is None), (cmps, conj)
+            if got is not None:
+                assert sorted(got, key=_key) == sorted(want, key=_key), (cmps, conj)
+                lone = [a for a in cmps if [cmp_fact(b)[0] for b in cmps].count(cmp_fact(a)[0]) == 1]
+                assert all(any(a is g for g in got) for a in lone)
+                kept += len(lone)
+    assert kept > 500
+
+
 def test_absorption_keeps_distinct_axes_apart():
     f = simplify(fand(le(X, 3), le(Y, 3), ge(X, 0)))
     for sx, sy in product(range(-1, 5), repeat=2):
@@ -179,6 +250,37 @@ def test_substitution():
     assert not feval(g, {"Y": 2, "B": True})
     h = subst_bool(f, "B", FALSE)
     assert simplify(h) == FALSE
+
+
+def test_substituting_an_unmentioned_variable_builds_nothing_seeded(monkeypatch):
+    rng = random.Random(2728)
+    formulas = [_random_built(rng) for _ in range(400)]
+    repl = IntTerm.make({"X": 1, "Y": -1}, 2)
+    not_c = fnot(bvar("C"))
+
+    def no_build(*args):
+        raise AssertionError("built a formula")
+
+    for name in ("_cmp", "_assoc", "_run_memo", "_negate"):
+        monkeypatch.setattr(formula, name, no_build)
+    memo = {}
+    with memoizing(memo):
+        for f in formulas:
+            assert subst_int(f, "Z", repl) is f
+            assert subst_bool(f, "D", bvar("B")) is f
+            if "X" not in int_vars(f):
+                assert subst_int(f, "X", repl) is f
+            if "B" not in bool_vars(f):
+                assert subst_bool(f, "B", not_c) is f
+    assert not memo
+
+
+def test_each_node_finds_its_variables_once_seeded():
+    rng = random.Random(2729)
+    for _ in range(300):
+        f = _random_built(rng)
+        assert f.variables == int_vars(f) | bool_vars(f)
+        assert f.variables is f.variables
 
 
 def test_var_collection():
@@ -532,13 +634,18 @@ def test_threads_building_equal_formulas_get_one_object():
 
 def test_the_run_memo_changes_no_constructor_output_randomized(monkeypatch):
     # the generator of test_constructor_output_is_canonical_randomized builds
-    # the same objects inside a run as outside one; built twice in one run,
-    # every `fand`/`for_` of the second time is answered by the memo
+    # the same objects inside a run as outside one, `fnot`, `subst_int` and
+    # `subst_bool` included; built twice in one run, every `fand`/`for_` and
+    # tree operation of the second time is answered by the memo, so no tree
+    # is walked
     outside = [_random_built(rng) for rng in [random.Random(4404)] for _ in range(2500)]
     memo = {}
     with memoizing(memo):
         inside = [_random_built(rng) for rng in [random.Random(4404)] for _ in range(2500)]
         assert all(simplify(f) is f for f in inside)
+        ops = {formula._conjoin, formula._disjoin, formula._negate}
+        assert {key[0] for key in memo} == ops | {formula._subst_int, formula._subst_bool}
+        entries = len(memo)  # a tree operation walks only on a miss, which adds an entry
         builds = []
         assoc = formula._assoc
 
@@ -549,7 +656,7 @@ def test_the_run_memo_changes_no_constructor_output_randomized(monkeypatch):
         monkeypatch.setattr(formula, "_assoc", counted)
         again = [_random_built(rng) for rng in [random.Random(4404)] for _ in range(2500)]
     assert formula._RUN_MEMO.get() is None
-    assert memo and not builds
+    assert len(memo) == entries and not builds
     assert all(a is b is c for a, b, c in zip(outside, inside, again, strict=True))
 
 

@@ -62,6 +62,15 @@ def test_empty_precondition_scores_zero():
     assert run_oracle(text, StateDomain.of({"C": (0, 3)})) == (0, 0)
 
 
+def test_a_default_range_that_misses_the_precondition_is_an_error():
+    # the walk of benchmarks/walk.prob from T = 8: the default range of T
+    # holds no state that meets the precondition, so 0 would be no answer
+    text = (BENCH_DIR / "walk.prob").read_text().replace("T = 4", "T = 8")
+    with pytest.raises(ValueError, match=r"T=-4\.\.4"):
+        run_oracle(text)
+    assert run_oracle(text, StateDomain.of({"T": (8, 8)})) == (Fraction(37, 128),) * 2
+
+
 FLIP_LOOP = """\
 @pre C = 1
 @post {post}

@@ -751,6 +751,29 @@ def test_sequence_interpolants_are_weakened_minimal_and_valid_seeded():
     assert 50 < infeasible < 170
 
 
+def test_witness_answered_drop_trials_agree_with_is_sat_seeded(monkeypatch):
+    # `solver` answers a drop trial from its stored witnesses where it can;
+    # `reference` holds no witness answer and asks is_sat of every trial's
+    # conjunction.  Equal interpolants mean equal drop decisions, and the
+    # reference asks exactly the trials the witnesses answered on top
+    rng, chooser = random.Random(1109), Solver()
+    solver, reference = Solver(), Solver()
+    monkeypatch.setattr(reference, "holds", lambda f: 0)
+    asked = {solver: 0, reference: 0}
+    for s in asked:
+        monkeypatch.setattr(
+            s, "is_sat", lambda f, s=s, is_sat=s.is_sat: asked.__setitem__(s, asked[s] + 1) or is_sat(f)
+        )
+    for _ in range(220):
+        pre, labels, suffix = _random_unsat_chain(rng, chooser)
+        assert sequence_interpolants(solver, pre, labels, suffix) == sequence_interpolants(
+            reference, pre, labels, suffix
+        )
+    assert solver.witness_drops > 100 and reference.witness_drops == 0
+    assert asked[reference] - asked[solver] == solver.witness_drops
+    assert solver.queries < reference.queries
+
+
 def test_identity_steps_reuse_the_previous_proposition(monkeypatch):
     solver = Solver()
     labels = [

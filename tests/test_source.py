@@ -79,6 +79,19 @@ def test_backward_chains_walk_the_run_memo():
     assert found == {("hoare.py", "saturate_edges")}
 
 
+def test_witnesses_are_evaluated_in_one_place():
+    # `Solver.holds` keeps each formula's witness bitset for the run, so a
+    # second evaluation path would evaluate formulas on witnesses again
+    found = {
+        (path.name, caller)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "formula.py"
+        for caller in callers(path.read_text(), "feval_bits")
+    }
+    assert found == {("solver.py", "holds")}
+    assert set(callers((SRC / "formula.py").read_text(), "feval_bits")) == {"feval_bits"}
+
+
 def test_one_reading_of_a_comparison_as_a_fact():
     # `formula.cmp_fact` is the only code that reads a comparison's sign
     # and orientation as a bound on its base: the same-base rule of the
