@@ -353,7 +353,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         cert_beta, a, qs = load_certificate(cert_text, program)
     except (ParseError, ValueError) as exc:
         raise CliError(f"{args.cert}: {exc}") from exc
+    # the flag, else the certificate's beta line, else the program's @beta
     beta = settings["beta"] if settings["beta"] is not None else cert_beta
+    if beta is None:
+        beta = spec.beta
     solver = Solver()
 
     t0 = time.monotonic()
@@ -428,14 +431,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError(str(exc))
     elapsed = round(time.monotonic() - t0, 3)
 
-    decision = None
-    if beta is not None:
-        if lo > beta:
-            decision = "exceeds"
-        elif hi <= beta:
-            decision = "within"
-        else:
-            decision = "unresolved"
+    if lo > beta:
+        decision = "exceeds"
+    elif hi <= beta:
+        decision = "within"
+    else:
+        decision = "unresolved"
 
     if args.json:
         print(
@@ -447,7 +448,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     "hi_num": hi.numerator,
                     "hi_den": hi.denominator,
                     "exact": lo == hi,
-                    "beta": f"{beta.numerator}/{beta.denominator}" if beta else None,
+                    "beta": f"{beta.numerator}/{beta.denominator}",
                     "decision": decision,
                     "time_s": elapsed,
                 }
@@ -461,8 +462,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 f"violation probability in [{render_fraction(lo)}, "
                 f"{render_fraction(hi)}]"
             )
-        if decision is not None:
-            print(f"threshold {beta}: {decision}")
+        print(f"threshold {beta}: {decision}")
         print(f"time: {elapsed}s")
     return EXIT_SAT
 

@@ -8,14 +8,15 @@ form with complement-free atoms.  That makes syntactic deduplication do a
 lot of semantic work for free, which the proof-generalisation code relies
 on when it merges equal propositions.
 
-Comparisons on one linear base are resolved by one rule, the conjunctive
-one in `_absorb_cmps`; a disjunction is resolved as the negation of the
-conjunction of its negated atoms, so `for_` of comparisons always equals
-`fnot` of `fand` of their negations.  `cmp_fact` is the one reading of a
-comparison as a fact on its base (a bound, a point or an excluded point);
-the rule and the solver's search both work on facts, and a fact is
-negated arithmetically by `negate_fact`, which agrees with `fnot` on
-every comparison.
+`cmp_fact` is the one reading of a comparison as a fact on its linear
+base (a bound, a point or an excluded point), and `_meet_facts` is the one
+rule for facts on one base: it meets them into the fewest facts that allow
+the same integers, or finds that none does.  The constructors resolve
+comparisons on one base with it (`_absorb_cmps`), a disjunction as the
+negation of the conjunction of its negated atoms, so `for_` of comparisons
+always equals `fnot` of `fand` of their negations; the solver's search
+settles a comparison with it.  A fact is negated arithmetically by
+`negate_fact`, which agrees with `fnot` on every comparison.
 
 Constructor output is canonical, and this module is the only one that
 knows the canonical form: no code elsewhere in the package builds a node
@@ -439,71 +440,74 @@ def _fact_cmp(base: tuple, kind: str, bound: int) -> Cmp:
     return Cmp(IntTerm(base, -bound), {"ub": LE, "eq": EQ, "ne": NE}[kind])
 
 
+def _meet_facts(facts) -> Optional[list[tuple[str, int]]]:
+    """The conjunction of (kind, bound) facts on one linear base as the
+    fewest facts that allow the same integers, or None when no integer
+    meets them all.
+
+    The least upper and greatest lower bound stand for all bounds, an
+    excluded point on a bound moves it inward, bounds that meet collapse
+    into an equality, an equality absorbs every fact it satisfies, and
+    exclusions outside the interval go.  The result depends only on the
+    integers the facts allow, so a fact alone comes back as itself."""
+    ub = lb = point = None
+    nes = set()
+    for kind, bound in facts:
+        if kind == "ub":
+            ub = bound if ub is None else min(ub, bound)
+        elif kind == "lb":
+            lb = bound if lb is None else max(lb, bound)
+        elif kind == "ne":
+            nes.add(bound)
+        elif point is None or point == bound:  # "eq"
+            point = bound
+        else:
+            return None
+    if point is not None:
+        if (ub is not None and point > ub) or (lb is not None and point < lb) or point in nes:
+            return None
+        return [("eq", point)]
+    while ub in nes or lb in nes:  # boundary exclusions tighten the interval
+        if ub in nes:
+            ub -= 1
+        if lb in nes:
+            lb += 1
+    if ub is not None and lb is not None:
+        if lb > ub:
+            return None
+        if lb == ub:
+            return [("eq", lb)]
+    met = [(kind, v) for kind, v in (("ub", ub), ("lb", lb)) if v is not None]
+    met.extend(
+        ("ne", v) for v in sorted(nes) if (ub is None or v < ub) and (lb is None or v > lb)
+    )
+    return met
+
+
 def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
     """Resolve comparison atoms sharing one linear base into interval facts.
 
-    The rule is written once, for a conjunction: per base, the least upper
-    and greatest lower bound stand for all bounds, an excluded point on a
-    bound moves it inward, bounds that meet collapse into an equality, an
-    equality absorbs every atom it satisfies, and exclusions outside the
-    interval go.  A disjunction is the negation of the conjunction of its
-    negated atoms, so it negates each atom's fact on the way in and each
-    resulting fact on the way out.  A comparison alone on its base is kept
-    as given: its fact reads back as the same node.  Returns None when the
-    atoms alone force the absorbing element (false for a conjunction, true
-    for a disjunction)."""
+    Per base, a conjunction is the meet of its atoms' facts (`_meet_facts`).
+    A disjunction is the negation of the conjunction of its negated atoms,
+    so it negates each atom's fact on the way in and each resulting fact on
+    the way out.  A comparison alone on its base is kept as given: its fact
+    reads back as the same node.  Returns None when the atoms alone force
+    the absorbing element (false for a conjunction, true for a
+    disjunction)."""
     by_base: dict[tuple, list] = {}
     for a in cmps:
         key, kind, bound = cmp_fact(a)
         by_base.setdefault(key, []).append((a, kind, bound))
-    kept: list[Formula] = []
-    groups: dict[tuple, dict] = {}
+    out: list[Formula] = []
     for key, atoms in by_base.items():
         if len(atoms) == 1:
-            kept.append(atoms[0][0])
+            out.append(atoms[0][0])
             continue
-        g = groups[key] = {"ub": set(), "lb": set(), "eq": set(), "ne": set()}
-        for _, kind, bound in atoms:
-            if not conj:
-                kind, bound = negate_fact(kind, bound)
-            g[kind].add(bound)
-
-    facts: list[tuple[tuple, str, int]] = []
-    for key, g in groups.items():
-        eqs, nes = g["eq"], g["ne"]
-        ub = min(g["ub"]) if g["ub"] else None
-        lb = max(g["lb"]) if g["lb"] else None
-        if len(eqs) > 1:
+        met = _meet_facts((k, b) if conj else negate_fact(k, b) for _, k, b in atoms)
+        if met is None:
             return None
-        if eqs:
-            e = next(iter(eqs))
-            if (ub is not None and e > ub) or (lb is not None and e < lb) or e in nes:
-                return None
-            facts.append((key, "eq", e))
-            continue
-        while ub in nes or lb in nes:  # boundary exclusions tighten the interval
-            if ub in nes:
-                ub -= 1
-            if lb in nes:
-                lb += 1
-        if ub is not None and lb is not None:
-            if lb > ub:
-                return None
-            if lb == ub:
-                facts.append((key, "eq", lb))
-                continue
-        if ub is not None:
-            facts.append((key, "ub", ub))
-        if lb is not None:
-            facts.append((key, "lb", lb))
-        facts.extend(
-            (key, "ne", v)
-            for v in nes
-            if (ub is None or v < ub) and (lb is None or v > lb)
-        )
-    if conj:
-        return kept + [_fact_cmp(*f) for f in facts]
-    return kept + [_fact_cmp(key, *negate_fact(kind, bound)) for key, kind, bound in facts]
+        out.extend(_fact_cmp(key, *(f if conj else negate_fact(*f))) for f in met)
+    return out
 
 
 def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):

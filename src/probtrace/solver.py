@@ -20,7 +20,8 @@ is never tried false: that branch is FALSE by construction.
 Each comparison the search sets is also a fact on its linear base (an
 upper or lower bound, a point, an excluded point; `formula.cmp_fact` reads
 it).  When the search reaches a comparison on a base it has already set,
-those facts may settle it: one that implies it leaves only the true branch,
+those facts may settle it through the constructors' rule on facts
+(`formula._meet_facts`): one that implies it leaves only the true branch,
 one that contradicts it only the false one.  The other branch holds no
 integer solution, so skipping it changes neither the answer nor the model,
 while the subtree it cuts would have sent every closed branch to the Omega
@@ -51,6 +52,7 @@ from .formula import (
     Cmp,
     Formula,
     _cmp,
+    _meet_facts,
     IntTerm,
     cmp_fact,
     negate_fact,
@@ -328,50 +330,22 @@ def _ineqs_model(ineqs: list[Lin], depth: int) -> Optional[dict]:
 _UNASKED = object()  # cache miss; a cached None means unsat
 
 
-def _span(kind: str, bound: int) -> tuple:
-    """The interval an "ub", "lb" or "eq" fact allows on its base."""
-    if kind == "ub":
-        return (-math.inf, bound)
-    if kind == "lb":
-        return (bound, math.inf)
-    return (bound, bound)
-
-
-def _settle(fact: tuple[str, int], other: tuple[str, int]) -> Optional[bool]:
-    """What a fact on a linear base makes of another fact on the same base:
-    True when it implies it, False when the two allow no common value, None
-    when neither.  Facts are (kind, bound) as `cmp_fact` reads them."""
-    (kind, k), (okind, o) = fact, other
-    if okind == "ne":
-        if kind == "ne":
-            return True if k == o else None
-        lo, hi = _span(kind, k)
-        if not lo <= o <= hi:
-            return True
-        return False if lo == hi else None
-    olo, ohi = _span(okind, o)
-    if kind == "ne":
-        return False if olo == ohi == k else None
-    lo, hi = _span(kind, k)
-    if olo <= lo and hi <= ohi:
-        return True
-    if hi < olo or ohi < lo:
-        return False
-    return None
-
-
 def _settled_value(atom: Cmp, cmps: list[tuple[Cmp, bool]]) -> Optional[bool]:
     """The value a branch's comparisons force on the comparison `atom`: True
-    when one of them, read as a fact on the atom's base, implies it, False
-    when one contradicts it, None when none settles it.  They cannot
-    disagree: the search never sets two comparisons that contradict."""
+    when one of them, read as a fact on the atom's base, implies it (their
+    meet is that fact alone), False when one contradicts it (they have no
+    meet), None when none settles it.  They cannot disagree: the search
+    never sets two comparisons that contradict."""
     base, kind, bound = cmp_fact(atom)
     for c, value in cmps:
         cbase, k, b = cmp_fact(c)
         if cbase == base:
-            settled = _settle((k, b) if value else negate_fact(k, b), (kind, bound))
-            if settled is not None:
-                return settled
+            fact = (k, b) if value else negate_fact(k, b)
+            met = _meet_facts((fact, (kind, bound)))
+            if met is None:
+                return False
+            if met == [fact]:
+                return True
     return None
 
 

@@ -307,6 +307,19 @@ def test_check_certificate_with_bad_beta(tmp_path, capsys):
         assert "beta" in capsys.readouterr().err
 
 
+def test_check_certificate_without_beta_uses_the_program_threshold(tmp_path, capsys):
+    # the program's @beta is 3/10, below the certified bound 1/2
+    text = (DATA_DIR / "motivating.cert").read_text()
+    assert "beta 1/2\n" in text
+    bare = tmp_path / "bare.cert"
+    bare.write_text(text.replace("beta 1/2\n", ""))
+    assert main(["check", PROG, str(bare), "--json"]) == EXIT_UNSAT
+    report = json.loads(capsys.readouterr().out)
+    assert report["beta"] == "3/10" and report["verdict"] == "rejected"
+    assert main(["check", PROG, str(bare), "--beta", "1/2"]) == EXIT_SAT
+    assert "accepted" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -328,6 +341,16 @@ def test_oracle_bounded_domain_json(capsys):
     assert Fraction(data["lo_num"], data["lo_den"]) == Fraction(7, 16)
     assert data["exact"] is True
     assert data["decision"] == "within"
+
+
+def test_oracle_json_reports_a_zero_threshold(tmp_path, capsys):
+    f = tmp_path / "zero.prob"
+    f.write_text(UNSAT_PROGRAM.replace("@beta 9/10", "@beta 0"))
+    assert main(["oracle", str(f), "--json"]) == EXIT_SAT
+    data = json.loads(capsys.readouterr().out)
+    assert data["beta"] == "0/1" and data["decision"] == "exceeds"
+    assert main(["oracle", PROG, "--beta", "0", "--json"]) == EXIT_SAT
+    assert json.loads(capsys.readouterr().out)["beta"] == "0/1"
 
 
 def test_oracle_bad_domain(capsys):

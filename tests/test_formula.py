@@ -34,6 +34,7 @@ from probtrace.formula import (
     _absorb_cmps,
     _fact_cmp,
     _key,
+    _meet_facts,
     as_term,
     bool_vars,
     bvar,
@@ -235,6 +236,37 @@ def test_absorption_matches_the_round_trip_reference_seeded():
                 assert all(any(a is g for g in got) for a in lone)
                 kept += len(lone)
     assert kept > 500
+
+
+def test_meet_of_facts_matches_brute_force_seeded():
+    # facts on one base with bounds in -4..4, read on the integers -12..12,
+    # past which no fact changes its answer: the meet allows exactly what
+    # every fact allows, is None exactly when that is nothing, and depends
+    # only on the allowed integers, in the fewest facts any list of them takes
+    allows = {
+        "ub": lambda v, k: v <= k,
+        "lb": lambda v, k: v >= k,
+        "eq": lambda v, k: v == k,
+        "ne": lambda v, k: v != k,
+    }
+    states = range(-12, 13)
+    rng = random.Random(2828)
+    by_set: dict[frozenset, list] = {}
+    shortest: dict[frozenset, int] = {}
+    for _ in range(4000):
+        facts = [
+            (rng.choice(list(allows)), rng.randint(-4, 4)) for _ in range(rng.randint(1, 5))
+        ]
+        want = frozenset(v for v in states if all(allows[k](v, b) for k, b in facts))
+        met = _meet_facts(facts)
+        assert (met is None) == (not want), facts
+        if met is not None:
+            assert want == {v for v in states if all(allows[k](v, b) for k, b in met)}, facts
+        assert by_set.setdefault(want, met) == met, (facts, met, by_set[want])
+        shortest[want] = min(shortest.get(want, len(facts)), len(facts))
+    assert all(met is None or len(met) <= shortest[s] for s, met in by_set.items())
+    assert len(by_set) > 200, len(by_set)
+    assert _meet_facts([("ub", 2), ("ne", 2), ("lb", 1)]) == [("eq", 1)]
 
 
 def test_absorption_keeps_distinct_axes_apart():

@@ -479,21 +479,23 @@ def test_search_skips_the_false_branch_of_a_conjunct(monkeypatch):
 
 def test_settle_rule_matches_brute_force_on_every_pair():
     # every comparison on the bases X and X - Y, both orientations of <=,
-    # = and !=, against every other on the same base; the states cover
-    # each base from -8 to 8, past every bound the constants give
+    # = and !=, set true or false, against every other on the same base; the
+    # states cover each base from -8 to 8, past every bound the constants
+    # and their negations give
     states = [{"X": x, "Y": y} for x in range(-4, 5) for y in range(-4, 5)]
     seen = {True: 0, False: 0, None: 0}
     for base in (X, X - Y):
         cmps = [op(base, k) for op in (le, ge, eq, ne) for k in range(-3, 4)]
         for a, b in product(cmps, cmps):
-            (base_a, *fact_a), (base_b, *fact_b) = cmp_fact(a), cmp_fact(b)
-            assert base_a == base_b
-            both = [feval(a, s) and feval(b, s) for s in states]
-            implies = all(feval(b, s) for s in states if feval(a, s))
-            want = True if implies else False if not any(both) else None
-            got = solver_module._settle(tuple(fact_a), tuple(fact_b))
-            assert got is want, (str(a), str(b), got)
-            seen[want] += 1
+            assert cmp_fact(a)[0] == cmp_fact(b)[0]
+            for value in (True, False):  # a set true, then a set false
+                holds = [s for s in states if feval(a, s) == value]
+                implies = all(feval(b, s) for s in holds)
+                meets = any(feval(b, s) for s in holds)
+                want = True if implies else False if not meets else None
+                got = solver_module._settled_value(b, [(a, value)])
+                assert got is want, (str(a), value, str(b), got)
+                seen[want] += 1
     assert min(seen.values()) >= 100, seen
 
 

@@ -107,6 +107,28 @@ def test_one_reading_of_a_comparison_as_a_fact():
     assert "_absorb_cmps" not in callers(sources["formula.py"], "fnot")
 
 
+def test_one_rule_for_facts_on_a_base():
+    # `formula._meet_facts` is the one rule for facts on one linear base:
+    # the constructors resolve comparisons with it and the backend settles
+    # them with it, and no other module spells a fact's kind, so no second
+    # copy of what a bound, a point or an excluded point allows can appear
+    kinds = {"ub", "lb", "eq", "ne"}
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    spelled = {
+        name
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in kinds
+    }
+    assert spelled == {"formula.py"}
+    found = {
+        (name, caller)
+        for name, source in sources.items()
+        for caller in callers(source, "_meet_facts")
+    }
+    assert found == {("formula.py", "_absorb_cmps"), ("solver.py", "_settled_value")}
+
+
 def test_only_the_formula_module_builds_nodes():
     # hash-consing and the run memo of `fand`/`for_` rely on every formula
     # being canonical as built, which only `formula.py` knows how to do; the
