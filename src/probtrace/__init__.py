@@ -36,9 +36,9 @@ from .evidence import (
     validate_counterexample,
 )
 from .lang import ParseError, Program, Specification, parse, parse_formula, to_pcfa
-from .markov import mdp_upper_bound
 from .oracle import StateDomain, exact_violation_probability
 from .solver import Solver, SolverUnknown
+from .theory import mdp_upper_bound
 
 __version__ = "0.1.0"
 

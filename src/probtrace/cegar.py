@@ -51,6 +51,7 @@ from .cfa import (
     _to_pcfa,
     difference_all,
     difference_nfa,
+    empty_pcfa,
     intersect,
     label_key,
     nfa_is_empty,
@@ -68,7 +69,7 @@ from .evidence import (
 from .formula import Formula, fand
 from .hoare import FloydHoareAutomaton, check_floyd_hoare, generalize_nonviolating, generalize_violating
 from .lang import ParseError, parse_formula, parse_label
-from .markov import mdp_upper_bound, merge_traces
+from .markov import analyze_mdp, merge_traces
 from .semantics import NonViolating, classify, weight
 from .solver import Solver, SolverUnknown
 
@@ -254,7 +255,7 @@ def verify_refutational(
                 # the bound is at least found_mass + weight(tau), since a
                 # scheduler can follow tau: past beta, it cannot answer Sat
                 if tau is None or found_mass + weight(tau) <= beta:
-                    bound = mdp_upper_bound(_to_pcfa(uncovered))[0] + found_mass
+                    bound = analyze_mdp(_to_pcfa(uncovered)).bound + found_mass
                     if bound <= beta:
                         events.append(("sat", bound))
                         return Sat(bound, iters)
@@ -301,14 +302,17 @@ def check_decomposition(
     spec,
     beta: Fraction,
     qs: Sequence[FloydHoareAutomaton],
-    a: PCFA,
+    a: Optional[PCFA],
     solver: Optional[Solver] = None,
 ):
     """Check a claimed decomposition directly against the proof rule: every
     certified component is a valid Floyd-Hoare automaton for the contract,
     the components and the violating module jointly cover the program, and
-    the module's residual violation mass stays within the threshold."""
+    the module's residual violation mass stays within the threshold.  A
+    missing module (a certificate without a ``module`` section) is the
+    empty one, whose mass is 0."""
     solver = solver or Solver()
+    a = empty_pcfa() if a is None else a
     try:
         with solver.run():
             for i, q in enumerate(qs):
@@ -329,7 +333,7 @@ def check_decomposition(
             if not nfa_is_empty(difference_nfa(p, bases + [a])):
                 return Rejected("program traces escape the certified union")
             residual = difference_all(a, bases) if bases else a
-            bound, _ = mdp_upper_bound(intersect(residual, p))
+            bound = analyze_mdp(intersect(residual, p)).bound
             if bound <= beta:
                 return Certified(bound)
             return Rejected(f"violating mass bound {bound} exceeds threshold {beta}")

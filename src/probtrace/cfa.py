@@ -19,14 +19,8 @@ Labels are hash-consed, by the mechanism formulas use
 and in the layers above hashes them in C.  Construct a label through its
 class only; the class returns the existing object when there is one.  Each
 label stores its key in the fixed label order (``sort_key``, which
-`label_key` reads) when it is built.
-
-Also here: the normalization procedure that forces paired probabilistic
-branches to target distinct locations, and the fixed total order on labels
-that makes every enumeration in the package reproducible.  Only the
-strategy constructions need normalization; the verifier never applies it,
-since it splits locations into bisimilar copies and so changes no maximal
-reachability probability.
+`label_key` reads) when it is built.  That fixed total order on labels makes
+every enumeration in the package reproducible.
 """
 
 from __future__ import annotations
@@ -207,23 +201,6 @@ class PCFA:
                 return False
         return self.accepting in states
 
-    def enumerate_traces(self, max_len: int) -> list[tuple[Label, ...]]:
-        """All accepted traces of length <= max_len, in (length, label-order)."""
-        out: list[tuple[Label, ...]] = []
-        frontier: list[tuple[int, tuple[Label, ...]]] = [(self.initial, ())]
-        for _ in range(max_len + 1):
-            nxt: list[tuple[int, tuple[Label, ...]]] = []
-            for state, trace in frontier:
-                if state == self.accepting:
-                    out.append(trace)
-                for lab, t in self.out_edges(state):
-                    if len(trace) < max_len:
-                        nxt.append((t, trace + (lab,)))
-            frontier = nxt
-            if not frontier:
-                break
-        return sorted(out, key=lambda tr: (len(tr), trace_key(tr)))
-
     def renumber(self) -> "PCFA":
         order = sorted(self.locations)
         remap = {loc: i for i, loc in enumerate(order)}
@@ -233,14 +210,6 @@ class PCFA:
             remap[self.accepting],
             locations={remap[l] for l in self.locations},
         )
-
-    def dump(self) -> str:
-        lines = [f"init: {self.initial}", f"accept: {self.accepting}"]
-        for s, lab, t in sorted(
-            self.transitions, key=lambda e: (e[0], label_key(e[1]), e[2])
-        ):
-            lines.append(f"{s} -[{lab}]-> {t}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (
@@ -315,16 +284,6 @@ def trim(a: PCFA) -> PCFA:
         a.accepting,
         locations=live,
     )
-
-
-def is_empty(a: PCFA) -> bool:
-    succ = {s: [t for _, t in a.out_edges(s)] for s in a.locations}
-    return a.accepting not in _reach({a.initial}, succ)
-
-
-def shortest_accepted_trace(a: PCFA) -> Optional[tuple[Label, ...]]:
-    """Minimal-length accepted trace; ties broken by the label order."""
-    return nfa_shortest(_nfa_of(a))
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +426,6 @@ def _to_pcfa(n: _NFA) -> PCFA:
 # the public boolean algebra
 # ---------------------------------------------------------------------------
 
-def determinize(a: PCFA) -> PCFA:
-    if a.is_deterministic():
-        return trim(a)
-    return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(trim(a)), [], lambda x, y: x)))
-
-
 def intersect(a: PCFA, b: PCFA) -> PCFA:
     return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(a), [b], lambda x, y: x and y)))
 
@@ -529,138 +482,3 @@ def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:
         seen.update(nxt)
         best = nxt
     return None
-
-
-def minimize(a: PCFA) -> PCFA:
-    """Language-preserving state minimization (Moore refinement on the
-    determinized, trimmed automaton).
-
-    Refinement uses sparse signatures: a state's class plus the
-    (label index, target class) pairs of its own edges, labels numbered once
-    per call.  On a deterministic automaton two states agree on these exactly
-    when they agree on every label of the alphabet, a missing edge included.
-    Should determinization leave a label twice at a state (a language that is
-    not prefix-free), the classes still form a bisimulation, so the quotient
-    keeps the language."""
-    a = determinize(a)
-    if is_empty(a):
-        return empty_pcfa()
-    index: dict[Label, int] = {}
-    states = sorted(a.locations)
-    # class 0: non-accepting, class 1: accepting
-    cls = {s: (1 if s == a.accepting else 0) for s in states}
-    adj: dict[int, list[tuple[int, int]]] = {s: [] for s in states}
-    for s, lab, t in a.transitions:
-        adj[s].append((index.setdefault(lab, len(index)), t))
-    for edges in adj.values():
-        edges.sort()
-    while True:
-        sig = {s: (cls[s], tuple([(i, cls[t]) for i, t in adj[s]])) for s in states}
-        mapping: dict[tuple, int] = {}
-        new_cls = {}
-        for s in states:
-            if sig[s] not in mapping:
-                mapping[sig[s]] = len(mapping)
-            new_cls[s] = mapping[sig[s]]
-        if new_cls == cls:
-            break
-        cls = new_cls
-    trans = {(cls[s], lab, cls[t]) for s, lab, t in a.transitions}
-    out = PCFA(trans, cls[a.initial], cls[a.accepting])
-    return trim(out).renumber()
-
-
-# ---------------------------------------------------------------------------
-# normalization (distinct targets for paired probabilistic branches)
-# ---------------------------------------------------------------------------
-
-def _pb_pairs(a: PCFA):
-    """(loc, pid, L-target, R-target) for every paired coin at a location."""
-    out = []
-    for loc in sorted(a.locations):
-        coins: dict[int, dict[str, int]] = {}
-        for lab, t in a.out_edges(loc):
-            if isinstance(lab, Pb):
-                coins.setdefault(lab.pid, {})[lab.side] = t
-        for pid in sorted(coins):
-            sides = coins[pid]
-            if "L" in sides and "R" in sides:
-                out.append((loc, pid, sides["L"], sides["R"]))
-    return out
-
-
-def is_normalized(a: PCFA) -> bool:
-    return all(lt != rt for _, _, lt, rt in _pb_pairs(a))
-
-
-def normalize(a: PCFA) -> PCFA:
-    """Appendix procedure: first rewrite self-loop coin pairs (case 1), then
-    duplicate shared non-self targets (case 2) until none remain.
-
-    Only the strategy constructions (``markov.strategy_for_sublanguage``)
-    need a normalized CFMDP; the verifier never calls this."""
-    if not a.is_cfmdp():
-        raise ValueError("normalize expects a CFMDP")
-    trans = set(a.transitions)
-    next_loc = max(a.locations, default=0) + 1
-
-    def out_of(loc: int) -> list[tuple[Label, int]]:
-        return [(lab, t) for s, lab, t in trans if s == loc]
-
-    # case 1: both branches loop back to their origin
-    while True:
-        hit = None
-        for loc, pid, lt, rt in _pb_pairs(PCFA(trans, a.initial, a.accepting)):
-            if lt == rt == loc:
-                hit = (loc, pid)
-                break
-        if hit is None:
-            break
-        loc, pid = hit
-        l1, l2 = next_loc, next_loc + 1
-        next_loc += 2
-        pl, pr = Pb(pid, "L"), Pb(pid, "R")
-        trans.discard((loc, pl, loc))
-        trans.discard((loc, pr, loc))
-        others = [(lab, t) for lab, t in out_of(loc)]
-        trans |= {
-            (loc, pl, l1),
-            (loc, pr, l2),
-            (l1, pr, l2),
-            (l1, pl, loc),
-            (l2, pr, loc),
-            (l2, pl, l1),
-        }
-        for lab, t in others:
-            trans.add((l1, lab, t))
-            trans.add((l2, lab, t))
-
-    # case 2: both branches reach the same non-origin location
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("normalization did not converge")
-        cur = PCFA(trans, a.initial, a.accepting)
-        hit = None
-        for loc, pid, lt, rt in _pb_pairs(cur):
-            if lt == rt and lt != loc:
-                hit = (loc, pid, lt)
-                break
-        if hit is None:
-            break
-        loc, pid, tgt = hit
-        if tgt == a.accepting:
-            raise ValueError(
-                "cannot normalize a coin pair that enters the accepting "
-                "location directly (not produced by program automata)"
-            )
-        dup = next_loc
-        next_loc += 1
-        trans.discard((loc, Pb(pid, "R"), tgt))
-        trans.add((loc, Pb(pid, "R"), dup))
-        for lab, t in cur.out_edges(tgt):
-            trans.add((dup, lab, t))
-
-    out = PCFA(trans, a.initial, a.accepting)
-    return trim(out).renumber()

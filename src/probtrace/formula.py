@@ -25,10 +25,9 @@ constructors, and `tests/test_source.py` checks that no other module calls
 a node class by name), so every formula is used as built.  The one
 exception is the solver's branching step, which drops arguments from a
 canonical `And`/`Or`; that is sound because a canonical formula minus some
-of its arguments is canonical.  ``simplify``, which rebuilds a formula
-through the constructors, returns every formula they built unchanged; it
-is the reference the tests hold the constructors to, and no verifier code
-calls it.
+of its arguments is canonical.  The tests hold the constructors to a
+rebuild through them (``simplify`` in ``tests/helpers.py``), which returns
+every formula they built unchanged.
 
 Nodes are hash-consed (`HashConsed`, which program labels share): each
 distinct formula is one live object, so `==` and `hash` are identity,
@@ -618,17 +617,6 @@ def _negate(f: Formula) -> Formula:
 
 def fimplies(a: Formula, b: Formula) -> Formula:
     return for_(fnot(a), b)
-
-
-def simplify(f: Formula) -> Formula:
-    """Rebuild through the smart constructors (canonical form)."""
-    if isinstance(f, And):
-        return fand(*(simplify(a) for a in f.args))
-    if isinstance(f, Or):
-        return for_(*(simplify(a) for a in f.args))
-    if isinstance(f, Cmp):
-        return _cmp(f.term, f.op)
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 A Floyd-Hoare automaton pairs a plain labelled automaton with a proposition
 per location such that every edge (l, sigma, l') is a valid Hoare triple
 {lam(l)} sigma {lam(l')}.  Generalization turns one classified trace into
-such an automaton in three phases: proposition insertion along the trace,
-merging of locations that carry the same proposition, and edge saturation.
+such an automaton in two phases: proposition insertion along the trace,
+with one location per distinct proposition, and edge saturation.
 
 Propositions come from the formula smart constructors, which build canonical
-formulas, so merging compares them as built.  Saturation adds every valid
+formulas, so the chain compares them as built.  Saturation adds every valid
 edge but asks the solver once per distinct weakest precondition: for a
 target t, skip, coin and nondeterministic labels, and assignments to
 variables lam(t) does not mention, all leave !lam(t) unchanged and share one
@@ -46,12 +46,6 @@ class FloydHoareAutomaton:
     base: PCFA
     lam: dict  # location -> Formula
 
-    def renumbered(self) -> "FloydHoareAutomaton":
-        rank = {loc: i for i, loc in enumerate(sorted(self.base.locations))}
-        return FloydHoareAutomaton(
-            self.base.renumber(), {rank[l]: f for l, f in self.lam.items()}
-        )
-
 
 def check_floyd_hoare(fha: FloydHoareAutomaton, solver: Solver) -> bool:
     """Re-verify the defining invariant on every edge."""
@@ -64,29 +58,18 @@ def check_floyd_hoare(fha: FloydHoareAutomaton, solver: Solver) -> bool:
 
 
 def _chain(props: Sequence[Formula], labels: Sequence[Label]) -> FloydHoareAutomaton:
+    """The trace `labels` with `props` at its positions, one location per
+    distinct proposition, numbered in order of first occurrence: positions
+    whose propositions are syntactically equal share a location.  Preserves
+    every accepted trace (may add more)."""
+    num: dict[Formula, int] = {}
+    locs = [num.setdefault(f, len(num)) for f in props]
     base = PCFA(
-        {(k, lab, k + 1) for k, lab in enumerate(labels)},
-        initial=0,
-        accepting=len(labels),
+        {(locs[k], lab, locs[k + 1]) for k, lab in enumerate(labels)},
+        initial=locs[0],
+        accepting=locs[-1],
     )
-    return FloydHoareAutomaton(base, dict(enumerate(props)))
-
-
-def merge_same_proposition(fha: FloydHoareAutomaton) -> FloydHoareAutomaton:
-    """Quotient locations whose propositions are syntactically equal.
-    Preserves every accepted trace (may add more)."""
-    rep: dict[Formula, int] = {}
-    remap = {
-        loc: rep.setdefault(fha.lam[loc], loc) for loc in sorted(fha.base.locations)
-    }
-    base = PCFA(
-        {(remap[s], lab, remap[t]) for s, lab, t in fha.base.transitions},
-        remap[fha.base.initial],
-        remap[fha.base.accepting],
-        locations=set(remap.values()),
-    )
-    lam = {rep[f]: f for f in rep}
-    return FloydHoareAutomaton(base, lam).renumbered()
+    return FloydHoareAutomaton(base, {loc: f for f, loc in num.items()})
 
 
 def saturate_edges(
@@ -169,8 +152,7 @@ def generalize_nonviolating(
     labels = list(trace)
     head = spec.pre
     if not labels:
-        fha = FloydHoareAutomaton(PCFA((), 0, 0), {0: head})
-        return saturate_edges(merge_same_proposition(fha), alphabet, solver)
+        return saturate_edges(_chain([head], []), alphabet, solver)
     interiors = sequence_interpolants(solver, spec.pre, labels, fnot(spec.post))
     last = interiors[-1] if interiors else head
     if hoare_valid(last, labels[-1], FALSE, solver):
@@ -178,8 +160,7 @@ def generalize_nonviolating(
     else:
         acc = spec.post
     props = [head] + interiors + [acc]
-    fha = _chain(props, labels)
-    return saturate_edges(merge_same_proposition(fha), alphabet, solver)
+    return saturate_edges(_chain(props, labels), alphabet, solver)
 
 
 def generalize_violating(
@@ -202,5 +183,4 @@ def generalize_violating(
     labels = list(trace)
     props = pre_exists_chain(labels, fnot(spec.post), solver)
     props[0] = fand(spec.pre, props[0])
-    fha = _chain(props, labels)
-    return saturate_edges(merge_same_proposition(fha), alphabet, solver)
+    return saturate_edges(_chain(props, labels), alphabet, solver)

@@ -1,9 +1,8 @@
-"""Strategies over control-flow MDPs, exact max-reachability, trace merging.
+"""Exact max-reachability over control-flow MDPs, and trace merging.
 
 A CFMDP is a deterministic PCFA with no edges out of the accepting location;
 its actions are coin identifiers (owning both branch edges) plus the
-non-random labels.  A strategy resolves, per location and memory state, which
-action to play; applying it yields a CFMC whose language refines the CFMDP's.
+non-random labels.
 
 The upper-bound computation casts the CFMDP to a plain MDP — coins become
 half/half distributions, a coin with a missing partner branch loses half its
@@ -27,18 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .cfa import (
-    PCFA,
-    Label,
-    Pb,
-    _reach,
-    difference_nfa,
-    is_normalized,
-    label_key,
-    nfa_is_empty,
-    trace_tree,
-    trim,
-)
+from .cfa import PCFA, Label, Pb, _reach, label_key, trace_tree
 
 Action = Union[int, Label]  # coin identifier, or a non-random label
 
@@ -69,192 +57,6 @@ def check_cfmdp(a: PCFA) -> PCFA:
     if not a.is_cfmdp():
         raise ValueError("expected a CFMDP (deterministic, accepting is a sink)")
     return a
-
-
-# ---------------------------------------------------------------------------
-# strategies
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Strategy:
-    """Finite-memory strategy: partial map (location, memory) -> (action, memory).
-
-    `dead` holds the (location, memory) pairs where the play is dropped: a
-    branch entering one of them is cut even when it enters the accepting
-    location.  It defaults to empty, so a strategy without it only stops
-    where `delta` has no entry.
-    """
-
-    delta: dict  # (loc, q) -> (Action, q')
-    q0: object
-    dead: frozenset = frozenset()  # {(loc, q)}
-
-
-def memoryless(policy: dict) -> Strategy:
-    """Lift a location -> action map to a single-memory-state strategy."""
-    return Strategy({(loc, 0): (act, 0) for loc, act in policy.items()}, 0)
-
-
-def apply_strategy(a: PCFA, psi: Strategy) -> PCFA:
-    """Product of a CFMDP with a strategy, with a fresh accepting location.
-
-    An edge survives when its target is live, so paired coin branches
-    survive together only when both targets are live; a branch whose partner
-    is missing or dead is kept alone (the run then carries the stuck
-    partner's mass away).  A (location, memory) pair is live when it is not
-    in the strategy's `dead` set and either the strategy continues there or
-    the location is the CFMDP's accepting one — acceptance ends the play, so
-    no strategy entry can be demanded for it.
-    """
-    check_cfmdp(a)
-    if a.initial == a.accepting:
-        raise ValueError("cannot apply a strategy to an automaton accepting ε")
-
-    def live(loc: int, q) -> bool:
-        if (loc, q) in psi.dead:
-            return False
-        return loc == a.accepting or (loc, q) in psi.delta
-
-    index: dict = {}
-    fresh = [0]
-
-    def state_id(loc: int, q) -> int:
-        # T transform: every entry into the old accepting location lands in
-        # one shared new accepting location
-        key = "acc" if loc == a.accepting else (loc, q)
-        if key not in index:
-            index[key] = fresh[0]
-            fresh[0] += 1
-        return index[key]
-
-    init = state_id(a.initial, psi.q0)
-    acc = state_id(a.accepting, None)
-    trans: set[tuple[int, Label, int]] = set()
-    todo = [(a.initial, psi.q0)]
-    seen = {(a.initial, psi.q0)}
-    while todo:
-        loc, q = todo.pop()
-        entry = psi.delta.get((loc, q))
-        if entry is None:
-            continue
-        act, q2 = entry
-        here = actions_at(a, loc)
-        if isinstance(act, int):
-            sides = here.get(act)
-            if not isinstance(sides, dict):
-                raise ValueError(f"strategy plays coin {act} not present at {loc}")
-            steps = [(Pb(act, side), tgt) for side, tgt in sides.items()]
-        else:
-            tgt = here.get(act)
-            if tgt is None or isinstance(tgt, dict):
-                raise ValueError(f"strategy plays label {act} not present at {loc}")
-            steps = [(act, tgt)]
-        for lab, tgt in steps:
-            if not live(tgt, q2):
-                continue
-            trans.add((state_id(loc, q), lab, state_id(tgt, q2)))
-            if tgt != a.accepting and (tgt, q2) not in seen:
-                seen.add((tgt, q2))
-                todo.append((tgt, q2))
-
-    out = trim(PCFA(trans, init, acc))
-    assert out.is_cfmc(), "strategy application must yield a CFMC"
-    return out
-
-
-# ---------------------------------------------------------------------------
-# a strategy carving a sub-CFMC out of a normalized CFMDP
-# ---------------------------------------------------------------------------
-
-_BOT = None  # dummy symbol outside both location sets
-
-
-def strategy_for_sublanguage(a: PCFA, m: PCFA) -> Strategy:
-    """Build a strategy on `a` whose application accepts exactly L(m).
-
-    Memory states are m's locations plus resolver states ("dual", T, l2, l3):
-    after playing coin i, the strategy cannot know which branch the coin
-    took, so the resolver compares the actual location against T — the
-    target a's L-branch had — and continues with l2 on the L side, l3 on
-    the R side.  A side m does not contain resolves to ⊥ there; the search
-    records each such (location, memory) pair in the strategy's `dead` set,
-    so the side goes dead in `apply_strategy` even where it enters the
-    accepting location.  Normalization of `a` (paired branches reach
-    distinct locations) is what makes the comparison against T unambiguous.
-    """
-    check_cfmdp(a)
-    if not m.is_cfmc():
-        raise ValueError("the sublanguage argument must be a CFMC")
-    if not is_normalized(a):
-        raise ValueError("strategy construction needs a normalized CFMDP")
-    if not nfa_is_empty(difference_nfa(m, [a])):
-        raise ValueError("the CFMC's language is not a sublanguage")
-
-    def m_step(loc_m: int):
-        """m's unique action at loc_m: (kind, payload)."""
-        acts = actions_at(m, loc_m)
-        if not acts:
-            return None
-        (act, payload), = acts.items()
-        return act, payload
-
-    def delta_minus(loc_a: int, loc_m: int):
-        step = m_step(loc_m)
-        if step is None:
-            return None
-        act, payload = step
-        if not isinstance(act, int):
-            return (act, payload)  # (label, next m-location)
-        sides = payload  # {side: m-target}
-        a_sides = actions_at(a, loc_a).get(act)
-        l_target = a_sides.get("L") if isinstance(a_sides, dict) else None
-        t = l_target if l_target is not None else _BOT
-        l2 = sides.get("L", _BOT)
-        l3 = sides.get("R", _BOT)
-        return (act, ("dual", t, l2, l3))
-
-    def resolve(loc_a: int, q):
-        """The m-location a memory state stands for at an actual a-location."""
-        if isinstance(q, tuple) and q and q[0] == "dual":
-            _, t, l2, l3 = q
-            if loc_a == t:
-                return l2  # may be ⊥: this side is not in m
-            return l3
-        return q
-
-    delta: dict = {}
-    dead: set = set()
-    q0 = m.initial
-    todo = [(a.initial, q0)]
-    seen = {(a.initial, q0)}
-    while todo:
-        loc_a, q = todo.pop()
-        loc_m = resolve(loc_a, q)
-        if loc_m is _BOT:
-            dead.add((loc_a, q))
-            continue
-        if loc_a == a.accepting:
-            continue
-        entry = delta_minus(loc_a, loc_m)
-        if entry is None:
-            continue
-        act, q2 = entry
-        delta[(loc_a, q)] = (act, q2)
-        here = actions_at(a, loc_a)
-        nexts: list[int] = []
-        if isinstance(act, int):
-            sides = here.get(act)
-            if isinstance(sides, dict):
-                nexts = [t for t in sides.values()]
-        else:
-            tgt = here.get(act)
-            if tgt is not None and not isinstance(tgt, dict):
-                nexts = [tgt]
-        for t in nexts:
-            if (t, q2) not in seen:
-                seen.add((t, q2))
-                todo.append((t, q2))
-    return Strategy(delta, q0, frozenset(dead))
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +274,6 @@ def analyze_mdp(a: PCFA) -> MdpAnalysis:
     else:
         raise RuntimeError("policy iteration did not converge")
     return MdpAnalysis(values.get(a.initial, Fraction(0)), values, policy, optimal)
-
-
-def mdp_upper_bound(a: PCFA) -> tuple[Fraction, Strategy]:
-    r = analyze_mdp(a)
-    return r.bound, memoryless(r.policy)
 
 
 # ---------------------------------------------------------------------------

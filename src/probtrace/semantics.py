@@ -109,12 +109,6 @@ def pre_exists_chain(trace: Sequence[Label], phi: Formula, solver) -> list[Formu
     return out
 
 
-def wp_demonic_trace(trace: Sequence[Label], phi: Formula) -> Formula:
-    for lab in reversed(trace):
-        phi = wp_demonic(lab, phi)
-    return phi
-
-
 def path_condition(trace: Sequence[Label], spec, solver) -> Formula:
     """Initial states satisfying the precondition from which the trace runs
     to completion and ends in violation of the postcondition.  The backward

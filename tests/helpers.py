@@ -7,7 +7,20 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from probtrace.cfa import PCFA, Assign, Assume, Nd, Pb, SkipL, trim
+from probtrace.cfa import (
+    PCFA,
+    Assign,
+    Assume,
+    Label,
+    Nd,
+    Pb,
+    SkipL,
+    _nfa_of,
+    label_key,
+    nfa_shortest,
+    trace_key,
+    trim,
+)
 from probtrace.formula import (
     And,
     BoolLit,
@@ -16,9 +29,12 @@ from probtrace.formula import (
     IntTerm,
     Or,
     TrueF,
+    _cmp,
     as_term,
     bool_vars,
     eq,
+    fand,
+    for_,
     ge,
     int_vars,
     ivar,
@@ -26,6 +42,7 @@ from probtrace.formula import (
 )
 from probtrace.lang import parse, to_pcfa
 from probtrace.markov import actions_at
+from probtrace.semantics import wp_demonic
 
 DATA_DIR = Path(__file__).parent / "data"
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
@@ -42,8 +59,59 @@ def total_state(f, model: dict) -> dict:
     return {**dict.fromkeys(int_vars(f), 0), **dict.fromkeys(bool_vars(f), False), **model}
 
 
+# ---------------------------------------------------------------------------
+# views and transformers only the tests use
+
+
+def simplify(f):
+    """Rebuild through the smart constructors (canonical form)."""
+    if isinstance(f, And):
+        return fand(*(simplify(a) for a in f.args))
+    if isinstance(f, Or):
+        return for_(*(simplify(a) for a in f.args))
+    if isinstance(f, Cmp):
+        return _cmp(f.term, f.op)
+    return f
+
+
+def enumerate_traces(a: PCFA, max_len: int) -> list[tuple[Label, ...]]:
+    """All accepted traces of length <= max_len, in (length, label-order)."""
+    out: list[tuple[Label, ...]] = []
+    frontier: list[tuple[int, tuple[Label, ...]]] = [(a.initial, ())]
+    for _ in range(max_len + 1):
+        nxt: list[tuple[int, tuple[Label, ...]]] = []
+        for state, trace in frontier:
+            if state == a.accepting:
+                out.append(trace)
+            for lab, t in a.out_edges(state):
+                if len(trace) < max_len:
+                    nxt.append((t, trace + (lab,)))
+        frontier = nxt
+        if not frontier:
+            break
+    return sorted(out, key=lambda tr: (len(tr), trace_key(tr)))
+
+
+def dump(a: PCFA) -> str:
+    lines = [f"init: {a.initial}", f"accept: {a.accepting}"]
+    for s, lab, t in sorted(a.transitions, key=lambda e: (e[0], label_key(e[1]), e[2])):
+        lines.append(f"{s} -[{lab}]-> {t}")
+    return "\n".join(lines)
+
+
+def shortest_accepted_trace(a: PCFA):
+    """Minimal-length accepted trace; ties broken by the label order."""
+    return nfa_shortest(_nfa_of(a))
+
+
+def wp_demonic_trace(trace, phi):
+    for lab in reversed(trace):
+        phi = wp_demonic(lab, phi)
+    return phi
+
+
 def bounded_language(a: PCFA, depth: int) -> set:
-    return set(a.enumerate_traces(depth))
+    return set(enumerate_traces(a, depth))
 
 
 def bounded_equal_deterministic(a: PCFA, b: PCFA, depth: int) -> bool:

@@ -24,30 +24,35 @@ from probtrace.cegar import (
     load_certificate,
     verify,
 )
-from probtrace.cfa import PCFA, intersect, is_normalized, minimize, normalize
+from probtrace.cfa import PCFA, intersect
 from probtrace.evidence import (
     Certificate,
     CounterexampleFound,
     examine,
     validate_counterexample,
 )
-from probtrace.formula import eq, fand, ge, ivar, le, simplify
+from probtrace.formula import eq, fand, ge, ivar, le
 from probtrace.lang import Specification, parse, to_pcfa
-from probtrace.markov import (
-    apply_strategy,
-    strategy_for_sublanguage,
-)
 from probtrace.oracle import StateDomain, exact_violation_probability
 from probtrace.solver import Solver
+from probtrace.theory import (
+    apply_strategy,
+    is_normalized,
+    minimize,
+    normalize,
+    strategy_for_sublanguage,
+)
 
 from helpers import (
     BENCH_DIR,
     DATA_DIR,
     bounded_equal_deterministic,
+    dump,
     load_program,
     random_cfmdp,
     random_loopfree_program,
     random_sub_cfmc,
+    simplify,
 )
 
 C = ivar("C")
@@ -198,9 +203,9 @@ def test_criterion_5_strategy_round_trip():
         back = apply_strategy(a, psi)
         depth = 2 * max(len(a.locations), len(m.locations), 1)
         assert bounded_equal_deterministic(m, back, depth), (
-            a.dump(),
-            m.dump(),
-            back.dump(),
+            dump(a),
+            dump(m),
+            dump(back),
         )
         checked += 1
     return f"{checked} round trips exact at depth 2*|locations|"

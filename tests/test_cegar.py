@@ -26,13 +26,14 @@ from probtrace.cegar import (
     verify_refutational,
 )
 from probtrace.evidence import validate_counterexample
-from probtrace.formula import eq, fand, ge, ivar, le, simplify
+from probtrace.formula import TRUE, eq, fand, ge, ivar, le
+from probtrace.hoare import FloydHoareAutomaton
 from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
 from probtrace.semantics import NonViolating, weight
 from probtrace.solver import Solver
 
-from helpers import BENCH_DIR, DATA_DIR, load_program, random_counter_loop
+from helpers import BENCH_DIR, DATA_DIR, load_program, random_counter_loop, simplify
 
 C = ivar("C")
 X = ivar("X")
@@ -339,6 +340,16 @@ def test_dump_load_round_trip(motivating, certificate):
     for q, q2 in zip(qs, qs2):
         assert q.base.transitions == q2.base.transitions
         assert q.lam == q2.lam
+
+
+def test_certificate_without_a_module_round_trips_with_bound_zero(solver):
+    # a missing module is the empty one, whose violation mass is 0
+    program, spec = parse("@pre true\n@post true\n@beta 1/2\nint X;\nX := 0;\n")
+    p = to_pcfa(program)
+    q = FloydHoareAutomaton(p, {loc: TRUE for loc in p.locations})
+    beta, a, qs = load_certificate(dump_certificate(spec.beta, None, [q]), program)
+    assert a is None and beta == spec.beta and len(qs) == 1
+    assert check_decomposition(p, spec, beta, qs, a, solver) == Certified(Fraction(0))
 
 
 def test_load_rejects_malformed_certificates(motivating):
@@ -749,7 +760,7 @@ def test_refutational_bound_runs_only_where_it_can_answer_sat(name, monkeypatch)
     for attr, record in (
         ("nfa_shortest", picked),
         ("classify", classified),
-        ("mdp_upper_bound", bounded),
+        ("analyze_mdp", bounded),
         ("_to_pcfa", lambda args, out: converted.append(out)),
     ):
         monkeypatch.setattr(cegar, attr, _recorded(getattr(cegar, attr), record))

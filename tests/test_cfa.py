@@ -26,19 +26,13 @@ from probtrace.cfa import (
     Nd,
     Pb,
     SkipL,
-    determinize,
     difference_all,
     difference_nfa,
     empty_pcfa,
     intersect,
-    is_empty,
-    is_normalized,
     label_key,
-    minimize,
     nfa_is_empty,
     nfa_shortest,
-    normalize,
-    shortest_accepted_trace,
     trace_key,
     trace_tree,
     trim,
@@ -46,6 +40,7 @@ from probtrace.cfa import (
 )
 from probtrace.formula import as_term, bvar, for_, ge, ivar, le
 from probtrace.lang import parse, parse_label, to_pcfa
+from probtrace.theory import determinize, is_empty, is_normalized, minimize, normalize
 
 from helpers import (
     BENCH_DIR,
@@ -55,6 +50,7 @@ from helpers import (
     random_cfmdp,
     random_sub_cfmc,
     reference_label_key,
+    shortest_accepted_trace,
 )
 
 X = ivar("X")

@@ -307,6 +307,18 @@ def test_check_certificate_with_bad_beta(tmp_path, capsys):
         assert "beta" in capsys.readouterr().err
 
 
+def test_check_certificate_without_a_module_section(tmp_path, capsys):
+    # no module section is the empty violating module, whose bound is 0
+    prog = tmp_path / "assign.prob"
+    prog.write_text("@pre true\n@post true\n@beta 1/2\nint X;\nX := 0;\n")
+    cert = tmp_path / "assign.cert"
+    cert.write_text("hoare Q1\ninitial 0\naccepting 1\nprop 0 true\nprop 1 true\nedge 0 1 sigma\n")
+    assert main(["check", str(prog), str(cert), "--json"]) == EXIT_SAT
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "certified"
+    assert Fraction(report["bound_num"], report["bound_den"]) == 0
+
+
 def test_check_certificate_without_beta_uses_the_program_threshold(tmp_path, capsys):
     # the program's @beta is 3/10, below the certified bound 1/2
     text = (DATA_DIR / "motivating.cert").read_text()

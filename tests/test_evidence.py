@@ -15,9 +15,6 @@ from probtrace.cfa import (
     SkipL,
     difference_all,
     intersect,
-    is_empty,
-    minimize,
-    normalize,
     trace_key,
     trim,
 )
@@ -32,14 +29,14 @@ from probtrace.evidence import (
     validate_counterexample,
     _erase_traces,
 )
-from probtrace.formula import FALSE, eq, fand, ge, ivar, le, simplify
+from probtrace.formula import FALSE, eq, fand, ge, ivar, le
 from probtrace.hoare import check_floyd_hoare
 from probtrace.lang import Specification
-from probtrace.markov import mdp_upper_bound
 from probtrace.semantics import weight
 from probtrace.solver import Solver
+from probtrace.theory import is_empty, mdp_upper_bound, minimize, normalize
 
-from helpers import bounded_language, load_program, random_cfmdp
+from helpers import bounded_language, enumerate_traces, load_program, random_cfmdp, simplify
 
 C = ivar("C")
 
@@ -257,7 +254,7 @@ def test_validation_catches_nonviolating_traces(setting, solver, good_cex):
     program_trace = None
     from probtrace.semantics import NonViolating, classify
 
-    for tr in P.enumerate_traces(6):
+    for tr in enumerate_traces(P, 6):
         if isinstance(classify(tr, spec, solver), NonViolating):
             program_trace = tr
             break
@@ -287,7 +284,7 @@ def test_erasing_through_one_trace_tree_matches_per_trace_difference_seeded():
     checked = 0
     while checked < 40:
         a = random_cfmdp(rng)
-        complete = a.enumerate_traces(5)
+        complete = enumerate_traces(a, 5)
         if not complete:
             continue
         traces = rng.sample(complete, rng.randint(1, min(6, len(complete))))

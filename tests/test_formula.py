@@ -55,12 +55,11 @@ from probtrace.formula import (
     memoizing,
     ne,
     negate_fact,
-    simplify,
     subst_bool,
     subst_int,
 )
 
-from helpers import BENCH_DIR, DATA_DIR, reference_formula_key
+from helpers import BENCH_DIR, DATA_DIR, reference_formula_key, simplify
 
 X, Y = ivar("X"), ivar("Y")
 

@@ -20,14 +20,13 @@ from probtrace.formula import (
     ge,
     ivar,
     le,
-    simplify,
 )
 from probtrace.hoare import (
     FloydHoareAutomaton,
+    _chain,
     check_floyd_hoare,
     generalize_nonviolating,
     generalize_violating,
-    merge_same_proposition,
     saturate_edges,
 )
 from probtrace.lang import parse_label, to_pcfa
@@ -41,7 +40,7 @@ from probtrace.semantics import (
 )
 from probtrace.solver import Solver
 
-from helpers import load_program, total_state
+from helpers import enumerate_traces, load_program, simplify, total_state, wp_demonic_trace
 
 X = ivar("X")
 C = ivar("C")
@@ -118,9 +117,7 @@ def test_check_rejects_missing_propositions(solver):
 
 
 def test_merge_quotients_equal_propositions():
-    base = PCFA({(0, lab("skip"), 1), (1, lab("skip"), 2)}, 0, 2)
-    lam = {0: eq(X, 0), 1: fand(le(X, 0), ge(X, 0)), 2: FALSE}
-    merged = merge_same_proposition(FloydHoareAutomaton(base, lam))
+    merged = _chain([eq(X, 0), fand(le(X, 0), ge(X, 0)), FALSE], [lab("skip"), lab("skip")])
     # locations 0 and 1 carry the same simplified proposition
     assert len(merged.base.locations) == 2
     # the quotient gains the self-loop, keeping the original trace
@@ -129,9 +126,7 @@ def test_merge_quotients_equal_propositions():
 
 
 def test_merge_preserves_validity(solver):
-    base = PCFA({(0, lab("X := 0"), 1), (1, lab("skip"), 2)}, 0, 2)
-    lam = {0: TRUE, 1: eq(X, 0), 2: fand(ge(X, 0), le(X, 0))}
-    merged = merge_same_proposition(FloydHoareAutomaton(base, lam))
+    merged = _chain([TRUE, eq(X, 0), fand(ge(X, 0), le(X, 0))], [lab("X := 0"), lab("skip")])
     assert check_floyd_hoare(merged, solver)
     assert len(merged.base.locations) == 2
 
@@ -422,7 +417,7 @@ def test_nonviolating_generalization_is_sound(motivating, solver):
     assert fha.base.accepts(NONVIOLATING)
     # every program trace the generalization accepts satisfies the contract
     covered = intersect(fha.base, p)
-    for tr in covered.enumerate_traces(10):
+    for tr in enumerate_traces(covered, 10):
         assert isinstance(classify(tr, spec, solver), NonViolating), tr
 
 
@@ -434,7 +429,7 @@ def test_infeasible_trace_gets_false_accepting(motivating, solver):
     assert fha.base.accepts(INFEASIBLE)
     assert simplify(fha.lam[fha.base.accepting]) == FALSE
     covered = intersect(fha.base, p)
-    for tr in covered.enumerate_traces(10):
+    for tr in enumerate_traces(covered, 10):
         assert isinstance(classify(tr, spec, solver), NonViolating), tr
 
 
@@ -471,15 +466,13 @@ def test_violating_head_is_the_exact_violation_precondition(motivating, solver):
 
 
 def test_violating_accepted_traces_end_badly_from_head_states(motivating, solver):
-    from probtrace.semantics import wp_demonic_trace
-
     _, spec, p = motivating
     fha = generalize_violating(VIOLATING, spec, p.alphabet, solver)
     head = fha.lam[fha.base.initial]
     bad = simplify(fnot(spec.post))
     covered = intersect(fha.base, p)
     seen_violation = False
-    for tr in covered.enumerate_traces(10):
+    for tr in enumerate_traces(covered, 10):
         # edge-wise validity composes: from any head state, every accepted
         # trace that runs to completion lands in the bad region
         assert solver.entails(head, wp_demonic_trace(tr, bad)), tr

@@ -20,29 +20,23 @@ from probtrace.cfa import (
     difference_all,
     empty_pcfa,
     intersect,
-    minimize,
     union,
 )
 from probtrace.evidence import _optimal_subcfmdp, enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
-from probtrace.markov import (
+from probtrace.markov import _policy_value, _sccs, _solve_cyclic, actions_at, analyze_mdp, merge_traces
+from probtrace.semantics import weight
+from probtrace.theory import (
     Strategy,
-    _policy_value,
-    _sccs,
-    _solve_cyclic,
-    actions_at,
-    analyze_mdp,
     apply_strategy,
     mdp_upper_bound,
     memoryless,
-    merge_traces,
+    minimize,
+    normalize,
     strategy_for_sublanguage,
 )
-from probtrace.semantics import weight
 
-from helpers import bounded_equal_deterministic, random_cfmdp, random_sub_cfmc
-
-from probtrace.cfa import normalize
+from helpers import bounded_equal_deterministic, dump, enumerate_traces, random_cfmdp, random_sub_cfmc
 
 X = ivar("X")
 SKIP = SkipL()
@@ -450,7 +444,7 @@ def test_every_accepted_trace_weighs_at_most_the_bound_seeded():
     automata += _subset_built_cfmdps(rng, 60)
     for a in automata:
         bound = analyze_mdp(a).bound
-        traces = a.enumerate_traces(6)
+        traces = enumerate_traces(a, 6)
         assert all(weight(tr) <= bound for tr in traces)
         seen["traces"] += len(traces)
         seen["tight"] += any(weight(tr) == bound for tr in traces)
@@ -484,7 +478,7 @@ def test_apply_strategy_unrolls_memory():
     )
     m = apply_strategy(a, psi)
     assert m.is_cfmc()
-    lang = set(m.enumerate_traces(6))
+    lang = set(enumerate_traces(m, 6))
     assert (Pb(0, "R"), SKIP) in lang
     assert (Pb(0, "L"), Pb(0, "R"), SKIP) in lang
     assert (Pb(0, "L"), Pb(0, "L"), Pb(0, "R"), SKIP) not in lang
@@ -497,11 +491,11 @@ def test_apply_strategy_dead_pair_cuts_the_edge_into_acceptance():
     a = PCFA({(0, Pb(0, "L"), 1), (0, Pb(0, "R"), 2), (1, SKIP, 2)}, 0, 2)
     delta = {(0, 0): (0, 1), (1, 1): (SKIP, 2)}
     both = apply_strategy(a, Strategy(delta, 0))
-    assert set(both.enumerate_traces(4)) == {(Pb(0, "L"), SKIP), (Pb(0, "R"),)}
+    assert set(enumerate_traces(both, 4)) == {(Pb(0, "L"), SKIP), (Pb(0, "R"),)}
     assert analyze_mdp(both).bound == 1
     cut = apply_strategy(a, Strategy(delta, 0, dead=frozenset({(2, 1)})))
     assert cut.is_cfmc()
-    assert set(cut.enumerate_traces(4)) == {(Pb(0, "L"), SKIP)}
+    assert set(enumerate_traces(cut, 4)) == {(Pb(0, "L"), SKIP)}
     assert analyze_mdp(cut).bound == Fraction(1, 2)
 
 
@@ -566,9 +560,9 @@ def test_strategy_roundtrip_seeded():
         back = apply_strategy(a, psi)
         depth = 2 * max(len(a.locations), len(m.locations), 1)
         assert bounded_equal_deterministic(m, back, depth), (
-            a.dump(),
-            m.dump(),
-            back.dump(),
+            dump(a),
+            dump(m),
+            dump(back),
         )
         done += 1
 
@@ -595,7 +589,7 @@ def test_merge_single_trace_is_linear():
     tr = (Pb(0, "L"), INC, SKIP)
     m = merge_traces([tr])
     assert m is not None and m.is_cfmc()
-    assert set(m.enumerate_traces(5)) == {tr}
+    assert set(enumerate_traces(m, 5)) == {tr}
 
 
 def test_merge_coin_divergence_is_mergeable():
@@ -603,7 +597,7 @@ def test_merge_coin_divergence_is_mergeable():
     t2 = (Pb(0, "R"), SKIP, SKIP)
     m = merge_traces([t1, t2])
     assert m is not None and m.is_cfmc()
-    assert set(m.enumerate_traces(5)) == {t1, t2}
+    assert set(enumerate_traces(m, 5)) == {t1, t2}
 
 
 def test_merge_extremes_of_a_walk():
@@ -626,7 +620,7 @@ def test_merge_deduplicates():
     tr = (Pb(0, "L"), SKIP)
     m = merge_traces([tr, tr])
     assert m is not None
-    assert set(m.enumerate_traces(4)) == {tr}
+    assert set(enumerate_traces(m, 4)) == {tr}
 
 
 def test_merge_rejects_a_proper_prefix():
@@ -728,7 +722,7 @@ def test_merge_agrees_with_the_trie_reference_seeded():
         merged += 1
         branched += len(set(traces)) > 1
         assert got.is_cfmc()
-        assert set(got.enumerate_traces(8)) == set(want.enumerate_traces(8))
+        assert set(enumerate_traces(got, 8)) == set(enumerate_traces(want, 8))
     assert merged > 500 and branched > 300 and unmerged > 500
 
 
@@ -760,7 +754,7 @@ def test_enumerate_by_weight_orders_heavy_first():
     weights = [weight(t) for t in got]
     assert weights == sorted(weights, reverse=True)
     assert got[0] == (SKIP,)
-    assert set(got) == set(a.enumerate_traces(4))
+    assert set(got) == set(enumerate_traces(a, 4))
 
 
 def test_enumerate_by_weight_is_lazy_on_infinite_languages():

@@ -20,7 +20,6 @@ from probtrace.formula import (
     ivar,
     le,
     ne,
-    simplify,
 )
 from probtrace.lang import to_pcfa
 from probtrace.semantics import (
@@ -35,11 +34,10 @@ from probtrace.semantics import (
     pre_exists_chain,
     pre_exists_trace,
     weight,
-    wp_demonic_trace,
 )
 from probtrace.solver import Solver
 
-from helpers import load_program
+from helpers import load_program, simplify, wp_demonic_trace
 
 X, Y = ivar("X"), ivar("Y")
 

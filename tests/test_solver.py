@@ -32,7 +32,6 @@ from probtrace.formula import (
     le,
     lt,
     ne,
-    simplify,
 )
 from probtrace import solver as solver_module
 from probtrace.cfa import Assign, Assume, Pb, SkipL
@@ -45,7 +44,7 @@ from probtrace.solver import (
     strongest_post,
 )
 
-from helpers import reference_least_atom, total_state
+from helpers import reference_least_atom, simplify, total_state
 
 X, Y, Z = ivar("X"), ivar("Y"), ivar("Z")
 B = bvar("B")

@@ -144,3 +144,97 @@ def test_only_the_formula_module_builds_nodes():
         for caller in callers(path.read_text(), name)
     }
     assert found == set()
+
+
+# the modules `verify`, `verify_refutational` and `check_decomposition` run
+VERIFIER = ("cegar", "evidence", "hoare", "markov", "cfa", "semantics", "solver", "formula")
+
+
+def imported_modules(source: str) -> set[str]:
+    """The modules an import statement names, relative ones resolved
+    against the package: ``from . import theory`` names "probtrace.theory"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = (("probtrace." if node.level else "") + (node.module or "")).rstrip(".")
+            found |= {base} | {f"{base}.{a.name}" for a in node.names}
+    return found
+
+
+def test_no_verifier_module_imports_the_theory():
+    # `theory` holds the paper's constructions that the verifier does not
+    # run; a verifier module that imports it runs them again
+    for source in ("from . import theory\n", "from .theory import normalize\n", "import probtrace.theory\n"):
+        assert "probtrace.theory" in imported_modules(source)
+    found = {name for name in VERIFIER if "probtrace.theory" in imported_modules((SRC / f"{name}.py").read_text())}
+    assert found == set()
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The public functions of a module and the public methods of its
+    classes, as ("f" or "Class.m", node)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, node))
+    return [(name, node) for name, node in out if not name.split(".")[-1].startswith("_")]
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Every name read in `tree` outside `skip`, directly or as an attribute."""
+    names = set()
+    todo = [tree]
+    while todo:
+        for child in ast.iter_child_nodes(todo.pop()):
+            if child is skip:
+                continue
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                names.add(child.attr)
+            todo.append(child)
+    return names
+
+
+def uncalled(trees: dict[str, ast.Module], module: str) -> list[str]:
+    """The public functions and methods of `module` that no code in `trees`
+    names outside their own body."""
+    return [
+        name
+        for name, node in public_definitions(trees[module])
+        if not any(name.split(".")[-1] in referenced_names(tree, node) for tree in trees.values())
+    ]
+
+
+# Uncalled on purpose: name -> reason.
+FACADE = "perfbench's tracer and run.py use the Solver facade by name (ROADMAP item 6)"
+UNCALLED = {
+    "solver.Solver.check_sat": FACADE,
+    "solver.Solver.is_valid": FACADE,
+    "solver.Solver.equivalent": FACADE,
+    "solver.Solver.interpolants": FACADE,
+    "solver.Solver.close": FACADE,
+    "cegar.dump_certificate": "the CLI is to emit certificates in this format (ROADMAP item 2)",
+    "semantics.interpret_trace": "the replay of counterexamples by execution (ROADMAP item 14)",
+}
+
+
+def test_every_verifier_function_has_a_caller():
+    # a public function or method of a verifier module is called somewhere
+    # in the package other than in its own body and in `theory`: code only
+    # the tests run belongs in `tests/helpers.py`, the paper's constructions
+    # in `theory`
+    toy = "class C:\n    def m(self):\n        return self.m()\n\ndef used():\n    return C\n\nx = used()\n"
+    assert uncalled({"toy": ast.parse(toy)}, "toy") == ["C.m"]
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("__init__", "theory")
+    }
+    found = {f"{module}.{name}" for module in VERIFIER for name in uncalled(trees, module)}
+    assert found == set(UNCALLED)
