@@ -38,7 +38,6 @@ from .evidence import (
 from .lang import ParseError, Program, Specification, parse, parse_formula, to_pcfa
 from .oracle import StateDomain, exact_violation_probability
 from .solver import Solver, SolverUnknown
-from .theory import mdp_upper_bound
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "examine",
     "exact_violation_probability",
     "load_certificate",
-    "mdp_upper_bound",
     "parse",
     "parse_formula",
     "to_pcfa",

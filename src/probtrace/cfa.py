@@ -21,6 +21,9 @@ class only; the class returns the existing object when there is one.  Each
 label stores its key in the fixed label order (``sort_key``, which
 `label_key` reads) when it is built.  That fixed total order on labels makes
 every enumeration in the package reproducible.
+
+This module owns the action model of a control-flow MDP, which no other
+module derives: `action_of`, `action_key` and `actions_at`.
 """
 
 from __future__ import annotations
@@ -120,11 +123,37 @@ def trace_key(trace: Sequence[Label]):
     return tuple(l.sort_key for l in trace)
 
 
-def action_of(lab: Label):
+Action = Union[int, Label]  # coin identifier, or a non-random label
+
+
+def action_of(lab: Label) -> Action:
     """The CFMDP action a label belongs to: both sides of a coin share one."""
     if isinstance(lab, Pb):
-        return ("pb", lab.pid)
-    return ("lab", lab.sort_key)
+        return lab.pid
+    return lab
+
+
+def action_key(act: Action):
+    """The fixed order on actions: labels in label order, then coins."""
+    if isinstance(act, int):
+        return (1, act)
+    return (0, act.sort_key)
+
+
+def actions_at(a: PCFA, loc: int) -> dict:
+    """Available actions at a location: action -> {side: target} for coins,
+    action -> target for plain labels."""
+    coins: dict[int, dict[str, int]] = {}
+    plain: dict[Label, int] = {}
+    for lab, tgt in a.out_edges(loc):
+        if isinstance(lab, Pb):
+            coins.setdefault(lab.pid, {})[lab.side] = tgt
+        else:
+            plain[lab] = tgt
+    out: dict[Action, object] = {}
+    out.update(coins)
+    out.update(plain)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .cfa import (
     PCFA,
     Label,
     Pb,
+    action_of,
     difference_all,
     trace_tree,
     trim,
@@ -133,10 +134,6 @@ def _weight_batches(stream: Iterator[Trace], budget: int) -> Iterator[list[Trace
         yield batch
 
 
-def compatible(solver: Solver, total_pre: Formula, pc: Formula) -> bool:
-    return solver.is_sat(fand(total_pre, pc))
-
-
 # ---------------------------------------------------------------------------
 # the examine loop
 # ---------------------------------------------------------------------------
@@ -164,8 +161,7 @@ def _optimal_subcfmdp(aut: PCFA, optimal_actions: dict) -> PCFA:
         acts = optimal_actions.get(s)
         if acts is None:
             continue
-        act = lab.pid if isinstance(lab, Pb) else lab
-        if act in acts:
+        if action_of(lab) in acts:
             keep.add((s, lab, t))
     return trim(PCFA(keep, aut.initial, aut.accepting))
 
@@ -232,7 +228,7 @@ def examine(
         total_pre = fand(spec.pre, cell.guard)
         pc_core: Optional[Formula] = None  # conjunction of mainstream pcs
         mainstream_mass = Fraction(0)
-        incompat: list[tuple[Trace, Formula]] = []
+        incompat: list[Trace] = []
         fakes: list[Trace] = []
         accum = Fraction(0)
         found: Optional[Counterexample] = None
@@ -242,21 +238,12 @@ def examine(
             for tr in batch:
                 w = weight(tr)
                 pc = path_condition(tr, spec, solver)
-                guarded = fand(cell.guard, pc)
-                if not solver.is_sat(guarded):
-                    if solver.is_sat(pc):
-                        # violating outside this compartment only
-                        incompat.append((tr, pc))
-                        accum += w
-                        events.append(("incompatible", tr, pc, accum))
-                    else:
-                        fakes.append(tr)
-                        accum += w
-                        events.append(("fake", tr, accum))
-                    continue
-                if compatible(solver, total_pre, pc) and merge_traces(
-                    mainstream_traces + [tr]
-                ) is not None:
+                here = solver.is_sat(fand(cell.guard, pc))
+                if (
+                    here
+                    and solver.is_sat(fand(total_pre, pc))
+                    and merge_traces(mainstream_traces + [tr]) is not None
+                ):
                     mainstream_traces.append(tr)
                     mainstream_pcs.append(pc)
                     total_pre = fand(total_pre, pc)
@@ -268,10 +255,14 @@ def examine(
                             tuple(mainstream_traces), total_pre, mainstream_mass
                         )
                         break
-                else:
-                    incompat.append((tr, pc))
-                    accum += w
+                    continue
+                accum += w
+                if here or solver.is_sat(pc):  # violating, not with the mainstream
+                    incompat.append(tr)
                     events.append(("incompatible", tr, pc, accum))
+                else:
+                    fakes.append(tr)
+                    events.append(("fake", tr, accum))
             if found is not None or accum >= p - beta:
                 break
 
@@ -283,9 +274,7 @@ def examine(
             events.append(("exhausted", reason))
             return Exhausted(reason), cover(), q_new
 
-        cert = Certificate(
-            tuple(fakes), tuple(tr for tr, _ in incompat), accum
-        )
+        cert = Certificate(tuple(fakes), tuple(incompat), accum)
         events.append(("certificate", cert))
 
         # fake erasure: certify each fake's whole generalization and remove
@@ -302,11 +291,10 @@ def examine(
 
         # split on the mainstream's shared precondition, erasing each trace
         # only from compartments whose states cannot run it
-        incompat_traces = [tr for tr, _ in incompat]
         if mainstream_traces:
             h = fand(cell.guard, pc_core)
             events.append(("split", pc_core))
-            mined_aut = _erase_traces(cells[idx].aut, incompat_traces)
+            mined_aut = _erase_traces(cells[idx].aut, incompat)
             new_cells = [_Cell(h, mined_aut, mined=True)]
             other_guard = fand(cell.guard, fnot(pc_core))
             if solver.is_sat(other_guard):
@@ -319,7 +307,7 @@ def examine(
                 new_cells.append(_Cell(other_guard, other_aut, mined=False))
             cells[idx : idx + 1] = new_cells
         else:
-            cells[idx].aut = _erase_traces(cells[idx].aut, incompat_traces)
+            cells[idx].aut = _erase_traces(cells[idx].aut, incompat)
             cells[idx].mined = True
 
     reason = f"round cap ({round_cap}) exhausted"

@@ -15,6 +15,7 @@ nondeterministic occurrence consumes two consecutive branch tags.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,15 +90,12 @@ class SWhile(Stmt):
 
 @dataclass(frozen=True)
 class SProb(Stmt):
-    pid: int
     left: Stmt
     right: Stmt
 
 
 @dataclass(frozen=True)
 class SNd(Stmt):
-    ltag: int
-    rtag: int
     left: Stmt
     right: Stmt
 
@@ -354,15 +352,13 @@ class _Parser:
                 right = self.parse_block()
                 if self.at(";"):
                     self.next()
-                # ids are provisional here; parse() renumbers every choice
-                # in pre-order so that nesting follows statement-start order
-                return SProb(-1, left, right)
+                return SProb(left, right)
             if self.at("<*>"):
                 self.next()
                 right = self.parse_block()
                 if self.at(";"):
                     self.next()
-                return SNd(-1, -1, left, right)
+                return SNd(left, right)
             self.fail("a bare block must be followed by <+> or <*>")
         if t.kind == "name" and t.text == "skip":
             self.next()
@@ -401,30 +397,6 @@ class _Parser:
             return SAssign(var, expr)
         self.fail(f"expected a statement, found {t.text!r}")
         raise AssertionError
-
-
-def _number_choices(s: Stmt, counters: list[int]) -> Stmt:
-    """Assign choice identifiers in pre-order (statement-start order)."""
-    if isinstance(s, SSeq):
-        a = _number_choices(s.first, counters)
-        b = _number_choices(s.second, counters)
-        return SSeq(a, b)
-    if isinstance(s, SIf):
-        return SIf(s.cond, _number_choices(s.then, counters),
-                   _number_choices(s.els, counters))
-    if isinstance(s, SWhile):
-        return SWhile(s.cond, _number_choices(s.body, counters))
-    if isinstance(s, SProb):
-        pid = counters[0]
-        counters[0] += 1
-        return SProb(pid, _number_choices(s.left, counters),
-                     _number_choices(s.right, counters))
-    if isinstance(s, SNd):
-        tag = counters[1]
-        counters[1] += 2
-        return SNd(tag, tag + 1, _number_choices(s.left, counters),
-                   _number_choices(s.right, counters))
-    return s
 
 
 _HEADER_RE = re.compile(r"^\s*@(pre|post|beta)\b(.*)$")
@@ -523,7 +495,7 @@ def parse(text: str) -> tuple[Program, Specification]:
 
     p = _Parser(_tokenize(body_text), {})
     decls = _parse_decls(p)
-    body = _number_choices(p.parse_stmts_until(None), [0, 0])
+    body = p.parse_stmts_until(None)
     program = Program(tuple(decls), body)
 
     sorts = dict(p.sorts)
@@ -547,6 +519,7 @@ def parse(text: str) -> tuple[Program, Specification]:
 def to_pcfa(program: Program) -> PCFA:
     transitions: set[tuple[int, cfa.Label, int]] = set()
     counter = [2]  # 0 = initial, 1 = accepting
+    coins, tags = itertools.count(), itertools.count()  # emit visits choices in pre-order
 
     def fresh() -> int:
         counter[0] += 1
@@ -573,15 +546,16 @@ def to_pcfa(program: Program) -> PCFA:
             transitions.add((entry, Assume(fnot(stmt.cond)), exit_))
             emit(stmt.body, body_in, entry)
         elif isinstance(stmt, SProb):
+            pid = next(coins)
             lin, rin = fresh(), fresh()
-            transitions.add((entry, Pb(stmt.pid, "L"), lin))
-            transitions.add((entry, Pb(stmt.pid, "R"), rin))
+            transitions.add((entry, Pb(pid, "L"), lin))
+            transitions.add((entry, Pb(pid, "R"), rin))
             emit(stmt.left, lin, exit_)
             emit(stmt.right, rin, exit_)
         elif isinstance(stmt, SNd):
             lin, rin = fresh(), fresh()
-            transitions.add((entry, Nd(stmt.ltag), lin))
-            transitions.add((entry, Nd(stmt.rtag), rin))
+            transitions.add((entry, Nd(next(tags)), lin))
+            transitions.add((entry, Nd(next(tags)), rin))
             emit(stmt.left, lin, exit_)
             emit(stmt.right, rin, exit_)
         else:

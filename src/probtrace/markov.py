@@ -2,7 +2,8 @@
 
 A CFMDP is a deterministic PCFA with no edges out of the accepting location;
 its actions are coin identifiers (owning both branch edges) plus the
-non-random labels.
+non-random labels, and each location's actions and their order come from
+`cfa.actions_at` and `cfa.action_key`.
 
 The upper-bound computation casts the CFMDP to a plain MDP — coins become
 half/half distributions, a coin with a missing partner branch loses half its
@@ -24,33 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .cfa import PCFA, Label, Pb, _reach, label_key, trace_tree
-
-Action = Union[int, Label]  # coin identifier, or a non-random label
-
-
-def _action_key(act: Action):
-    if isinstance(act, int):
-        return (1, act)
-    return (0, label_key(act))
-
-
-def actions_at(a: PCFA, loc: int) -> dict:
-    """Available actions at a location: action -> {side: target} for coins,
-    action -> target for plain labels."""
-    coins: dict[int, dict[str, int]] = {}
-    plain: dict[Label, int] = {}
-    for lab, tgt in a.out_edges(loc):
-        if isinstance(lab, Pb):
-            coins.setdefault(lab.pid, {})[lab.side] = tgt
-        else:
-            plain[lab] = tgt
-    out: dict[Action, object] = {}
-    out.update(coins)
-    out.update(plain)
-    return out
+from .cfa import PCFA, Action, Label, _reach, action_key, actions_at, trace_tree
 
 
 def check_cfmdp(a: PCFA) -> PCFA:
@@ -224,22 +201,22 @@ def _policy_value(a: PCFA, acts: dict, policy: dict) -> dict:
 
 def analyze_mdp(a: PCFA) -> MdpAnalysis:
     """Maximal reachability of the accepting location by policy iteration,
-    from the first action in `_action_key` order at every location.
+    from the first action in `action_key` order at every location.
 
     After each evaluation the values are brought to one common denominator
     D, so each improvement sweep compares integers: an action's q-value
     times 2D is Σ w·num[t] over its weighted successors, against 2·num[loc]
     for the location's value.  An action improves only when strictly better,
     and the sweep that improves nothing records every value-maximal action,
-    in `_action_key` order, as `optimal_actions`."""
+    in `action_key` order, as `optimal_actions`."""
     check_cfmdp(a)
-    # location -> {action: step}, actions in `_action_key` order; the
+    # location -> {action: step}, actions in `action_key` order; the
     # accepting location is a sink, so it offers no action
     acts = {}
     for loc in sorted(a.locations):
         here = actions_at(a, loc)
         if len(here) > 1:
-            here = dict(sorted(here.items(), key=lambda kv: _action_key(kv[0])))
+            here = dict(sorted(here.items(), key=lambda kv: action_key(kv[0])))
         if here:
             acts[loc] = here
     steps = {

@@ -8,7 +8,9 @@ goes entirely to the upper end — so callers can compare certified bounds
 against it without ever trusting a point estimate.
 
 Everything here is deliberately independent of the verification pipeline:
-no transformers, no solver, no automata algebra beyond walking edges.
+no transformers, no solver, no automata algebra beyond walking edges.  A
+location's actions come from `cfa.actions_at`, and each label runs through
+`semantics.interpret_label`, which no verifier path runs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional
 
-from .cfa import Assign, Assume, PCFA, action_of
+from .cfa import Assign, Assume, PCFA, actions_at
 from .formula import IntTerm, bool_vars, feval, int_vars
+from .semantics import interpret_label
 
 DEFAULT_RANGE = (-4, 4)
 
@@ -123,36 +126,19 @@ def exact_violation_probability(
         hit = memo.get(key)
         if hit is not None:
             return hit
-        sdict = dict(state)
-        by_action: dict = {}
-        for lab, tgt in edges:
-            by_action.setdefault(action_of(lab), []).append((lab, tgt))
         lo_best, hi_best = _ZERO
-        for act in sorted(by_action):
-            labs = by_action[act]
-            if act[0] == "pb":
-                sides = {lab.side: tgt for lab, tgt in labs}
+        for act, step in actions_at(P, loc).items():
+            if isinstance(act, int):
                 lo = hi = Fraction(0)
-                for side in ("L", "R"):
-                    if side in sides:
-                        l, h = value(k - 1, sides[side], state)
-                        lo += l / 2
-                        hi += h / 2
-                    # a missing side accepts no trace: contributes exactly 0
+                # a missing side accepts no trace: contributes exactly 0
+                for tgt in step.values():
+                    l, h = value(k - 1, tgt, state)
+                    lo += l / 2
+                    hi += h / 2
                 v = (lo, hi)
             else:
-                (lab, tgt), = labs
-                if isinstance(lab, Assume):
-                    v = value(k - 1, tgt, state) if feval(lab.cond, sdict) else _ZERO
-                elif isinstance(lab, Assign):
-                    new = dict(sdict)
-                    if isinstance(lab.expr, IntTerm):
-                        new[lab.var] = lab.expr.eval(sdict)
-                    else:
-                        new[lab.var] = feval(lab.expr, sdict)
-                    v = value(k - 1, tgt, tuple(sorted(new.items())))
-                else:
-                    v = value(k - 1, tgt, state)
+                new = interpret_label(act, dict(state))  # None: a blocked assume
+                v = _ZERO if new is None else value(k - 1, step, tuple(sorted(new.items())))
             if v[0] > lo_best:
                 lo_best = v[0]
             if v[1] > hi_best:

@@ -31,12 +31,13 @@ from .cfa import (
     _reach,
     _subset_product,
     _to_pcfa,
+    actions_at,
     difference_nfa,
     empty_pcfa,
     nfa_is_empty,
     trim,
 )
-from .markov import actions_at, analyze_mdp, check_cfmdp
+from .markov import analyze_mdp, check_cfmdp
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +102,9 @@ def _pb_pairs(a: PCFA):
     """(loc, pid, L-target, R-target) for every paired coin at a location."""
     out = []
     for loc in sorted(a.locations):
-        coins: dict[int, dict[str, int]] = {}
-        for lab, t in a.out_edges(loc):
-            if isinstance(lab, Pb):
-                coins.setdefault(lab.pid, {})[lab.side] = t
-        for pid in sorted(coins):
-            sides = coins[pid]
+        here = actions_at(a, loc)
+        for pid in sorted(act for act in here if isinstance(act, int)):
+            sides = here[pid]
             if "L" in sides and "R" in sides:
                 out.append((loc, pid, sides["L"], sides["R"]))
     return out

@@ -167,6 +167,31 @@ def test_nested_choice_numbering_stable():
     assert pids == [0, 1]
 
 
+def test_choices_numbered_in_pre_order():
+    # a choice takes its id before the choices nested in its branches, and
+    # coins and nondeterministic tags are counted apart
+    text = (
+        "@pre true\n@post true\n@beta 1\nint X;\n"
+        "{ { X := 1; } <+> { X := 2; }; } <+> { { X := 3; } <*> { X := 4; }; };\n"
+        "{ X := 5; } <*> { X := 6; };\n"
+    )
+    p = to_pcfa(parse(text)[0])
+
+    def out(loc):
+        return {str(lab): t for lab, t in p.out_edges(loc)}
+
+    first = out(p.initial)
+    assert set(first) == {"pb(0,L)", "pb(0,R)"}
+    left, right = out(first["pb(0,L)"]), out(first["pb(0,R)"])
+    assert set(left) == {"pb(1,L)", "pb(1,R)"}
+    assert set(right) == {"nd(0)", "nd(1)"}
+    last = out(out(left["pb(1,L)"])["X := 1"])
+    assert {lab: out(t) for lab, t in last.items()} == {
+        "nd(2)": {"X := 5": p.accepting},
+        "nd(3)": {"X := 6": p.accepting},
+    }
+
+
 def test_while_loop_guard_labels():
     program, _ = load_program("motivating.prob")
     p = to_pcfa(program)

@@ -17,6 +17,7 @@ from probtrace.cfa import (
     NotRepresentable,
     Pb,
     SkipL,
+    action_key,
     difference_all,
     empty_pcfa,
     intersect,
@@ -336,7 +337,7 @@ def _fraction_analyze_mdp(a: PCFA) -> markov.MdpAnalysis:
         return values[step]
 
     acts = {
-        loc: dict(sorted(here.items(), key=lambda kv: markov._action_key(kv[0])))
+        loc: dict(sorted(here.items(), key=lambda kv: action_key(kv[0])))
         for loc, here in _action_map(a).items()
     }
     policy = {loc: next(iter(here)) for loc, here in acts.items()}
@@ -428,7 +429,7 @@ def test_integer_sweep_matches_the_fraction_reference_seeded():
         assert got.values == want.values
         assert got.policy == want.policy
         assert got.optimal_actions == want.optimal_actions
-        start = {loc: min(here, key=markov._action_key) for loc, here in _action_map(a).items()}
+        start = {loc: min(here, key=action_key) for loc, here in _action_map(a).items()}
         seen["improved"] += got.policy != start
         seen["ties"] += any(len(acts) > 1 for acts in got.optimal_actions.values())
         seen["non_dyadic"] += any(v.denominator & (v.denominator - 1) for v in got.values.values())

@@ -238,3 +238,22 @@ def test_every_verifier_function_has_a_caller():
     }
     found = {f"{module}.{name}" for module in VERIFIER for name in uncalled(trees, module)}
     assert found == set(UNCALLED)
+
+
+def attribute_reads(source: str, names: set[str]) -> set[str]:
+    """The attributes among `names` that some expression reads."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in names
+    }
+
+
+def test_only_cfa_reads_a_coin():
+    # `cfa` owns the action model of a CFMDP: `action_of`, `action_key` and
+    # `actions_at` say how a coin's two sides make one action; a module
+    # that reads a coin's id or side derives that model again
+    coin = {"pid", "side"}
+    assert attribute_reads("x = lab.pid\ny = Pb(act, side)\n", coin) == {"pid"}
+    found = {path.name for path in sorted(SRC.glob("*.py")) if attribute_reads(path.read_text(), coin)}
+    assert found == {"cfa.py"}
