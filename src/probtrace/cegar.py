@@ -68,7 +68,7 @@ from .evidence import (
 )
 from .formula import Formula, fand
 from .hoare import FloydHoareAutomaton, check_floyd_hoare, generalize_nonviolating, generalize_violating
-from .lang import ParseError, parse_formula, parse_label
+from .lang import ParseError, parse_formula, parse_label, to_pcfa
 from .markov import analyze_mdp, merge_traces
 from .semantics import NonViolating, classify, weight
 from .solver import Solver, SolverUnknown
@@ -400,8 +400,6 @@ def load_certificate(
 ) -> tuple[Optional[Fraction], Optional[PCFA], list[FloydHoareAutomaton]]:
     """Parse a certificate bundle against a program: the program supplies the
     variable sorts and the alphabet that ``sigma`` edges expand over."""
-    from .lang import to_pcfa
-
     sorts = dict(program.declarations)
     alphabet = to_pcfa(program).alphabet
 

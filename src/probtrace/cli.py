@@ -31,6 +31,7 @@ import re
 import signal
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -179,56 +180,83 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# timeout guard
+# shared run plumbing
 
 
 class _Timeout(Exception):
     pass
 
 
-class time_limit:
-    """Wall-clock limit for a block, via SIGALRM (main thread only)."""
+def _strike(signum, frame):
+    raise _Timeout()
 
-    def __init__(self, seconds: Optional[float]):
-        self.seconds = seconds
 
-    def __enter__(self):
-        self.armed = bool(self.seconds and self.seconds > 0)
-        if self.armed:
-            signal.signal(signal.SIGALRM, self._raise)
-            try:
-                signal.setitimer(signal.ITIMER_REAL, self.seconds)
-            except OverflowError:
-                # beyond what the interval timer can represent, so it could
-                # never fire: run without an alarm
-                signal.signal(signal.SIGALRM, signal.SIG_DFL)
-                self.armed = False
-        return self
-
-    @staticmethod
-    def _raise(signum, frame):
-        raise _Timeout()
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.armed:
+def _timed(seconds: Optional[float], call):
+    """`(call(), seconds taken)` under a wall-clock limit of `seconds` (0 or
+    None: no limit), via SIGALRM (main thread only); the result is None when
+    the limit struck."""
+    t0 = time.monotonic()
+    result, previous = None, signal.getsignal(signal.SIGALRM)
+    try:
+        if seconds:
+            signal.signal(signal.SIGALRM, _strike)
+            # a limit beyond what the interval timer can represent could never
+            # fire: it runs without an alarm
+            with suppress(OverflowError):
+                signal.setitimer(signal.ITIMER_REAL, seconds)
+        result = call()
+    except _Timeout:
+        pass  # the limit struck: no result
+    finally:
+        if seconds:
             signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, signal.SIG_DFL)
-        return False
-
-
-# ---------------------------------------------------------------------------
-# shared run plumbing
+            signal.signal(signal.SIGALRM, previous or signal.SIG_DFL)
+    return result, round(time.monotonic() - t0, 3)
 
 
 def _load_program(path: str):
+    """The program in file `path`, its spec, and its compiled automaton."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse(text)
+        program, spec = parse(text)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    return program, spec, to_pcfa(program)
+
+
+def _ratio(f: Fraction) -> str:
+    """`f` as ``p/q``, denominator always written."""
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _bound(f: Fraction) -> dict:
+    return {"bound_num": f.numerator, "bound_den": f.denominator}
+
+
+# the verify report's fields in their JSON order, unset; a report adds time_s
+# (and a run its solver stats) after them
+_REPORT = dict.fromkeys(
+    ("file", "verdict", "bound_num", "bound_den", "iterations", "traces", "error_pre", "beta", "reason")
+)
+
+
+def _verdict_fields(result) -> dict:
+    """The report fields the verifier's answer sets."""
+    if isinstance(result, Sat):
+        return {"verdict": "sat", **_bound(result.upper_bound), "iterations": result.iterations}
+    if isinstance(result, Unsat):
+        cex = result.counterexample
+        return {
+            "verdict": "unsat",
+            **_bound(cex.total_vp),
+            "iterations": result.iterations,
+            "traces": [[str(lab) for lab in tr] for tr in cex.traces],
+            "error_pre": str(cex.error_pre),
+        }
+    return {"verdict": "inconclusive", "iterations": result.iterations, "reason": result.reason}
 
 
 def run_verify(path: str, settings: dict) -> dict:
@@ -237,8 +265,7 @@ def run_verify(path: str, settings: dict) -> dict:
     Report fields (stable): verdict, bound_num, bound_den, iterations,
     traces, error_pre — plus beta, file, time_s, reason and solver stats.
     """
-    program, spec = _load_program(path)
-    p = to_pcfa(program)
+    _, spec, p = _load_program(path)
     beta = settings["beta"] if settings["beta"] is not None else spec.beta
     solver = Solver()
     runner = (
@@ -246,89 +273,55 @@ def run_verify(path: str, settings: dict) -> dict:
         if settings["refutational"]
         else partial(verify, trace_budget=settings["trace_budget"])
     )
-
-    report = {
-        "file": path,
-        "verdict": None,
-        "bound_num": None,
-        "bound_den": None,
-        "iterations": 0,
-        "traces": None,
-        "error_pre": None,
-        "beta": f"{beta.numerator}/{beta.denominator}",
-        "reason": None,
-    }
-    t0 = time.monotonic()
-    try:
-        with time_limit(settings["timeout"]):
-            result = runner(p, spec, beta, solver, max_iters=settings["max_iters"])
-    except _Timeout:
+    result, elapsed = _timed(
+        settings["timeout"],
+        partial(runner, p, spec, beta, solver, max_iters=settings["max_iters"]),
+    )
+    if result is None:
         result = Inconclusive(f"timeout after {settings['timeout']}s", 0)
-    report["time_s"] = round(time.monotonic() - t0, 3)
-
-    if isinstance(result, Sat):
-        report["verdict"] = "sat"
-        report["bound_num"] = result.upper_bound.numerator
-        report["bound_den"] = result.upper_bound.denominator
-        report["iterations"] = result.iterations
-    elif isinstance(result, Unsat):
-        cex = result.counterexample
-        report["verdict"] = "unsat"
-        report["bound_num"] = cex.total_vp.numerator
-        report["bound_den"] = cex.total_vp.denominator
-        report["iterations"] = result.iterations
-        report["traces"] = [[str(lab) for lab in tr] for tr in cex.traces]
-        report["error_pre"] = str(cex.error_pre)
-    else:
-        report["verdict"] = "inconclusive"
-        report["iterations"] = result.iterations
-        report["reason"] = result.reason
-    report["solver"] = solver.stats()
-    return report
+    return {
+        **_REPORT,
+        "file": path,
+        "beta": _ratio(beta),
+        **_verdict_fields(result),
+        "time_s": elapsed,
+        "solver": solver.stats(),
+    }
 
 
 def _print_verify_report(report: dict) -> None:
-    verdict = report["verdict"]
-    bound = (
-        Fraction(report["bound_num"], report["bound_den"])
-        if report["bound_num"] is not None
-        else None
-    )
+    verdict, beta = report["verdict"], report["beta"]
+    if verdict != "inconclusive":
+        bound = render_fraction(Fraction(report["bound_num"], report["bound_den"]))
     if verdict == "sat":
         print("verdict: Sat (violation probability within threshold)")
-        print(f"upper bound: {render_fraction(bound)}  <=  beta {report['beta']}")
+        print(f"upper bound: {bound}  <=  beta {beta}")
     elif verdict == "unsat":
         print("verdict: Unsat (threshold exceeded; counterexample validated)")
-        print(
-            f"counterexample probability: {render_fraction(bound)}  >  "
-            f"beta {report['beta']}"
-        )
+        print(f"counterexample probability: {bound}  >  beta {beta}")
         print(f"error precondition: {report['error_pre']}")
-        traces = report["traces"] or []
-        print(f"traces ({len(traces)}):")
-        for tr in traces:
+        print(f"traces ({len(report['traces'])}):")
+        for tr in report["traces"]:
             print("  " + "; ".join(tr))
     else:
         print("verdict: Inconclusive")
         print(f"reason: {report['reason']}")
     print(f"iterations: {report['iterations']}")
-    stats = report.get("solver", {})
-    if stats:
-        print(
-            f"solver: {stats['backend']}, {stats['queries']} queries "
-            f"({stats['cache_hits']} cache hits, "
-            f"{stats['witness_refutations']} triples refuted by witnesses, "
-            f"{stats['witness_drops']} drop trials answered by witnesses, "
-            f"{stats['theory_checks']} theory checks)"
-        )
+    stats = report["solver"]
+    print(
+        f"solver: {stats['backend']}, {stats['queries']} queries "
+        f"({stats['cache_hits']} cache hits, "
+        f"{stats['witness_refutations']} triples refuted by witnesses, "
+        f"{stats['witness_drops']} drop trials answered by witnesses, "
+        f"{stats['theory_checks']} theory checks)"
+    )
     print(f"time: {report['time_s']}s")
 
 
 _VERDICT_EXIT = {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
+def cmd_verify(args: argparse.Namespace, settings: dict) -> int:
     report = run_verify(args.file, settings)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -341,10 +334,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # check
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    program, spec = _load_program(args.file)
-    p = to_pcfa(program)
+def cmd_check(args: argparse.Namespace, settings: dict) -> int:
+    program, spec, p = _load_program(args.file)
     try:
         cert_text = Path(args.cert).read_text()
     except OSError as exc:
@@ -358,78 +349,57 @@ def cmd_check(args: argparse.Namespace) -> int:
     if beta is None:
         beta = spec.beta
     solver = Solver()
-
-    t0 = time.monotonic()
-    try:
-        with time_limit(settings["timeout"]):
-            result = check_decomposition(p, spec, beta, qs, a, solver)
-    except _Timeout:
+    result, elapsed = _timed(
+        settings["timeout"], partial(check_decomposition, p, spec, beta, qs, a, solver)
+    )
+    if result is None:
         result = Rejected(f"timeout after {settings['timeout']}s")
-    elapsed = round(time.monotonic() - t0, 3)
-
+    certified = isinstance(result, Certified)
+    if certified:
+        verdict = {"verdict": "certified", **_bound(result.upper_bound)}
+    else:
+        verdict = {"verdict": "rejected", "bound_num": None, "bound_den": None, "reason": result.reason}
     report = {
         "file": args.file,
         "certificate": args.cert,
-        "beta": f"{beta.numerator}/{beta.denominator}",
+        "beta": _ratio(beta),
         "components": len(qs),
         "time_s": elapsed,
         "solver": solver.stats(),
+        **verdict,
     }
-    if isinstance(result, Certified):
-        report["verdict"] = "certified"
-        report["bound_num"] = result.upper_bound.numerator
-        report["bound_den"] = result.upper_bound.denominator
-        exit_code = EXIT_SAT
-    else:
-        report["verdict"] = "rejected"
-        report["bound_num"] = None
-        report["bound_den"] = None
-        report["reason"] = result.reason
-        exit_code = EXIT_UNSAT
 
     if args.json:
         print(json.dumps(report, indent=2))
-    elif isinstance(result, Certified):
-        print("certificate: accepted")
-        print(
-            f"certified bound: {render_fraction(result.upper_bound)}  <=  "
-            f"beta {report['beta']}"
-        )
-        print(f"time: {elapsed}s")
     else:
-        print("certificate: rejected")
-        print(f"reason: {result.reason}")
+        if certified:
+            print("certificate: accepted")
+            print(f"certified bound: {render_fraction(result.upper_bound)}  <=  beta {report['beta']}")
+        else:
+            print("certificate: rejected")
+            print(f"reason: {result.reason}")
         print(f"time: {elapsed}s")
-    return exit_code
+    return EXIT_SAT if certified else EXIT_UNSAT
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    program, spec = _load_program(args.file)
-    p = to_pcfa(program)
-    if not p.is_deterministic():
-        raise CliError(
-            "the oracle requires an unambiguous control-flow automaton "
-            "(one target per location and label)"
-        )
+def cmd_oracle(args: argparse.Namespace, settings: dict) -> int:
+    _, spec, p = _load_program(args.file)
     dom = parse_domain(args.dom or [])
     beta = settings["beta"] if settings["beta"] is not None else spec.beta
-
-    t0 = time.monotonic()
     try:
-        with time_limit(settings["timeout"]):
-            lo, hi = exact_violation_probability(
-                p, spec, dom, step_bound=settings["step_bound"]
-            )
-    except _Timeout:
-        raise CliError(f"oracle timeout after {settings['timeout']}s")
+        bounds, elapsed = _timed(
+            settings["timeout"],
+            partial(exact_violation_probability, p, spec, dom, step_bound=settings["step_bound"]),
+        )
     except ValueError as exc:
         raise CliError(str(exc))
-    elapsed = round(time.monotonic() - t0, 3)
+    if bounds is None:
+        raise CliError(f"oracle timeout after {settings['timeout']}s")
+    lo, hi = bounds
 
     if lo > beta:
         decision = "exceeds"
@@ -439,21 +409,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         decision = "unresolved"
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "file": args.file,
-                    "lo_num": lo.numerator,
-                    "lo_den": lo.denominator,
-                    "hi_num": hi.numerator,
-                    "hi_den": hi.denominator,
-                    "exact": lo == hi,
-                    "beta": f"{beta.numerator}/{beta.denominator}",
-                    "decision": decision,
-                    "time_s": elapsed,
-                }
-            )
-        )
+        report = {
+            "file": args.file,
+            "lo_num": lo.numerator,
+            "lo_den": lo.denominator,
+            "hi_num": hi.numerator,
+            "hi_den": hi.denominator,
+            "exact": lo == hi,
+            "beta": _ratio(beta),
+            "decision": decision,
+            "time_s": elapsed,
+        }
+        print(json.dumps(report))
     else:
         if lo == hi:
             print(f"violation probability: {render_fraction(lo)} (exact)")
@@ -492,8 +459,7 @@ def _bench_row(report: dict) -> dict:
 _BENCH_COLUMNS = ["Benchmark", "Result", "#Iteration", "Upper Bound", "#Traces", "Time"]
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
+def cmd_bench(args: argparse.Namespace, settings: dict) -> int:
     bench_dir = Path(args.dir)
     if not bench_dir.is_dir():
         raise CliError(f"not a directory: {args.dir}")
@@ -506,24 +472,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             reports.append(run_verify(str(path), settings))
         except (CliError, RuntimeError) as exc:
-            reports.append(
-                {
-                    "file": str(path),
-                    "verdict": "error",
-                    "bound_num": None,
-                    "bound_den": None,
-                    "iterations": 0,
-                    "traces": None,
-                    "error_pre": None,
-                    "beta": "-",
-                    "reason": str(exc),
-                    "time_s": 0.0,
-                }
-            )
+            error = {"verdict": "error", "iterations": 0, "beta": "-", "reason": str(exc), "time_s": 0.0}
+            reports.append({**_REPORT, "file": str(path), **error})
+    ok = all(r["verdict"] in ("sat", "unsat") for r in reports)
 
     if args.json:
         print(json.dumps(reports, indent=2))
-        return EXIT_SAT if all(r["verdict"] in ("sat", "unsat") for r in reports) else EXIT_INCONCLUSIVE
+        return EXIT_SAT if ok else EXIT_INCONCLUSIVE
 
     rows = [_bench_row(r) for r in reports]
     widths = {
@@ -534,7 +489,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("  ".join("-" * widths[col] for col in _BENCH_COLUMNS))
     for row in rows:
         print("  ".join(row[col].ljust(widths[col]) for col in _BENCH_COLUMNS))
-    ok = all(r["verdict"] in ("sat", "unsat") for r in reports)
     return EXIT_SAT if ok else EXIT_INCONCLUSIVE
 
 
@@ -548,6 +502,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise CliError(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        # argparse's own swallows a write error, so `--help` into a closed
+        # pipe would exit 0; raised, it ends like any other closed-pipe run
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        code = args.func(args, _merge_settings(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

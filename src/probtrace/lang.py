@@ -1,4 +1,4 @@
-"""Surface language: parsing, pretty-printing, and compilation to PCFA.
+"""Surface language: parsing and compilation to PCFA.
 
 A program file is UTF-8 text with three header lines (``@pre``, ``@post``,
 ``@beta p/q``), followed by declarations (``int X;`` / ``bool B;``),

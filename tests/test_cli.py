@@ -4,12 +4,15 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from probtrace import cli
 from probtrace.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -140,6 +143,62 @@ def test_timeout_beyond_the_interval_timer_runs_to_the_verdict():
     assert proc.returncode == EXIT_UNSAT
     assert "verdict: Unsat" in proc.stdout
     assert "counterexample probability: 3/8" in proc.stdout
+
+
+# the limit strikes while the library call sleeps; 1e-7 s lies far below a
+# scheduler tick, so its alarm is due as soon as it is armed
+LIMITS = ["0.05", "1e-7"]
+
+
+@pytest.fixture()
+def sleeping(monkeypatch):
+    """Make the CLI's library call `name` sleep past any limit under test, and
+    check that the alarm's timer and handler are restored afterwards."""
+    handler = signal.getsignal(signal.SIGALRM)
+
+    def patch(name):
+        def sleep(*args, **kwargs):
+            time.sleep(30)
+            raise AssertionError("the limit did not strike")
+
+        monkeypatch.setattr(cli, name, sleep)
+
+    yield patch
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) == handler
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_verify_past_its_limit_is_inconclusive(limit, sleeping, capsys):
+    sleeping("verify")
+    reason = f"timeout after {float(limit)}s"
+    assert main(["verify", PROG, "--timeout", limit]) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "verdict: Inconclusive" in out and f"reason: {reason}\n" in out
+    assert main(["verify", PROG, "--timeout", limit, "--json"]) == EXIT_INCONCLUSIVE
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["reason"], report["iterations"]) == ("inconclusive", reason, 0)
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_check_past_its_limit_is_rejected(limit, sleeping, capsys):
+    sleeping("check_decomposition")
+    reason = f"timeout after {float(limit)}s"
+    assert main(["check", PROG, CERT, "--timeout", limit]) == EXIT_UNSAT
+    out = capsys.readouterr().out
+    assert "certificate: rejected" in out and f"reason: {reason}\n" in out
+    assert main(["check", PROG, CERT, "--timeout", limit, "--json"]) == EXIT_UNSAT
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["reason"]) == ("rejected", reason)
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_oracle_past_its_limit_is_an_error(limit, sleeping, capsys):
+    sleeping("exact_violation_probability")
+    assert main(["oracle", PROG, "--timeout", limit]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: oracle timeout after {float(limit)}s\n"
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +574,9 @@ class _ClosedPipe:
         return self.fd
 
 
-@pytest.mark.parametrize("argv", [["verify", PROG, "--refutational"], ["oracle", PROG]])
+@pytest.mark.parametrize(
+    "argv", [["verify", PROG, "--refutational"], ["oracle", PROG], ["verify", "--help"]]
+)
 def test_a_closed_stdout_pipe_ends_quietly_with_the_error_code(argv, tmp_path, monkeypatch, capsys):
     out = tmp_path / "stdout"
     with open(out, "wb") as f:
