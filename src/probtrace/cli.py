@@ -267,7 +267,7 @@ def run_verify(path: str, settings: dict) -> dict:
     """
     _, spec, p = _load_program(path)
     beta = settings["beta"] if settings["beta"] is not None else spec.beta
-    solver = Solver()
+    solver, events = Solver(), []
     runner = (
         verify_refutational
         if settings["refutational"]
@@ -275,10 +275,13 @@ def run_verify(path: str, settings: dict) -> dict:
     )
     result, elapsed = _timed(
         settings["timeout"],
-        partial(runner, p, spec, beta, solver, max_iters=settings["max_iters"]),
+        partial(runner, p, spec, beta, solver, max_iters=settings["max_iters"], events=events),
     )
     if result is None:
-        result = Inconclusive(f"timeout after {settings['timeout']}s", 0)
+        # the interrupted loop returns nothing; its event log holds one
+        # pick per iteration it began
+        picks = sum(e[0] == "pick" for e in events)
+        result = Inconclusive(f"timeout after {settings['timeout']}s", picks)
     return {
         **_REPORT,
         "file": path,

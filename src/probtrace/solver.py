@@ -51,7 +51,6 @@ from .formula import (
     BoolLit,
     Cmp,
     Formula,
-    _cmp,
     _meet_facts,
     IntTerm,
     cmp_fact,
@@ -638,109 +637,46 @@ def _iff(p: Formula, q: Formula) -> Formula:
     return for_(fand(p, q), fand(fnot(p), fnot(q)))
 
 
-def _dnf(f: Formula, cap: int = 512) -> Optional[list[list[Formula]]]:
-    """Disjunctive normal form as cubes of atoms; None if it would blow up."""
-    if f == TRUE:
-        return [[]]
-    if f == FALSE:
-        return []
-    if isinstance(f, (Cmp, BoolLit)):
-        return [[f]]
-    if isinstance(f, Or):
-        out: list[list[Formula]] = []
-        for part in f.args:
-            sub = _dnf(part, cap)
-            if sub is None:
-                return None
-            out.extend(sub)
-            if len(out) > cap:
-                return None
-        return out
-    if isinstance(f, And):
-        acc: list[list[Formula]] = [[]]
-        for part in f.args:
-            sub = _dnf(part, cap)
-            if sub is None:
-                return None
-            acc = [c + d for c in acc for d in sub]
-            if len(acc) > cap:
-                return None
-        return acc
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _cube_eliminate(cube: list[Formula], var: str) -> Optional[list[list[Formula]]]:
-    """Existentially eliminate an integer variable from a conjunction of
-    atoms.  Exact only while the variable's coefficients stay at ±1; returns
-    the result as cubes (a disequality forces a case split)."""
-    rest: list[Formula] = []
-    les: list[Cmp] = []
-    eqs: list[Cmp] = []
-    nes: list[Cmp] = []
-    for a in cube:
-        if isinstance(a, Cmp) and a.term.coeff(var) != 0:
-            if abs(a.term.coeff(var)) != 1:
-                return None
-            {LE: les, EQ: eqs, NE: nes}[a.op].append(a)
-        else:
-            rest.append(a)
-    if eqs:
-        # var = t for a unit equation: substitute into the other atoms
-        a0 = eqs[0]
-        c = a0.term.coeff(var)
-        # c*var + r == 0  =>  var == -c*r   (c = ±1)
-        r = IntTerm.make(
-            {v: k for v, k in a0.term.coeffs if v != var}, a0.term.const
-        )
-        repl = r.scale(-c)
-        out = rest + [
-            _cmp(a.term.subst(var, repl), a.op) for a in les + eqs[1:] + nes
-        ]
-        return [out]
-    if nes:
-        # var != t   becomes   var <= t-1  or  var >= t+1
-        a0 = nes[0]
-        c = a0.term.coeff(var)
-        t = a0.term if c > 0 else -a0.term  # var + r' vs 0
-        one = IntTerm((), 1)
-        lo = _cmp(t + one, LE)   # var <= -r' - 1
-        hi = _cmp(-t + one, LE)  # var >= -r' + 1
-        remaining = rest + les + nes[1:]
-        out: list[list[Formula]] = []
-        for case in (lo, hi):
-            sub = _cube_eliminate(remaining + [case], var)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    lowers: list[IntTerm] = []  # bounds b with b <= var
-    uppers: list[IntTerm] = []  # bounds b with var <= b
-    for a in les:
-        c = a.term.coeff(var)
-        r = IntTerm.make({v: k for v, k in a.term.coeffs if v != var}, a.term.const)
-        if c > 0:
-            uppers.append(-r)  # var <= -r
-        else:
-            lowers.append(r)   # r <= var
-    combined = [_cmp(lo - up, LE) for lo in lowers for up in uppers]
-    return [rest + combined]
-
-
 def project_int_var(f: Formula, var: str) -> Optional[Formula]:
-    """∃ var. f over the integers, or None when not exactly expressible
-    within unit-coefficient elimination."""
+    """∃ var. f over the integers by Cooper's rule, or None when a
+    comparison gives ``var`` a coefficient other than ±1.
+
+    With unit coefficients no divisibility constraint arises, so ∃ var. f
+    is f at −∞ or f at one of its test points: r for each lower bound
+    var >= r, s for each equality var = s and s + 1 for each disequality
+    var != s (Cooper 1972; Bradley & Manna, *The Calculus of Computation*,
+    §7.5).  At −∞ every lower bound and equality on ``var`` is false and
+    every upper bound and disequality true.
+    """
     if var not in int_vars(f):
         return f
-    cubes = _dnf(f)
-    if cubes is None:
-        return None
-    out: list[Formula] = []
-    for cube in cubes:
-        sub = _cube_eliminate(cube, var)
-        if sub is None:
+    points: dict[IntTerm, None] = {}
+
+    def at_minus_infinity(g: Formula) -> Optional[Formula]:
+        if isinstance(g, (And, Or)):
+            parts = [at_minus_infinity(a) for a in g.args]
+            if None in parts:
+                return None
+            return (fand if isinstance(g, And) else for_)(*parts)
+        c = g.term.coeff(var) if isinstance(g, Cmp) else 0
+        if c == 0:
+            return g
+        if abs(c) != 1:
             return None
-        out.extend(fand(*c) for c in sub)
-    return for_(*out)
+        # c*var + r op 0 with c = ±1 meets its boundary at var = -c*r
+        point = (ivar(var).scale(c) - g.term).scale(c)
+        if g.op == NE:
+            points[point + IntTerm((), 1)] = None
+            return TRUE
+        if g.op == EQ or c < 0:
+            points[point] = None
+            return FALSE
+        return TRUE
+
+    low = at_minus_infinity(f)
+    if low is None:
+        return None
+    return for_(low, *(subst_int(f, var, t) for t in points))
 
 
 def strongest_post(lab, phi: Formula) -> Optional[Formula]:
@@ -807,8 +743,6 @@ def sequence_interpolants(
         rests = pre_exists_chain(labels, suffix, solver)
         if solver.is_sat(fand(prefix, rests[0])):
             raise ValueError("interpolation requires an unsatisfiable chain")
-    if not labels:
-        return []
 
     # weakened strongest-postcondition chain
     props: Optional[list[Formula]] = []

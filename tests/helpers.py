@@ -335,6 +335,50 @@ def random_counter_loop(rng: random.Random) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# random loops whose strongest postconditions project
+
+
+# each holds in every state the precondition admits, so a violation needs a
+# round of the loop
+_HOLDS_AT_ENTRY = [
+    "X <= 1", "X >= 0", "Y <= 1", "X <= Y + 1", "X >= Y - 1", "X + Y <= 2", "X != 2",
+]
+
+
+def random_projecting_loop(rng: random.Random) -> str:
+    """A loop of at most two rounds over X and Y whose body overwrites
+    them: after `X := c` or `X := Y + c` the strongest postcondition must
+    project the old X, after `Y := X` the old Y.  Fair coins, branch tags
+    and `if` nest the assignments.  The precondition keeps every variable
+    inside the oracle's default domain."""
+
+    def cond() -> str:
+        return f"{rng.choice('XY')} {rng.choice(['<=', '>=', '=', '!='])} {rng.randint(0, 2)}"
+
+    def stmt(depth: int = 0) -> str:
+        r = rng.random()
+        if depth < 2 and r < 0.3:
+            op = rng.choice(["<+>", "<+>", "<*>"])
+            return f"{{ {stmt(depth + 1)} }} {op} {{ {stmt(depth + 1)} }};"
+        if depth < 2 and r < 0.45:
+            return f"if ({cond()}) {{ {stmt(depth + 1)} }} else {{ {stmt(depth + 1)} }}"
+        c = rng.randint(-1, 2)
+        return rng.choice(
+            [f"X := Y {'+' if c >= 0 else '-'} {abs(c)};", "Y := X;", f"X := {c};"]
+        )
+
+    body = " ".join(stmt() for _ in range(rng.randint(1, 2)))
+    beta = rng.choice(["1/8", "1/4", "3/8", "1/2", "3/4"])
+    return (
+        "@pre X >= 0 && X <= 1 && Y >= 0 && Y <= 1 && T >= 0 && T <= 2\n"
+        f"@post {rng.choice(_HOLDS_AT_ENTRY)}\n"
+        f"@beta {beta}\n"
+        "int X;\nint Y;\nint T;\n"
+        f"while (T > 0) {{\n  {body}\n  T := T - 1;\n}}\n"
+    )
+
+
 def program_pcfa(text: str):
     program, spec = parse(text)
     return to_pcfa(program), spec

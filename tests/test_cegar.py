@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 
 import probtrace
 from probtrace import cegar, cfa, formula
+from probtrace import solver as solver_module
 from probtrace.cegar import (
     Certified,
     Inconclusive,
@@ -33,7 +35,14 @@ from probtrace.oracle import StateDomain, exact_violation_probability
 from probtrace.semantics import NonViolating, weight
 from probtrace.solver import Solver
 
-from helpers import BENCH_DIR, DATA_DIR, load_program, random_counter_loop, simplify
+from helpers import (
+    BENCH_DIR,
+    DATA_DIR,
+    load_program,
+    random_counter_loop,
+    random_projecting_loop,
+    simplify,
+)
 
 C = ivar("C")
 X = ivar("X")
@@ -220,6 +229,59 @@ def test_counter_loops_agree_with_the_oracle_seeded():
                 cex = verdict.counterexample
                 assert spec.beta < cex.total_vp <= hi, (text, verdict)
     assert kinds[Sat] >= 10 and kinds[Unsat] >= 10, kinds
+
+
+class _RunTimedOut(Exception):
+    pass
+
+
+def test_projecting_loops_agree_with_the_oracle_seeded(monkeypatch):
+    """Loops whose strongest postconditions project an overwritten variable,
+    under both loops: a Sat bound lies between the truth and beta, an Unsat
+    mass between beta and the truth.  A run may time out or stay
+    inconclusive; those are counted and printed, not failed."""
+    projections = 0
+    project = solver_module.project_int_var
+
+    def counting(f, var):
+        nonlocal projections
+        projections += var in formula.int_vars(f)
+        return project(f, var)
+
+    def strike(signum, frame):
+        raise _RunTimedOut
+
+    monkeypatch.setattr(solver_module, "project_int_var", counting)
+    previous = signal.signal(signal.SIGALRM, strike)
+    rng = random.Random(1)
+    kinds = dict.fromkeys(["Sat", "Unsat", "Inconclusive", "timeout"], 0)
+    try:
+        for _ in range(40):
+            text = random_projecting_loop(rng)
+            program, spec = parse(text)
+            p = to_pcfa(program)
+            lo, hi = exact_violation_probability(p, spec)
+            assert lo == hi, text  # every run stops within two rounds
+            for loop in (verify, verify_refutational):
+                signal.setitimer(signal.ITIMER_REAL, 2.0)
+                try:
+                    verdict = loop(p, spec, solver=Solver(), max_iters=60)
+                except _RunTimedOut:
+                    kinds["timeout"] += 1
+                    continue
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                kinds[type(verdict).__name__] += 1
+                if isinstance(verdict, Sat):
+                    assert hi <= verdict.upper_bound <= spec.beta, (text, verdict)
+                elif isinstance(verdict, Unsat):
+                    cex = verdict.counterexample
+                    assert spec.beta < cex.total_vp <= lo, (text, verdict)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    print(f"{projections} projections past the fast path; runs by outcome: {kinds}")
+    assert projections >= 10
+    assert kinds["Sat"] >= 20 and kinds["Unsat"] >= 10, kinds
 
 
 def test_nondeterministic_choice_is_worst_cased(solver):

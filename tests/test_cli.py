@@ -180,6 +180,25 @@ def test_verify_past_its_limit_is_inconclusive(limit, sleeping, capsys):
     assert (report["verdict"], report["reason"], report["iterations"]) == ("inconclusive", reason, 0)
 
 
+def test_verify_past_its_limit_reports_the_iterations_it_began(tmp_path, monkeypatch, capsys):
+    def picks_then_sleeps(*args, events, **kwargs):
+        events.extend([("pick", 1, ()), ("pick", 2, ())])
+        time.sleep(30)
+        raise AssertionError("the limit did not strike")
+
+    monkeypatch.setattr(cli, "verify", picks_then_sleeps)
+    assert main(["verify", PROG, "--timeout", "0.05"]) == EXIT_INCONCLUSIVE
+    assert "\niterations: 2\n" in capsys.readouterr().out
+    assert main(["verify", PROG, "--timeout", "0.05", "--json"]) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out)["iterations"] == 2
+    (tmp_path / "one.prob").write_text(SAT_PROGRAM)
+    assert main(["bench", str(tmp_path), "--timeout", "0.05"]) == EXIT_INCONCLUSIVE
+    header, _, row = capsys.readouterr().out.splitlines()
+    column = header.index("#Iteration")
+    assert row[column:].split()[0] == "2", row
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("limit", LIMITS)
 def test_check_past_its_limit_is_rejected(limit, sleeping, capsys):
     sleeping("check_decomposition")

@@ -131,6 +131,22 @@ def test_parse_term_and_formula_errors():
         parse_formula("true ||", sorts)
 
 
+def test_parenthesised_terms_and_formulas():
+    # a leading "(" is read as a formula first and read again as a term
+    # when a comparison follows its ")"
+    sorts = {"X": "int", "Y": "int"}
+    cases = {
+        "(X + 1) <= 2": lambda x, y: x + 1 <= 2,
+        "2 * (X - 1) >= 0": lambda x, y: 2 * (x - 1) >= 0,
+        "(X <= 1) && Y = 0": lambda x, y: x <= 1 and y == 0,
+    }
+    for text, meaning in cases.items():
+        f = parse_formula(text, sorts)
+        for x in range(-3, 4):
+            for y in range(-1, 2):
+                assert feval(f, {"X": x, "Y": y}) == meaning(x, y), (text, x, y)
+
+
 def test_parse_label_roundtrip():
     sorts = {"X": "int", "C": "int", "A": "bool"}
     examples = [

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from probtrace.cegar import Sat, verify
 from probtrace.lang import parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
+from probtrace.solver import Solver
 
 from helpers import BENCH_DIR, load_program
 
@@ -49,6 +51,18 @@ def test_loop_free_benchmark_is_exact():
     program, spec = parse((BENCH_DIR / "two_coins.prob").read_text())
     lo, hi = exact_violation_probability(to_pcfa(program), spec)
     assert lo == hi == Fraction(1, 4)
+
+
+def test_boolean_assignment_is_simulated():
+    # B survives its coin's left side only where X >= 1: from X = 0 the
+    # violation probability is 1/2, and the verifier certifies exactly that
+    text = (
+        "@pre X >= 0 && X <= 1 && B\n@post B\n@beta 1/2\nint X;\nbool B;\n"
+        "{ B := X >= 1 && B; } <+> { skip; };\n"
+    )
+    assert run_oracle(text) == (Fraction(1, 2), Fraction(1, 2))
+    program, spec = parse(text)
+    assert verify(to_pcfa(program), spec, solver=Solver()) == Sat(Fraction(1, 2), 2)
 
 
 def test_worst_case_over_initial_states():

@@ -624,6 +624,49 @@ def test_project_int_var_gives_up_on_non_unit_coefficients():
     )  # 2X <= 3 is satisfiable; any exact answer must be TRUE-like
 
 
+def _random_nested_formula(rng: random.Random, depth: int = 0):
+    """Nested `And`/`Or` over X, Y, Z and the boolean B, with X at
+    coefficient ±1 wherever it occurs."""
+    if depth == 3 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            return B if rng.random() < 0.5 else fnot(B)
+        t = IntTerm.make(
+            {"X": rng.choice([-1, 0, 1, 1]), "Y": rng.randint(-1, 1), "Z": rng.randint(-1, 1)},
+            rng.randint(-2, 2),
+        )
+        return rng.choice([le, ge, eq, ne, lt, gt])(t, rng.randint(-2, 2))
+    parts = [_random_nested_formula(rng, depth + 1) for _ in range(rng.randint(2, 3))]
+    return (fand if rng.random() < 0.5 else for_)(*parts)
+
+
+def test_project_int_var_nested_formulas_match_brute_force():
+    # every atom's bound on X lies within [-10, 10] here, so each formula is
+    # constant in X outside that range and x in [-11, 11] decides ∃X
+    rng = random.Random(3217)
+    projected = 0
+    for _ in range(120):
+        f = _random_nested_formula(rng)
+        g = project_int_var(f, "X")
+        assert g is not None and "X" not in int_vars(g), (f, g)
+        projected += "X" in int_vars(f)
+        for y, z, b in product(range(-2, 3), range(-2, 3), (False, True)):
+            s = {"Y": y, "Z": z, "B": b}
+            expect = any(feval(f, {**s, "X": x}) for x in range(-11, 12))
+            assert feval(g, s) == expect, f"{f} projected to {g} at {s}"
+    assert projected >= 90
+
+
+def test_project_int_var_is_exact_past_many_disjunctions():
+    # ten disjunctions over X multiply out to 2^10 cubes, past any cube cap;
+    # Cooper's rule needs one copy of f per lower bound, ten here
+    f = fand(*(for_(le(X, Y - as_term(i)), ge(X, Z + as_term(i))) for i in range(10)))
+    g = project_int_var(f, "X")
+    assert g is not None and "X" not in int_vars(g)
+    for y, z in product(range(-12, 13), repeat=2):
+        expect = any(feval(f, {"X": x, "Y": y, "Z": z}) for x in range(-25, 26))
+        assert feval(g, {"Y": y, "Z": z}) == expect, (y, z)
+
+
 def test_strongest_post_soundness_randomized(solver):
     rng = random.Random(5120)
     labels = [
