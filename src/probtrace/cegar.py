@@ -8,7 +8,7 @@ declares the program covered — yielding a certified upper bound — or picks
 the shortest uncovered trace and dispatches on its classification.  Both
 loops keep the uncovered language between iterations and narrow it only by
 what the last iteration certified (or, in the refutational variant, found);
-the violating module, which examination may shrink, is subtracted afresh at
+the violating module, which examination may shrink, is searched past at
 each pick.
 
 The refutational variant never generalizes violating traces: it keeps them
@@ -57,7 +57,6 @@ from .cfa import (
     nfa_is_empty,
     nfa_shortest,
     trace_tree,
-    union,
 )
 from .evidence import (
     Counterexample,
@@ -132,7 +131,7 @@ def verify(
     sigma = p.alphabet
     residual = difference_nfa(p, [])  # L(P) less every base certified so far
     fresh: list[PCFA] = []  # bases certified since the last pick
-    a_lang: Optional[PCFA] = None
+    module: list[PCFA] = []  # the violating module, once examine has bounded one
     last_bound = Fraction(0)
     iters = 0
     try:
@@ -140,9 +139,9 @@ def verify(
             while iters < max_iters:
                 if fresh:
                     residual, fresh = difference_nfa(residual, fresh), []
-                # examine's erasures can drop words from a_lang, so it is
-                # subtracted afresh at each pick and never kept in the residual
-                tau = nfa_shortest(residual if a_lang is None else difference_nfa(residual, [a_lang]))
+                # examine's erasures can drop words from the module, so it is
+                # searched past at each pick and never kept in the residual
+                tau = nfa_shortest(residual, module)
                 if tau is None:
                     events.append(("sat", last_bound))
                     return Sat(last_bound, iters)
@@ -158,10 +157,8 @@ def verify(
                     events.append(("counterexample", cex))
                     return Unsat(_checked(p, spec, beta, cex, solver), iters)
                 gv = generalize_violating(tau, spec, sigma, solver)
-                cand = gv.base if a_lang is None else union(a_lang, gv.base)
-                a_cand = intersect(p, cand)
                 outcome, cover_aut, new_q = examine(
-                    a_cand,
+                    intersect(p, *module, gv.base),
                     spec,
                     beta,
                     solver,
@@ -171,7 +168,7 @@ def verify(
                 )
                 fresh.extend(q.base for q in new_q)
                 if isinstance(outcome, Verified):
-                    a_lang = cover_aut
+                    module = [cover_aut]
                     last_bound = outcome.upper_bound
                     continue
                 if isinstance(outcome, CounterexampleFound):

@@ -10,8 +10,10 @@ representation and coerced back at the end.  Every operation is one
 on-the-fly subset construction: that of the left operand runs in lockstep
 with that of the right operands' union, and only the pairs that words of
 the left operand reach are built, so neither side is determinized or
-completed over the alphabet up front.  Intersection and difference have
-right operands; determinize and union are the same construction with none.
+completed over the alphabet up front.  Intersection and difference take
+several right operands; determinize and union are the same construction
+with none.  The loop's pick (`nfa_shortest`) searches the pairs of a
+difference product as it reaches them, and builds no product.
 
 Labels are hash-consed, by the mechanism formulas use
 (`formula.HashConsed`): each distinct label is one object, so `==` and
@@ -440,11 +442,12 @@ def _to_pcfa(n: _NFA) -> PCFA:
             raise NotRepresentable("language contains ε and longer words")
         return PCFA((), init, init, locations={init})
     if all(s not in has_out for s in accs):
-        # merge accepting dead-ends (exact, determinism-preserving)
+        # merge accepting dead-ends (exact, determinism-preserving) into
+        # min(accs)'s place, numbering the locations in sorted order
         target = min(accs)
-        remap = {s: (target if s in accs else s) for s in n.states}
-        out = {(remap[s], lab, remap[t]) for s, lab, t in trans}
-        return PCFA(out, remap[init], target).renumber()
+        num = {s: i for i, s in enumerate(sorted(n.states - accs | {target}))}
+        num.update((s, num[target]) for s in accs)
+        return PCFA({(num[s], lab, num[t]) for s, lab, t in trans}, num[init], num[target])
     # fresh final with duplicated in-edges
     final = max(n.states) + 1
     extra = {(s, lab, final) for s, lab, t in trans if t in accs}
@@ -455,8 +458,9 @@ def _to_pcfa(n: _NFA) -> PCFA:
 # the public boolean algebra
 # ---------------------------------------------------------------------------
 
-def intersect(a: PCFA, b: PCFA) -> PCFA:
-    return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(a), [b], lambda x, y: x and y)))
+def intersect(a: PCFA, *bs: PCFA) -> PCFA:
+    """L(a) intersected with the union of the bs, in one product."""
+    return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(a), bs, lambda x, y: x and y)))
 
 
 def union(a: PCFA, b: PCFA) -> PCFA:
@@ -481,33 +485,36 @@ def nfa_is_empty(n: _NFA) -> bool:
     return not _live(n.transitions, n.initials, n.accepting)
 
 
-def nfa_shortest(n: _NFA) -> Optional[tuple[Label, ...]]:
-    """Shortest accepted word of an internal automaton, ties broken by the
-    label order; None when no accepting state is reachable.
+def nfa_shortest(n: _NFA, minus: Sequence[PCFA] = ()) -> Optional[tuple[Label, ...]]:
+    """Shortest word of L(n) less the union of the `minus` automata, ties
+    broken by the label order; None when there is none.
 
-    Breadth-first, each frontier state keeping the least trace reaching it
-    at the current depth.  A state is expanded at the first depth it is
-    reached only: a shortest word never revisits a state, so this changes
-    no answer and bounds the search by the number of states."""
-    best: dict[int, tuple] = {s: () for s in n.initials}
+    Breadth-first over the difference product's pairs (state of `n`, state
+    set of the `minus` union), each built when its depth is reached, up to
+    the first depth with an accepting pair; every pair on the way is live, so
+    the word is the trimmed product's.  A pair keeps the least trace reaching
+    it at its depth and is expanded at the first depth it is reached only: a
+    shortest word never revisits a pair.  With no `minus` no set is built."""
+    b = _nfa_of(minus[0]) if len(minus) == 1 else _nfa_union(minus)
+    a_adj, b_adj, a_acc, b_acc = n._adj, b._adj, n.accepting, b.accepting
+    best: dict[tuple, tuple] = {(s, frozenset(b.initials)): () for s in n.initials}
     seen = set(best)
-    adj: dict[int, list[tuple[Label, int]]] = {}
-    for s, lab, t in n.transitions:
-        adj.setdefault(s, []).append((lab, t))
-    for s in adj:
-        adj[s].sort(key=lambda e: (e[0].sort_key, e[1]))
     while best:
-        hits = [s for s in best if s in n.accepting]
+        hits = [tr for (s, sb), tr in best.items() if s in a_acc and b_acc.isdisjoint(sb)]
         if hits:
-            return min((best[s] for s in hits), key=trace_key)
-        nxt: dict[int, tuple] = {}
-        for s, tr in best.items():
-            for lab, t in adj.get(s, ()):
-                if t in seen:
-                    continue
+            return min(hits, key=trace_key)
+        nxt: dict[tuple, tuple] = {}
+        for (s, sb), tr in best.items():
+            for lab, ts in a_adj.get(s, {}).items():
+                tb = frozenset(t for q in sb for t in b_adj.get(q, {}).get(lab, ())) if sb else sb
                 cand = tr + (lab,)
-                if t not in nxt or trace_key(cand) < trace_key(nxt[t]):
-                    nxt[t] = cand
+                for t in ts:
+                    pair = (t, tb)
+                    if pair in seen:
+                        continue
+                    old = nxt.get(pair)
+                    if old is None or trace_key(cand) < trace_key(old):
+                        nxt[pair] = cand
         seen.update(nxt)
         best = nxt
     return None

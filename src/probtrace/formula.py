@@ -35,8 +35,9 @@ computed in C, and every dict or set keyed by formulas, here and in the
 layers above, hashes them without walking a tree.  Each node stores its
 key in the fixed total order (``sort_key``) when it is built, from its
 arguments' stored keys, and finds its least atom (``least_atom``, where
-the solver branches) and its variables (``variables``) at most once.  While
-a run is in progress (`memoizing`, which `Solver.run` enters for each
+the solver branches), its variables (``variables``) and, for a comparison,
+its fact (``fact``, which `cmp_fact` reads) at most once.  While a run is
+in progress (`memoizing`, which `Solver.run` enters for each
 verification loop) the constructors `fand` and `for_` and the tree
 operations `fnot`, `subst_int` and `subst_bool` look their arguments up in
 the run's memo before building, so arguments the run has seen before cost
@@ -302,6 +303,16 @@ class Cmp(Formula):
     term: IntTerm
     op: str
 
+    @cached_property
+    def fact(self) -> tuple[tuple, str, int]:
+        """The comparison's fact on its base, stored when first read (see `cmp_fact`)."""
+        coeffs, const = self.term.coeffs, self.term.const
+        if self.op == LE:
+            if coeffs[0][1] < 0:
+                return tuple((v, -c) for v, c in coeffs), "lb", const  # -base + const <= 0
+            return coeffs, "ub", -const  # base + const <= 0
+        return coeffs, "eq" if self.op == EQ else "ne", -const
+
     def __str__(self) -> str:
         return _render_cmp(self)
 
@@ -414,12 +425,7 @@ def cmp_fact(a: Cmp) -> tuple[tuple, str, int]:
     the fact says base <= bound ("ub"), base >= bound ("lb"), base = bound
     ("eq") or base != bound ("ne").  Every canonical comparison has a
     gcd-reduced term, so `_fact_cmp` builds the same node back."""
-    coeffs, const = a.term.coeffs, a.term.const
-    if a.op == LE:
-        if coeffs[0][1] < 0:
-            return tuple((v, -c) for v, c in coeffs), "lb", const  # -base + const <= 0
-        return coeffs, "ub", -const  # base + const <= 0
-    return coeffs, "eq" if a.op == EQ else "ne", -const
+    return a.fact
 
 
 def negate_fact(kind: str, bound: int) -> tuple[str, int]:

@@ -19,10 +19,10 @@ is never tried false: that branch is FALSE by construction.
 
 Each comparison the search sets is also a fact on its linear base (an
 upper or lower bound, a point, an excluded point; `formula.cmp_fact` reads
-it).  When the search reaches a comparison on a base it has already set,
-those facts may settle it through the constructors' rule on facts
-(`formula._meet_facts`): one that implies it leaves only the true branch,
-one that contradicts it only the false one.  The other branch holds no
+it from the node, which stores it once).  When the search reaches a
+comparison on a base it has already set, those facts may settle it through
+the constructors' rule on facts (`formula._meet_facts`): one that implies
+it leaves only the true branch, one that contradicts it only the false one.  The other branch holds no
 integer solution, so skipping it changes neither the answer nor the model,
 while the subtree it cuts would have sent every closed branch to the Omega
 test.  The settled comparison is still set, as before, so each cube the

@@ -22,6 +22,8 @@ from probtrace.cfa import (
     trim,
 )
 from probtrace.formula import (
+    EQ,
+    LE,
     And,
     BoolLit,
     Cmp,
@@ -439,3 +441,29 @@ def reference_least_atom(f):
             if best is None or k < best_key:
                 best, best_key = g, k
     return best
+
+
+def reference_cmp_fact(a: Cmp) -> tuple[tuple, str, int]:
+    """A comparison read as a fact on its linear base, from its term and
+    sign on every call."""
+    coeffs, const = a.term.coeffs, a.term.const
+    if a.op == LE:
+        if coeffs[0][1] < 0:
+            return tuple((v, -c) for v, c in coeffs), "lb", const
+        return coeffs, "ub", -const
+    return coeffs, "eq" if a.op == EQ else "ne", -const
+
+
+# ---------------------------------------------------------------------------
+# reference for `cfa._to_pcfa`
+
+
+def reference_merged_pcfa(n) -> PCFA:
+    """A trimmed product whose accepting states are dead ends as a PCFA,
+    built twice: the accepting states merged into the least one, then
+    renumbered in sorted order by `PCFA.renumber`."""
+    target = min(n.accepting)
+    remap = {s: (target if s in n.accepting else s) for s in n.states}
+    (init,) = n.initials
+    merged = {(remap[s], lab, remap[t]) for s, lab, t in n.transitions}
+    return PCFA(merged, remap[init], target).renumber()

@@ -785,6 +785,58 @@ def test_loops_subtract_each_automaton_and_found_trace_once(name, loop, monkeypa
             assert times(in_tree) == (1 if since < len(operands) else 0)
 
 
+def test_verify_narrows_the_residual_once_per_update_and_intersects_once_per_examined_pick(monkeypatch):
+    # the violating module is searched past at each pick, never subtracted,
+    # so every difference narrows the residual by what one iteration
+    # certified; each violating pick that goes on to examine builds its
+    # candidate module in one product.  A pick's events tell its kind: none
+    # after a non-violating pick, a counterexample alone after one too heavy
+    # to examine, and examine's own after the rest
+    events = []
+    differences = []  # (picks so far, right operands) of each difference
+    intersects = []  # picks so far at each intersect
+    certified = {}  # pick -> number of bases certified in its iteration
+
+    def picks():
+        return sum(1 for e in events if e[0] == "pick")
+
+    def added(bases):
+        certified[picks()] = certified.get(picks(), 0) + len(bases)
+
+    for attr, record in (
+        ("difference_nfa", lambda args, out: differences.append((picks(), list(args[1])))),
+        ("intersect", lambda args, out: intersects.append(picks())),
+        ("generalize_nonviolating", lambda args, out: added([out.base])),
+        ("examine", lambda args, out: added(out[2])),
+    ):
+        monkeypatch.setattr(cegar, attr, _recorded(getattr(cegar, attr), record))
+    updates = examined_total = 0
+    for name in sorted(CORPUS_RECORD):
+        folder = DATA_DIR if name == "motivating.prob" else BENCH_DIR
+        program, spec = parse((folder / name).read_text())
+        for seen in (events, differences, intersects, certified):
+            seen.clear()
+        verdict = verify(to_pcfa(program), spec, solver=Solver(), events=events)
+        assert _record_of(verdict) == CORPUS_RECORD[name][0], name
+        # the loop goes on past an iteration unless it answered in it
+        went_on = [k for k in range(1, verdict.iterations + 1)
+                   if k < verdict.iterations or isinstance(verdict, Sat)]
+        assert differences[0] == (0, []), name
+        assert [k for k, _ in differences[1:]] == [k for k in went_on if certified.get(k)], name
+        assert all(ops for _, ops in differences[1:]), name
+        after: dict[int, list] = {}
+        for e in events:
+            if e[0] == "pick":
+                after[e[1]] = []
+            elif e[0] != "sat":
+                after[max(after)].append(e[0])
+        examined = [k for k, kinds in after.items() if kinds and kinds[0] != "counterexample"]
+        assert intersects == examined, name
+        updates += len(differences) - 1
+        examined_total += len(examined)
+    assert updates > 40 and examined_total > 10, (updates, examined_total)
+
+
 # ---------------------------------------------------------------------------
 # the refutational loop's bound
 

@@ -50,6 +50,7 @@ from helpers import (
     random_cfmdp,
     random_sub_cfmc,
     reference_label_key,
+    reference_merged_pcfa,
     shortest_accepted_trace,
 )
 
@@ -352,6 +353,96 @@ def test_intersect_of_nondeterministic_pair_randomized():
         depth = 5
         la, lb = bounded_language(a, depth), bounded_language(b, depth)
         assert bounded_language(intersect(a, b), depth) == la & lb
+
+
+def test_shortest_word_less_the_minus_automata_matches_the_difference_product_seeded():
+    # the pick searches the pairs of the difference product as it reaches
+    # them and must find the word that the built and trimmed product gives,
+    # on a nondeterministic left operand and on an earlier difference alike
+    rng = random.Random(3301)
+    words = emptied = 0
+    for i in range(300):
+        a = random_nondeterministic_nfa(rng) if i % 2 else random_nfa(rng)
+        n = cfa._nfa_of(a) if i % 3 else difference_nfa(a, [])
+        bs = [
+            rng.choice([random_nfa, random_nondeterministic_nfa])(rng)
+            for _ in range(rng.randint(0, 3))
+        ]
+        if bs and i % 5 == 0:
+            bs[rng.randrange(len(bs))] = a
+        got = nfa_shortest(n, bs)
+        assert got == nfa_shortest(difference_nfa(n, bs)), (a, bs)
+        words += got is not None
+        emptied += got is None and nfa_shortest(n) is not None
+    assert words > 60 and emptied > 20, (words, emptied)
+
+
+def test_shortest_word_search_past_a_cycle_ends_without_a_word():
+    # both sides have a reachable cycle and the difference has no word: each
+    # pair is expanded once, so the search ends
+    def hang(signum, frame):
+        raise TimeoutError("nfa_shortest did not return")
+
+    loop = nfa((0, INC, 1), (1, SKIP, 0), (0, RESET, 9))
+    cover = nfa((0, INC, 1), (1, SKIP, 0), (0, INC, 2), (2, SKIP, 0), (0, RESET, 9))
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        assert nfa_shortest(cfa._nfa_of(loop), [cover]) is None
+        assert nfa_shortest(cfa._nfa_of(loop), [nfa((0, RESET, 9)), cover]) is None
+        assert nfa_shortest(cfa._nfa_of(loop), [nfa((0, RESET, 9))]) == (INC, SKIP, RESET)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_intersect_with_several_right_operands_is_one_product_seeded(monkeypatch):
+    # L(a) with the union of the bs, built in one product and equal to
+    # intersecting with their union built first
+    entered = []
+    product = cfa._subset_product
+
+    def counted(*args):
+        entered.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(cfa, "_subset_product", counted)
+    rng = random.Random(3302)
+    nonempty = 0
+    for _ in range(100):
+        a = random_nondeterministic_nfa(rng)
+        b, c = random_nfa(rng), random_nfa(rng)
+        entered.clear()
+        got = intersect(a, b, c)
+        assert len(entered) == 1
+        lang = bounded_language(got, 5)
+        assert lang == bounded_language(intersect(a, union(b, c)), 5)
+        nonempty += bool(lang)
+    assert nonempty > 20, nonempty
+
+
+def test_to_pcfa_numbers_a_merged_product_in_sorted_order_seeded():
+    # a product whose accepting states are dead ends becomes one PCFA, its
+    # locations in sorted order and the merged accepting one in the place of
+    # the least: the automaton that merging and then renumbering built
+    rng = random.Random(3303)
+    checked = 0
+    for _ in range(120):
+        a, b = random_prefix_free_nfa(rng), random_prefix_free_nfa(rng)
+        products = [
+            cfa._subset_product(cfa._nfa_of(a), [b], lambda x, y: x and y),
+            cfa._subset_product(cfa._nfa_of(a), [b], lambda x, y: x and not y),
+            cfa._subset_product(cfa._nfa_union([a, b]), [], lambda x, y: x),
+        ]
+        for n in map(cfa._nfa_trim, products):
+            if not n.accepting or any(s in n.accepting for s, _, _ in n.transitions):
+                continue
+            got, want = cfa._to_pcfa(n), reference_merged_pcfa(n)
+            assert got.transitions == want.transitions
+            assert (got.initial, got.accepting) == (want.initial, want.accepting)
+            assert got.locations == want.locations
+            checked += 1
+    assert checked > 150, checked
 
 
 def test_products_keep_accepting_a_sink():

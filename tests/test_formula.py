@@ -59,7 +59,7 @@ from probtrace.formula import (
     subst_int,
 )
 
-from helpers import BENCH_DIR, DATA_DIR, reference_formula_key, simplify
+from helpers import BENCH_DIR, DATA_DIR, reference_cmp_fact, reference_formula_key, simplify
 
 X, Y = ivar("X"), ivar("Y")
 
@@ -266,6 +266,37 @@ def test_meet_of_facts_matches_brute_force_seeded():
     assert all(met is None or len(met) <= shortest[s] for s, met in by_set.items())
     assert len(by_set) > 200, len(by_set)
     assert _meet_facts([("ub", 2), ("ne", 2), ("lb", 1)]) == [("eq", 1)]
+
+
+def test_a_comparison_keeps_the_fact_it_was_read_as_seeded():
+    # every comparison the seeded absorption and meet tests build: the
+    # comparisons they draw on five bases, and each drawn fact on each base.
+    # `cmp_fact` answers the fact read from the term and sign, and the node
+    # keeps it, so a later call returns the same object
+    bases = [{"X": 1}, {"Y": 1}, {"X": 1, "Y": -2}, {"X": -1, "Y": 1}, {"X": 2, "Y": 3}]
+    rng = random.Random(2727)
+    cmps = []
+    for _ in range(1500):
+        for _ in range(rng.randint(2, 6)):
+            t = IntTerm.make(rng.choice(bases), 0)
+            atom = rng.choice([le, ge, eq, ne])(t, rng.randint(-3, 3))
+            if isinstance(atom, Cmp):
+                cmps.append(atom)
+    rng = random.Random(2828)
+    keys = [cmp_fact(le(IntTerm.make(b, 0), 0))[0] for b in bases]
+    for _ in range(4000):
+        for _ in range(rng.randint(1, 5)):
+            fact = (rng.choice(["ub", "lb", "eq", "ne"]), rng.randint(-4, 4))
+            cmps.extend(_fact_cmp(key, *fact) for key in keys)
+    kinds = set()
+    for a in cmps:
+        want = reference_cmp_fact(a)
+        first = cmp_fact(a)
+        assert first == want, a
+        assert cmp_fact(a) is first, a
+        assert _fact_cmp(*first) is a
+        kinds.add(first[1])
+    assert kinds == {"ub", "lb", "eq", "ne"}
 
 
 def test_absorption_keeps_distinct_axes_apart():
