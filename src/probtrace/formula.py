@@ -14,20 +14,38 @@ rule for facts on one base: it meets them into the fewest facts that allow
 the same integers, or finds that none does.  The constructors resolve
 comparisons on one base with it (`_absorb_cmps`), a disjunction as the
 negation of the conjunction of its negated atoms, so `for_` of comparisons
-always equals `fnot` of `fand` of their negations; the solver's search
-settles a comparison with it.  A fact is negated arithmetically by
-`negate_fact`, which agrees with `fnot` on every comparison.
+always equals `fnot` of `fand` of their negations.  `forced_value` is the
+one test of what a set of comparisons forces on another: the constructors
+settle nested atoms with it, and the solver's search settles a comparison
+on a base that its branch has already set.  A fact is negated
+arithmetically by `negate_fact`, which agrees with `fnot` on every
+comparison.
 
-Constructor output is canonical, and this module is the only one that
-knows the canonical form: no code elsewhere in the package builds a node
-directly (parsed programs and certificates both go through the
-constructors, and `tests/test_source.py` checks that no other module calls
-a node class by name), so every formula is used as built.  The one
-exception is the solver's branching step, which drops arguments from a
-canonical `And`/`Or`; that is sound because a canonical formula minus some
-of its arguments is canonical.  The tests hold the constructors to a
-rebuild through them (``simplify`` in ``tests/helpers.py``), which returns
-every formula they built unchanged.
+Constructor output is canonical: flat, sorted and free of duplicates and
+complementary literals, its comparisons on one base absorbed, and no atom
+nested under an `And`'s arguments that the `And`'s own atoms decide
+(`_settle_nested`).  In an `And` the atoms among its arguments hold
+wherever a nested argument matters, so a nested comparison their facts
+imply or contradict, or a nested literal that is one of them or its
+complement, is replaced by TRUE or FALSE, and the changed node is rebuilt
+and the step run again until nothing changes.  An `Or` does the same with
+its atoms negated, since A ∨ B ≡ A ∨ (¬A ∧ B).  So
+``X = 0 && (X >= 0 || X <= -6)`` is built as ``X = 0``, and a triple
+whose two sides contradict that way is FALSE before it reaches the solver
+(the on-line simplification of Dillig, Dillig & Aiken, SAS 2010).
+
+This module is the only one that knows the canonical form: no code
+elsewhere in the package builds a node directly (parsed programs and
+certificates both go through the constructors, and `tests/test_source.py`
+checks that no other module calls a node class by name), so every formula
+is used as built.  The one exception is the solver's branching step, which
+drops arguments from a canonical `And`/`Or`; that is sound because a
+canonical formula minus some of its arguments is canonical.  In
+particular a slice only removes context: the atoms an `And` (`Or`) keeps
+decide no more nested atoms than all of them did, so none becomes
+decidable.  The tests hold the constructors to a rebuild through them
+(``simplify`` in ``tests/helpers.py``), which returns every formula they
+built unchanged.
 
 Nodes are hash-consed (`HashConsed`, which program labels share): each
 distinct formula is one live object, so `==` and `hash` are identity,
@@ -489,6 +507,27 @@ def _meet_facts(facts) -> Optional[list[tuple[str, int]]]:
     return met
 
 
+def forced_value(atom: Cmp, known: Iterable[tuple[Cmp, bool]]) -> Optional[bool]:
+    """The value that the comparisons in `known`, each set to its value,
+    force on the comparison `atom`: True when their facts on the atom's
+    linear base imply it, False when they contradict it, None when they do
+    neither.  Their facts are met with the atom's (`_meet_facts`): no meet
+    contradicts, and a meet that allows the integers theirs alone allow
+    implies.  The comparisons in `known` must not contradict one another."""
+    base, kind, bound = cmp_fact(atom)
+    facts = []
+    for c, value in known:
+        cbase, k, b = cmp_fact(c)
+        if cbase == base:
+            facts.append((k, b) if value else negate_fact(k, b))
+    if not facts:
+        return None
+    met = _meet_facts([*facts, (kind, bound)])
+    if met is None:
+        return False
+    return True if met == _meet_facts(facts) else None
+
+
 def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
     """Resolve comparison atoms sharing one linear base into interval facts.
 
@@ -516,7 +555,9 @@ def _absorb_cmps(cmps: list["Cmp"], conj: bool) -> Optional[list[Formula]]:
 
 
 def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
-    """Flatten, deduplicate and sort the arguments of an `And`/`Or`.
+    """Flatten, deduplicate and sort the arguments of an `And`/`Or`, and
+    settle the atoms nested under them that their own atoms decide
+    (`_settle_nested`), building again until none is left.
 
     A complementary pair of boolean literals gives the absorbing element
     here; comparisons get their complement check in `_absorb_cmps`, which
@@ -547,7 +588,53 @@ def _assoc(parts: Iterable[Formula], unit: Formula, zero: Formula, node):
         return unit
     if len(items) == 1:
         return items[0]
+    settled = _settle_nested(items, node is And)
+    if settled is not items:
+        return _assoc(settled, unit, zero, node)
     return node(tuple(items))
+
+
+def _settle_nested(items: list[Formula], conj: bool) -> list[Formula]:
+    """The arguments of an `And` (``conj``) or `Or` with every atom nested
+    under them that their own atoms decide set to its value, or `items`
+    itself when no such atom is left.
+
+    In a conjunction the atoms among the arguments hold wherever the
+    nested arguments matter; in a disjunction their negations do, since
+    A ∨ B ≡ A ∨ (¬A ∧ B).  So a nested comparison that those facts imply
+    (contradict) is TRUE (FALSE), as is a nested literal that is one of
+    the atoms (their complement) in a conjunction, and the other way round
+    in a disjunction.  A nested node that changes is rebuilt through
+    `fand`/`for_`."""
+    units = [p for p in items if isinstance(p, (BoolLit, Cmp))]
+    if not units or len(units) == len(items):
+        return items
+    names = frozenset().union(*(p.variables for p in units))
+    known = [(p, conj) for p in units if isinstance(p, Cmp)]
+    lits = {p for p in units if isinstance(p, BoolLit)}
+
+    def settle(f: Formula) -> Formula:
+        if f.variables.isdisjoint(names):
+            return f
+        if isinstance(f, (And, Or)):
+            args = [settle(a) for a in f.args]
+            if all(b is a for a, b in zip(f.args, args)):
+                return f
+            return fand(*args) if isinstance(f, And) else for_(*args)
+        if isinstance(f, Cmp):
+            value = forced_value(f, known)
+        elif f in lits:
+            value = conj
+        elif BoolLit(f.name, not f.positive) in lits:
+            value = not conj
+        else:
+            return f
+        if value is None:
+            return f
+        return TRUE if value else FALSE
+
+    out = [p if isinstance(p, (BoolLit, Cmp)) else settle(p) for p in items]
+    return items if all(a is b for a, b in zip(items, out)) else out
 
 
 # The memo of the run in progress: (operation, *arguments) to the result,

@@ -18,15 +18,15 @@ canonical.  An atom that is a conjunct of the query, or the whole query,
 is never tried false: that branch is FALSE by construction.
 
 Each comparison the search sets is also a fact on its linear base (an
-upper or lower bound, a point, an excluded point; `formula.cmp_fact` reads
-it from the node, which stores it once).  When the search reaches a
-comparison on a base it has already set, those facts may settle it through
-the constructors' rule on facts (`formula._meet_facts`): one that implies
-it leaves only the true branch, one that contradicts it only the false one.  The other branch holds no
-integer solution, so skipping it changes neither the answer nor the model,
-while the subtree it cuts would have sent every closed branch to the Omega
-test.  The settled comparison is still set, as before, so each cube the
-Omega test solves is the one it solved without the rule.
+upper or lower bound, a point, an excluded point).  When the search
+reaches a comparison on a base it has already set, those facts may settle
+it through `formula.forced_value`, the test the constructors settle nested
+atoms with: facts that imply it leave only the true branch, facts that
+contradict it only the false one.  The other branch holds no integer
+solution, so skipping it changes neither the answer nor the model, while
+the subtree it cuts would have sent every closed branch to the Omega test.
+The settled comparison is still set, as before, so each cube the Omega
+test solves is the one it solved without the rule.
 
 :class:`Solver` is the caching facade the verifier asks; it always runs the
 builtin procedure.
@@ -51,10 +51,7 @@ from .formula import (
     BoolLit,
     Cmp,
     Formula,
-    _meet_facts,
     IntTerm,
-    cmp_fact,
-    negate_fact,
     Or,
     bool_vars,
     bvar,
@@ -63,6 +60,7 @@ from .formula import (
     feval_bits,
     fnot,
     for_,
+    forced_value,
     int_vars,
     ivar,
     memoizing,
@@ -329,25 +327,6 @@ def _ineqs_model(ineqs: list[Lin], depth: int) -> Optional[dict]:
 _UNASKED = object()  # cache miss; a cached None means unsat
 
 
-def _settled_value(atom: Cmp, cmps: list[tuple[Cmp, bool]]) -> Optional[bool]:
-    """The value a branch's comparisons force on the comparison `atom`: True
-    when one of them, read as a fact on the atom's base, implies it (their
-    meet is that fact alone), False when one contradicts it (they have no
-    meet), None when none settles it.  They cannot disagree: the search
-    never sets two comparisons that contradict."""
-    base, kind, bound = cmp_fact(atom)
-    for c, value in cmps:
-        cbase, k, b = cmp_fact(c)
-        if cbase == base:
-            fact = (k, b) if value else negate_fact(k, b)
-            met = _meet_facts((fact, (kind, bound)))
-            if met is None:
-                return False
-            if met == [fact]:
-                return True
-    return None
-
-
 def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
     """`f` with `atom` set to `value` (its complementary literal to the
     opposite), equal to the rebuild of every node through `fand`/`for_`.
@@ -359,9 +338,10 @@ def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
     node, so the slice is hash-consed too; a single survivor stands alone
     and none gives TRUE (FALSE).  This relies
     on a canonical formula minus some of its arguments being canonical: the
-    rest stay sorted, distinct, flat and complement-free, and comparisons on
-    one linear base stay absorbed, so the constructors would return the
-    same node.  Any other change goes through the constructors."""
+    rest stay sorted, distinct, flat and complement-free, comparisons on
+    one linear base stay absorbed, and the atoms left decide no nested atom
+    that all of them did not, so the constructors would return the same
+    node.  Any other change goes through the constructors."""
     if isinstance(f, (And, Or)):
         unit = TRUE if isinstance(f, And) else FALSE
         new = []
@@ -459,7 +439,7 @@ class BuiltinSolver:
         forced = atom is f or (isinstance(f, And) and atom in f.args)
         values = (True,) if forced else (True, False)
         if isinstance(atom, Cmp) and cmps:
-            settled = _settled_value(atom, cmps)
+            settled = forced_value(atom, cmps)
             if settled is True:
                 values = (True,)
             elif settled is False:
@@ -708,6 +688,10 @@ def strongest_post(lab, phi: Formula) -> Optional[Formula]:
     return for_(fand(phi_t, _iff(bvar(b), g_t)), fand(phi_f, _iff(bvar(b), g_f)))
 
 
+def _conjuncts(f: Formula) -> list[Formula]:
+    return list(f.args) if isinstance(f, And) else [f]
+
+
 def sequence_interpolants(
     solver: "Solver", prefix: Formula, labels, suffix: Formula
 ) -> list[Formula]:
@@ -718,8 +702,12 @@ def sequence_interpolants(
     is built forward from I0 = prefix: Ik starts as the exact strongest
     postcondition sp(σk, Ik−1), and its top-level conjuncts are dropped one
     at a time while Ik ∧ rests[k] stays unsat, so no single remaining
-    conjunct can be dropped.  Each Ik is implied by sp(σk, Ik−1), so every
-    triple stays valid.  One ``pre_exists_chain`` through the run's
+    conjunct can be dropped.  Where `strongest_post` has no exact answer
+    (an assignment with a non-unit coefficient), Ik starts as the
+    conjuncts of Ik−1 that do not mention the assigned variable, which the
+    assignment leaves true, and only when they still make Ik ∧ rests[k]
+    unsat.  Each Ik is implied by sp(σk, Ik−1), so every triple stays
+    valid.  One ``pre_exists_chain`` through the run's
     ``wp_memo`` gives every rests[k] = pre_exists_trace(σk+1…σn, target),
     sharing its steps with every other backward chain of the run.  The
     target is True when the trace cannot run from the prefix at all: a
@@ -733,8 +721,8 @@ def sequence_interpolants(
     solver's witnesses satisfies (every kept conjunct and the rest hold in
     it) is sat with no conjunction built and no query asked.
 
-    If any label resists exact forward computation, falls back to the
-    demonic weakest-precondition chain (always valid, weakest useful
+    If those conjuncts do not refute the rest, falls back to the demonic
+    weakest-precondition chain (always valid, weakest useful
     generalization).
     """
     labels = list(labels)
@@ -749,12 +737,15 @@ def sequence_interpolants(
     cur = prefix
     for k, lab in enumerate(labels[:-1], start=1):
         nxt = strongest_post(lab, cur)
-        if nxt is None:
-            props = None
-            break
         rest = rests[k]
+        if nxt is None:
+            # the conjuncts that the assignment leaves alone hold after it
+            nxt = fand(*(p for p in _conjuncts(cur) if lab.var not in p.variables))
+            if solver.is_sat(fand(nxt, rest)):
+                props = None
+                break
         if k == 1 or nxt is not cur or rest is not rests[k - 1]:
-            parts = list(nxt.args) if isinstance(nxt, And) else [nxt]
+            parts = _conjuncts(nxt)
             i = 0
             while i < len(parts):
                 trial = parts[:i] + parts[i + 1:]

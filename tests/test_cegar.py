@@ -468,6 +468,39 @@ def test_corpus_record_covers_every_benchmark():
     assert names == set(CORPUS_RECORD)
 
 
+# A loop whose assignment doubles X has no exact strongest postcondition;
+# the oracle gives exactly 1/4.
+DOUBLING = (
+    "@pre X >= 0 && X <= 2 && T >= 0 && T <= 2\n@post X <= 6\n@beta 1/4\nint X;\nint T;\n"
+    "while (T > 0) { { X := 2 * X + 1; } <+> { X := X - 1; }; T := T - 1; }\n"
+)
+
+
+@pytest.mark.parametrize("loop", [verify, verify_refutational])
+def test_a_loop_through_a_non_unit_assignment_answers_sat(loop):
+    program, spec = parse(DOUBLING)
+    p = to_pcfa(program)
+    assert exact_violation_probability(p, spec) == (Fraction(1, 4), Fraction(1, 4))
+    verdict = loop(p, spec, solver=Solver(), max_iters=20)
+    assert verdict == Sat(Fraction(1, 4), 4)
+
+
+def test_walk_reports_a_minimal_error_precondition():
+    from probtrace.lang import parse_formula
+
+    program, spec = parse((BENCH_DIR / "walk.prob").read_text())
+    solver = Solver()
+    verdict = verify(to_pcfa(program), spec, solver=solver)
+    pre = verdict.counterexample.error_pre
+    assert str(pre) == "T = 4 && X = 0"
+    # the error precondition reported before nested atoms were settled
+    before = parse_formula(
+        "T = 4 && X = 0 && (X >= -1 || X <= -7) && (X >= 7 || X <= 1)",
+        dict(program.declarations),
+    )
+    assert solver.entails(pre, before) and solver.entails(before, pre)
+
+
 def _record_of(verdict):
     if isinstance(verdict, Sat):
         return ("sat", str(verdict.upper_bound), verdict.iterations)

@@ -35,6 +35,7 @@ from probtrace.formula import (
     _fact_cmp,
     _key,
     _meet_facts,
+    _settle_nested,
     as_term,
     bool_vars,
     bvar,
@@ -456,7 +457,8 @@ def test_constructor_output_is_canonical_randomized():
 
 def _assoc_testing_every_complement(parts, unit, zero, node):
     """Reference: `_assoc` with a complement test on every boolean literal
-    and comparison, made before `_absorb_cmps` sees the comparisons."""
+    and comparison, made before `_absorb_cmps` sees the comparisons, and
+    the same step that settles nested atoms under the arguments' own."""
     flat = []
     for p in parts:
         if p == zero:
@@ -487,6 +489,9 @@ def _assoc_testing_every_complement(parts, unit, zero, node):
         return unit
     if len(items) == 1:
         return items[0]
+    settled = _settle_nested(items, node is And)
+    if settled is not items:
+        return _assoc_testing_every_complement(settled, unit, zero, node)
     return node(tuple(items))
 
 
@@ -528,6 +533,54 @@ def test_constructors_match_the_every_complement_reference_seeded():
         assert fand(*args) == _assoc_testing_every_complement(args, TRUE, FALSE, And), args
         assert for_(*args) == _assoc_testing_every_complement(args, FALSE, TRUE, Or), args
     assert complementary > 1000
+
+
+def test_a_nested_atom_that_its_siblings_decide_is_settled():
+    T = ivar("T")
+    # walk_ok's first violating proposition: X = 0 implies X >= 0
+    assert fand(eq(T, 3), eq(X, 0), for_(ge(X, 0), le(X, -6))) is fand(eq(T, 3), eq(X, 0))
+    # T = 1 contradicts T != 1, so the disjunction becomes the unit X = 0,
+    # which the step, run again, finds contradicting both X >= 2 and X <= -4
+    assert fand(eq(T, 1), for_(ne(T, 1), eq(X, 0)), for_(ge(X, 2), le(X, -4))) is FALSE
+    # a disjunction's atoms, negated, decide its nested conjunctions
+    assert for_(ne(T, 1), fand(eq(T, 1), eq(X, 0))) is for_(ne(T, 1), eq(X, 0))
+    assert for_(le(X, 0), fand(ge(X, 1), le(Y, 0))) is for_(le(X, 0), le(Y, 0))
+    # literals, and atoms under a nested conjunction of a nested disjunction
+    B, C = bvar("B"), bvar("C")
+    assert fand(B, for_(fnot(B), eq(X, 0))) is fand(B, eq(X, 0))
+    assert fand(B, for_(B, eq(X, 0))) is B
+    assert for_(B, fand(fnot(B), le(X, 0))) is for_(B, le(X, 0))
+    assert fand(le(X, 0), for_(C, fand(ge(X, 1), B))) is fand(le(X, 0), C)
+    # undecided atoms stay: X <= 2 neither implies nor contradicts X >= 1
+    f = fand(le(X, 2), for_(ge(X, 1), B))
+    assert isinstance(f, And) and len(f.args) == 2
+
+
+def test_constructors_settle_nested_atoms_under_their_siblings_seeded(monkeypatch):
+    # arguments with nested conjunctions and disjunctions beside units on
+    # the same bases and literals: the result means the conjunction
+    # (disjunction) of the arguments, is canonical, and is the same object
+    # whatever the order and association of the arguments
+    rng = random.Random(3401)
+    built = []
+    for _ in range(1200):
+        args = _random_args(rng) + [_random_built(rng, 2) for _ in range(rng.randint(1, 2))]
+        for op, combine in ((fand, all), (for_, any)):
+            f = op(*args)
+            built.append((op, args, f))
+            assert simplify(f) is f, (op.__name__, [str(a) for a in args], str(f))
+            for s in STATES:
+                assert feval(f, s) == combine(feval(a, s) for a in args), (str(f), s)
+            for _ in range(2):
+                shuffled = rng.sample(args, len(args))
+                k = rng.randint(0, len(args))
+                assert op(*shuffled) is f
+                assert op(op(*shuffled[:k]), *shuffled[k:]) is f
+                assert op(*shuffled[:k], op(*shuffled[k:])) is f
+    # the step decided a nested atom in a good share of the calls
+    monkeypatch.setattr(formula, "_settle_nested", lambda items, conj: items)
+    settled = sum(op(*args) is not f for op, args, f in built)
+    assert settled > 100, settled
 
 
 def test_simplify_orders_deterministically():

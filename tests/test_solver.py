@@ -25,6 +25,7 @@ from probtrace.formula import (
     feval,
     fnot,
     for_,
+    forced_value,
     ge,
     gt,
     int_vars,
@@ -35,7 +36,7 @@ from probtrace.formula import (
 )
 from probtrace import solver as solver_module
 from probtrace.cfa import Assign, Assume, Pb, SkipL
-from probtrace.semantics import hoare_valid, interpret_label, pre_exists_trace
+from probtrace.semantics import hoare_valid, interpret_label, pre_exists_trace, wp_demonic
 from probtrace.solver import (
     BuiltinSolver,
     Solver,
@@ -492,10 +493,44 @@ def test_settle_rule_matches_brute_force_on_every_pair():
                 implies = all(feval(b, s) for s in holds)
                 meets = any(feval(b, s) for s in holds)
                 want = True if implies else False if not meets else None
-                got = solver_module._settled_value(b, [(a, value)])
+                got = forced_value(b, [(a, value)])
                 assert got is want, (str(a), value, str(b), got)
                 seen[want] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_forced_value_meets_every_known_fact_on_the_base_seeded():
+    # several comparisons set on one base settle what their facts allow
+    # together, and comparisons on other bases settle nothing
+    states = [{"X": x, "Y": y} for x in range(-8, 9) for y in range(-2, 3)]
+    rng = random.Random(3402)
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(600):
+        known = []
+        size = rng.randint(2, 4)
+        while len(known) < size:
+            c = rng.choice([le, ge, eq, ne])(rng.choice([X, X, Y]), rng.randint(-3, 3))
+            value = rng.random() < 0.5
+            if any(feval(c, s) == value and all(feval(k, s) == v for k, v in known) for s in states):
+                known.append((c, value))  # the search never sets a contradiction
+        atom = rng.choice([le, ge, eq, ne])(X, rng.randint(-4, 4))
+        holds = [s for s in states if all(feval(k, s) == v for k, v in known)]
+        implies = all(feval(atom, s) for s in holds)
+        meets = any(feval(atom, s) for s in holds)
+        want = True if implies else False if not meets else None
+        assert forced_value(atom, known) is want, ([(str(k), v) for k, v in known], str(atom))
+        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+    # settled only by the facts together
+    for known, atom, want in (
+        ([(ge(X, 2), True), (le(X, 2), True)], eq(X, 2), True),
+        ([(ge(X, 2), True), (le(X, 2), True)], ne(X, 2), False),
+        ([(ge(X, 1), True), (ne(X, 1), True)], ge(X, 2), True),
+        ([(le(X, 1), False), (eq(X, 2), False)], le(X, 2), False),
+    ):
+        assert all(forced_value(atom, [kv]) is None for kv in known)
+        assert forced_value(atom, known) is want
+        assert forced_value(atom, known + [(le(Y, 0), True)]) is want
 
 
 def _same_base_formulas(rng: random.Random, n: int):
@@ -538,7 +573,7 @@ def test_settling_keeps_the_reference_answer_and_model_seeded(monkeypatch):
 
     shapes = {"sat": 0, "unsat": 0, "fewer": 0}
     ours = theirs = 0
-    for f in _same_base_formulas(random.Random(2301), 300):
+    for f in _same_base_formulas(random.Random(2301), 500):
         backend = BuiltinSolver()
         got = backend.check(f)
         monkeypatch.setattr(solver_module, "_theory_model", counted)
@@ -559,7 +594,16 @@ def test_settling_keeps_the_reference_answer_and_model_seeded(monkeypatch):
 
 def test_a_unit_equality_settles_its_disequality_without_the_omega_test(monkeypatch):
     T = ivar("T")
-    f = fand(eq(T, 1), for_(ne(T, 1), eq(X, 0)), for_(ge(X, 2), le(X, -4)))
+    # the constructors settle a nested disequality under a unit equality
+    assert fand(eq(T, 1), for_(ne(T, 1), eq(X, 0)), for_(ge(X, 2), le(X, -4))) is FALSE
+    # where branches set the comparisons on T, the backend settles the rest
+    f = fand(
+        for_(eq(T, 1), eq(T, 3)),
+        for_(ne(T, 1), eq(X, 0)),
+        for_(ne(T, 3), eq(X, 0)),
+        for_(ge(X, 2), le(X, -4)),
+    )
+    assert isinstance(f, And) and len(f.args) == 4
     calls = []
     theory_model = solver_module._theory_model
 
@@ -793,6 +837,64 @@ def test_sequence_interpolants_are_weakened_minimal_and_valid_seeded():
                 assert solver.is_sat(fand(*trial, rest)), (ik, parts[i], rest)
     assert weakened > 100  # the chain is not the exact one
     assert 50 < infeasible < 170
+
+
+def _random_non_unit_chain(rng: random.Random, solver):
+    """A precondition, a trace over X and Y with assignments that give a
+    variable a coefficient other than 0 or ±1, and a suffix the trace
+    cannot reach."""
+    def term():
+        return IntTerm.make(
+            {v: rng.choice([-1, 0, 1]) for v in ("X", "Y")}, rng.randint(-2, 2)
+        )
+
+    def label():
+        r = rng.random()
+        v = rng.choice(["X", "Y"])
+        if r < 0.35:
+            # no exact strongest postcondition without divisibility
+            return Assign(v, IntTerm.make({v: rng.choice([-3, -2, 2, 3])}, rng.randint(-2, 2)))
+        if r < 0.55:
+            return Assign(v, term())
+        if r < 0.9:
+            return Assume(rng.choice([le, ge, eq, ne])(term(), rng.randint(-3, 3)))
+        return SkipL()
+
+    while True:
+        pre = fand(
+            *(rng.choice([eq, le, ge])(ivar(v), rng.randint(-2, 2)) for v in ("X", "Y"))
+        )
+        labels = [label() for _ in range(rng.randint(2, 6))]
+        suffix = rng.choice([le, ge, eq, ne])(term(), rng.randint(-3, 3))
+        if not solver.is_sat(fand(pre, pre_exists_trace(labels, suffix))):
+            return pre, labels, suffix
+
+
+def test_sequence_interpolants_pass_non_unit_assignments_seeded():
+    # where an assignment has no exact strongest postcondition, the chain
+    # goes on with the conjuncts it leaves alone if they still refute the
+    # rest, instead of falling back to the demonic chain; either way every
+    # triple is valid and each proposition refutes the rest of the trace
+    solver = Solver()
+    rng = random.Random(1610)
+    through = 0
+    for _ in range(200):
+        pre, labels, suffix = _random_non_unit_chain(rng, solver)
+        mids = sequence_interpolants(solver, pre, labels, suffix)
+        assert len(mids) == len(labels) - 1
+        props = [pre] + mids + [fnot(suffix)]
+        for p, lab, q in zip(props, labels, props[1:]):
+            assert hoare_valid(p, lab, q, solver), (p, lab, q)
+        for k, ik in enumerate(mids, start=1):
+            assert not solver.is_sat(fand(ik, pre_exists_trace(labels[k:], suffix))), (ik, labels)
+        demonic = []
+        cur = fnot(suffix)
+        for lab in reversed(labels[1:]):
+            cur = wp_demonic(lab, cur)
+            demonic.append(cur)
+        sp_less = any(strongest_post(lab, p) is None for lab, p in zip(labels[:-1], props))
+        through += sp_less and mids != demonic[::-1]
+    assert through >= 30, through
 
 
 def test_witness_answered_drop_trials_agree_with_is_sat_seeded(monkeypatch):

@@ -95,23 +95,26 @@ def test_witnesses_are_evaluated_in_one_place():
 def test_one_reading_of_a_comparison_as_a_fact():
     # `formula.cmp_fact` is the only code that reads a comparison's sign
     # and orientation as a bound on its base: the same-base rule of the
-    # constructors and the backend's settling of comparisons call it, and
-    # the rule negates facts arithmetically, without building `fnot` nodes
+    # constructors and `forced_value`, with which the constructors settle
+    # nested atoms and the backend settles comparisons, call it, and the
+    # rule negates facts arithmetically, without building `fnot` nodes
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = {
         (name, caller)
         for name, source in sources.items()
         for caller in callers(source, "cmp_fact")
     }
-    assert found == {("formula.py", "_absorb_cmps"), ("solver.py", "_settled_value")}
+    assert found == {("formula.py", "_absorb_cmps"), ("formula.py", "forced_value")}
     assert "_absorb_cmps" not in callers(sources["formula.py"], "fnot")
 
 
 def test_one_rule_for_facts_on_a_base():
     # `formula._meet_facts` is the one rule for facts on one linear base:
-    # the constructors resolve comparisons with it and the backend settles
-    # them with it, and no other module spells a fact's kind, so no second
-    # copy of what a bound, a point or an excluded point allows can appear
+    # the constructors resolve comparisons with it, and `forced_value`
+    # settles a comparison with it for the constructors' nested atoms and
+    # the backend's branches; no other module spells a fact's kind, so no
+    # second copy of what a bound, a point or an excluded point allows can
+    # appear
     kinds = {"ub", "lb", "eq", "ne"}
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     spelled = {
@@ -126,7 +129,7 @@ def test_one_rule_for_facts_on_a_base():
         for name, source in sources.items()
         for caller in callers(source, "_meet_facts")
     }
-    assert found == {("formula.py", "_absorb_cmps"), ("solver.py", "_settled_value")}
+    assert found == {("formula.py", "_absorb_cmps"), ("formula.py", "forced_value")}
 
 
 def test_only_the_formula_module_builds_nodes():
