@@ -2,7 +2,7 @@
 
 The main loop maintains two tracked objects: a growing list of certified
 Floyd-Hoare automata (languages proven to satisfy the contract) and a
-violating module (an automaton of candidate violating traces whose
+violating module (the automata of candidate violating traces whose
 violation mass the examination loop has bounded).  Each iteration either
 declares the program covered — yielding a certified upper bound — or picks
 the shortest uncovered trace and dispatches on its classification.  Both
@@ -131,7 +131,7 @@ def verify(
     sigma = p.alphabet
     residual = difference_nfa(p, [])  # L(P) less every base certified so far
     fresh: list[PCFA] = []  # bases certified since the last pick
-    module: list[PCFA] = []  # the violating module, once examine has bounded one
+    module: list[PCFA] = []  # the violating module: examine's cells, once it has bounded one
     last_bound = Fraction(0)
     iters = 0
     try:
@@ -157,7 +157,7 @@ def verify(
                     events.append(("counterexample", cex))
                     return Unsat(_checked(p, spec, beta, cex, solver), iters)
                 gv = generalize_violating(tau, spec, sigma, solver)
-                outcome, cover_aut, new_q = examine(
+                outcome, cells, new_q = examine(
                     intersect(p, *module, gv.base),
                     spec,
                     beta,
@@ -168,7 +168,7 @@ def verify(
                 )
                 fresh.extend(q.base for q in new_q)
                 if isinstance(outcome, Verified):
-                    module = [cover_aut]
+                    module = cells
                     last_bound = outcome.upper_bound
                     continue
                 if isinstance(outcome, CounterexampleFound):
@@ -418,6 +418,8 @@ def load_certificate(
                 beta = Fraction(int(num), int(den) if den else 1)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad certificate beta {rest!r}") from exc
+            if not 0 <= beta <= 1:
+                raise ParseError(f"certificate beta {beta} is outside [0,1]")
         elif word in ("module", "hoare"):
             section = {"kind": word, "name": rest, "trans": set(), "props": {},
                        "initial": None, "accepting": None}

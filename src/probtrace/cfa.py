@@ -11,8 +11,8 @@ on-the-fly subset construction: that of the left operand runs in lockstep
 with that of the right operands' union, and only the pairs that words of
 the left operand reach are built, so neither side is determinized or
 completed over the alphabet up front.  Intersection and difference take
-several right operands; determinize and union are the same construction
-with none.  The loop's pick (`nfa_shortest`) searches the pairs of a
+several right operands; `theory.determinize` is the same construction with
+none.  The loop's pick (`nfa_shortest`) searches the pairs of a
 difference product as it reaches them, and builds no product.
 
 Labels are hash-consed, by the mechanism formulas use
@@ -383,7 +383,7 @@ def _subset_product(a: _NFA, bs: Sequence[PCFA], accept_pair) -> _NFA:
     side's set holds an accepting state; when it rejects every pair with an
     empty b-side, those pairs are not entered at all.  With no `bs` every
     b-side is that sink, so the result is the plain subset construction of
-    `a`: determinize and union are this construction with no right operand."""
+    `a`: `theory.determinize` is this construction with no right operand."""
     b = _nfa_of(bs[0]) if len(bs) == 1 else _nfa_union(bs)
     a_adj, b_adj = a._adj, b._adj
     sink_live = accept_pair(True, False)
@@ -461,10 +461,6 @@ def _to_pcfa(n: _NFA) -> PCFA:
 def intersect(a: PCFA, *bs: PCFA) -> PCFA:
     """L(a) intersected with the union of the bs, in one product."""
     return _to_pcfa(_nfa_trim(_subset_product(_nfa_of(a), bs, lambda x, y: x and y)))
-
-
-def union(a: PCFA, b: PCFA) -> PCFA:
-    return _to_pcfa(_nfa_trim(_subset_product(_nfa_union([a, b]), [], lambda x, y: x)))
 
 
 def difference_all(a: PCFA, bs: list["PCFA"]) -> PCFA:

@@ -173,6 +173,8 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     for key in ("max_iters", "trace_budget", "step_bound"):
         if merged[key] < 0:
             raise CliError(f"{key!r} must not be negative, got {merged[key]}")
+    if merged["beta"] is not None and not 0 <= merged["beta"] <= 1:
+        raise CliError(f"'beta' {merged['beta']} is outside [0,1]")
     timeout = merged["timeout"]
     if timeout is not None and not (math.isfinite(timeout) and timeout >= 0):
         raise CliError(f"'timeout' must be a finite number of seconds >= 0, got {timeout}")

@@ -30,9 +30,8 @@ from .cfa import (
     difference_all,
     trace_tree,
     trim,
-    union,
 )
-from .formula import Formula, fand, fnot
+from .formula import TRUE, Formula, fand, fnot
 from .hoare import FloydHoareAutomaton, generalize_nonviolating
 from .markov import analyze_mdp, check_cfmdp, merge_traces
 from .semantics import path_condition, pre_exists_trace, weight
@@ -114,29 +113,13 @@ def enumerate_by_weight(m: PCFA) -> Iterator[Trace]:
             )
 
 
-def _weight_batches(stream: Iterator[Trace], budget: int) -> Iterator[list[Trace]]:
-    """Group the stream into maximal runs of equal weight; stop after budget
-    traces in total (possibly mid-run — the consumer must treat the stream
-    as truncated when the budget is hit)."""
-    batch: list[Trace] = []
-    used = 0
-    for tr in stream:
-        w = weight(tr)
-        if batch and w != batch_weight:
-            yield batch
-            batch = []
-        batch.append(tr)
-        batch_weight = w
-        used += 1
-        if used >= budget:
-            break
-    if batch:
-        yield batch
-
-
 # ---------------------------------------------------------------------------
 # the examine loop
 # ---------------------------------------------------------------------------
+
+# the rounds one call of `examine` may take before it gives up
+_ROUND_CAP = 64
+
 
 @dataclass
 class _Cell:
@@ -174,26 +157,29 @@ def examine(
     *,
     alphabet: Optional[Iterable[Label]] = None,
     trace_budget: int = 10_000,
-    round_cap: int = 64,
     events: Optional[list] = None,
-) -> tuple[ExamineOutcome, PCFA, list[FloydHoareAutomaton]]:
+) -> tuple[ExamineOutcome, list[PCFA], list[FloydHoareAutomaton]]:
     """Decide the violating module quantitatively.
 
     The module may be any CFMDP: paired coin branches may share a target,
     since maximal reachability and the mined traces do not depend on it.
-    Cells are kept as the products build them (the union, difference and
-    erasures below are deterministic and trimmed) and never minimized: the
-    bounds, optimal actions and mined traces depend only on the languages
-    of the locations, which bisimilar copies share.
+    Cells are kept as the products build them (the difference and erasures
+    below are deterministic and trimmed) and never minimized: the bounds,
+    optimal actions and mined traces depend only on the languages of the
+    locations, which bisimilar copies share.
 
-    Returns (outcome, cover automaton, certified non-violating automata).
-    The cover automaton is the union of all surviving compartments with
-    guards stripped: erasures only ever remove words that are infeasible
-    from the compartment's own initial states, so it still covers every
-    feasibly violating trace of the input and can stand in for the module
-    in the outer covering check.  The returned Floyd-Hoare automata certify
-    the fake traces found along the way; the caller should add them to the
-    certified side.
+    Each round mines its cell's optimal sub-CFMDP trace by trace in order
+    of weight and stops where the weight drops once the certificate mass
+    covers the gap p - beta, at a counterexample, or at the trace budget.
+
+    Returns (outcome, cells, certified non-violating automata).  The cells
+    are the automata of the surviving compartments with guards stripped,
+    and no union of them is built: erasures only ever remove words that
+    are infeasible from the compartment's own initial states, so together
+    they still cover every feasibly violating trace of the input and can
+    stand in for the module in the outer covering check.  The returned
+    Floyd-Hoare automata certify the fake traces found along the way; the
+    caller should add them to the certified side.
     """
     if events is None:
         events = []
@@ -201,19 +187,13 @@ def examine(
     cells = [_Cell(spec.pre, a)]
     q_new: list[FloydHoareAutomaton] = []
 
-    def cover() -> PCFA:
-        out = cells[0].aut
-        for c in cells[1:]:
-            out = union(out, c.aut)
-        return out
-
-    for round_no in range(1, round_cap + 1):
+    for round_no in range(1, _ROUND_CAP + 1):
         analyses = [analyze_mdp(c.aut) for c in cells]
         values = [r.bound for r in analyses]
         p = max(values, default=Fraction(0))
         if p <= beta:
             events.append(("verified", p))
-            return Verified(p), cover(), q_new
+            return Verified(p), [c.aut for c in cells], q_new
 
         pick_from = [i for i, c in enumerate(cells) if not c.mined and values[i] > beta]
         if not pick_from:
@@ -226,53 +206,48 @@ def examine(
         mainstream_traces: list[Trace] = []
         mainstream_pcs: list[Formula] = []
         total_pre = fand(spec.pre, cell.guard)
-        pc_core: Optional[Formula] = None  # conjunction of mainstream pcs
+        pc_core = TRUE  # conjunction of mainstream pcs
         mainstream_mass = Fraction(0)
         incompat: list[Trace] = []
         fakes: list[Trace] = []
         accum = Fraction(0)
-        found: Optional[Counterexample] = None
+        last: Optional[Fraction] = None
 
-        stream = enumerate_by_weight(sub)
-        for batch in _weight_batches(stream, trace_budget):
-            for tr in batch:
-                w = weight(tr)
-                pc = path_condition(tr, spec, solver)
-                here = solver.is_sat(fand(cell.guard, pc))
-                if (
-                    here
-                    and solver.is_sat(fand(total_pre, pc))
-                    and merge_traces(mainstream_traces + [tr]) is not None
-                ):
-                    mainstream_traces.append(tr)
-                    mainstream_pcs.append(pc)
-                    total_pre = fand(total_pre, pc)
-                    pc_core = pc if pc_core is None else fand(pc_core, pc)
-                    mainstream_mass += w
-                    events.append(("mainstream", tr, pc, mainstream_mass))
-                    if mainstream_mass > beta:
-                        found = Counterexample(
-                            tuple(mainstream_traces), total_pre, mainstream_mass
-                        )
-                        break
-                    continue
-                accum += w
-                if here or solver.is_sat(pc):  # violating, not with the mainstream
-                    incompat.append(tr)
-                    events.append(("incompatible", tr, pc, accum))
-                else:
-                    fakes.append(tr)
-                    events.append(("fake", tr, accum))
-            if found is not None or accum >= p - beta:
+        for tr in itertools.islice(enumerate_by_weight(sub), trace_budget):
+            w = weight(tr)
+            if w != last and accum >= p - beta:
                 break
+            last = w
+            pc = path_condition(tr, spec, solver)
+            here = solver.is_sat(fand(cell.guard, pc))
+            if (
+                here
+                and solver.is_sat(fand(total_pre, pc))
+                and merge_traces(mainstream_traces + [tr]) is not None
+            ):
+                mainstream_traces.append(tr)
+                mainstream_pcs.append(pc)
+                total_pre = fand(total_pre, pc)
+                pc_core = fand(pc_core, pc)
+                mainstream_mass += w
+                events.append(("mainstream", tr, pc, mainstream_mass))
+                if mainstream_mass > beta:
+                    cex = Counterexample(tuple(mainstream_traces), total_pre, mainstream_mass)
+                    events.append(("counterexample", cex))
+                    return CounterexampleFound(cex), [c.aut for c in cells], q_new
+                continue
+            accum += w
+            if here or solver.is_sat(pc):  # violating, not with the mainstream
+                incompat.append(tr)
+                events.append(("incompatible", tr, pc, accum))
+            else:
+                fakes.append(tr)
+                events.append(("fake", tr, accum))
 
-        if found is not None:
-            events.append(("counterexample", found))
-            return CounterexampleFound(found), cover(), q_new
         if accum < p - beta:
             reason = f"trace budget ({trace_budget}) exhausted in round {round_no}"
             events.append(("exhausted", reason))
-            return Exhausted(reason), cover(), q_new
+            return Exhausted(reason), [c.aut for c in cells], q_new
 
         cert = Certificate(tuple(fakes), tuple(incompat), accum)
         events.append(("certificate", cert))
@@ -290,29 +265,26 @@ def examine(
                 c.aut = difference_all(c.aut, [f.base for f in fresh_fhas])
 
         # split on the mainstream's shared precondition, erasing each trace
-        # only from compartments whose states cannot run it
+        # only from compartments whose states cannot run it; with no
+        # mainstream the shared precondition is TRUE, so the mined cell
+        # keeps the guard and the other one is empty
         if mainstream_traces:
-            h = fand(cell.guard, pc_core)
             events.append(("split", pc_core))
-            mined_aut = _erase_traces(cells[idx].aut, incompat)
-            new_cells = [_Cell(h, mined_aut, mined=True)]
-            other_guard = fand(cell.guard, fnot(pc_core))
-            if solver.is_sat(other_guard):
-                erasable = [
-                    tr
-                    for tr, pc in zip(mainstream_traces, mainstream_pcs)
-                    if not solver.is_sat(fand(other_guard, pc))
-                ]
-                other_aut = _erase_traces(cells[idx].aut, erasable)
-                new_cells.append(_Cell(other_guard, other_aut, mined=False))
-            cells[idx : idx + 1] = new_cells
-        else:
-            cells[idx].aut = _erase_traces(cells[idx].aut, incompat)
-            cells[idx].mined = True
+        mined_aut = _erase_traces(cell.aut, incompat)
+        new_cells = [_Cell(fand(cell.guard, pc_core), mined_aut, mined=True)]
+        other_guard = fand(cell.guard, fnot(pc_core))
+        if solver.is_sat(other_guard):
+            erasable = [
+                tr
+                for tr, pc in zip(mainstream_traces, mainstream_pcs)
+                if not solver.is_sat(fand(other_guard, pc))
+            ]
+            new_cells.append(_Cell(other_guard, _erase_traces(cell.aut, erasable)))
+        cells[idx : idx + 1] = new_cells
 
-    reason = f"round cap ({round_cap}) exhausted"
+    reason = f"round cap ({_ROUND_CAP}) exhausted"
     events.append(("exhausted", reason))
-    return Exhausted(reason), cover(), q_new
+    return Exhausted(reason), [c.aut for c in cells], q_new
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ from probtrace.cfa import (
     Pb,
     SkipL,
     _nfa_of,
+    _nfa_trim,
+    _nfa_union,
+    _subset_product,
+    _to_pcfa,
     label_key,
     nfa_shortest,
     trace_key,
@@ -92,6 +96,11 @@ def enumerate_traces(a: PCFA, max_len: int) -> list[tuple[Label, ...]]:
         if not frontier:
             break
     return sorted(out, key=lambda tr: (len(tr), trace_key(tr)))
+
+
+def union(a: PCFA, b: PCFA) -> PCFA:
+    """L(a) ∪ L(b): the subset construction of their disjoint union."""
+    return _to_pcfa(_nfa_trim(_subset_product(_nfa_union([a, b]), [], lambda x, y: x)))
 
 
 def dump(a: PCFA) -> str:
@@ -377,6 +386,45 @@ def random_projecting_loop(rng: random.Random) -> str:
         f"@post {rng.choice(_HOLDS_AT_ENTRY)}\n"
         f"@beta {beta}\n"
         "int X;\nint Y;\nint T;\n"
+        f"while (T > 0) {{\n  {body}\n  T := T - 1;\n}}\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# random loops over a boolean and a counter
+
+
+def random_boolean_loop(rng: random.Random) -> str:
+    """A loop of at most two rounds over an integer X and a boolean B:
+    each round flips or sets B and moves X by at most one, under fair
+    coins, branch tags and `if (B)` or `if (X >= c)`.  The precondition
+    leaves B free and keeps X and T inside the oracle's default domain,
+    and X ends within [-2, 3], so every value stays inside it too."""
+
+    def guard() -> str:
+        return rng.choice(["B", "!B", f"X >= {rng.randint(0, 2)}"])
+
+    def stmt(kinds: list[str], depth: int = 0) -> str:
+        r = rng.random()
+        if depth < 2 and r < 0.3:
+            op = rng.choice(["<+>", "<+>", "<*>"])
+            return f"{{ {stmt(kinds, depth + 1)} }} {op} {{ {stmt(kinds, depth + 1)} }};"
+        if depth < 2 and r < 0.45:
+            return f"if ({guard()}) {{ {stmt(kinds, depth + 1)} }} else {{ {stmt(kinds, depth + 1)} }}"
+        return rng.choice(kinds)
+
+    moves = ["X := X + 1;", "X := X - 1;", "skip;"]
+    flips = ["B := !B;", "B := X >= 1;", "skip;"]
+    body = stmt(moves + flips)
+    if rng.random() < 0.5:  # a second statement may touch only B
+        body += " " + stmt(flips)
+    beta = rng.choice(["1/8", "1/4", "3/8", "1/2", "3/4"])
+    post = rng.choice(["B", "!B", "X <= 1", "X >= 0", "B || X <= 1", "!B || X >= 1"])
+    return (
+        "@pre X >= 0 && X <= 1 && T >= 0 && T <= 2\n"
+        f"@post {post}\n"
+        f"@beta {beta}\n"
+        "int X;\nbool B;\nint T;\n"
         f"while (T > 0) {{\n  {body}\n  T := T - 1;\n}}\n"
     )
 

@@ -39,6 +39,7 @@ from helpers import (
     BENCH_DIR,
     DATA_DIR,
     load_program,
+    random_boolean_loop,
     random_counter_loop,
     random_projecting_loop,
     simplify,
@@ -282,6 +283,46 @@ def test_projecting_loops_agree_with_the_oracle_seeded(monkeypatch):
     print(f"{projections} projections past the fast path; runs by outcome: {kinds}")
     assert projections >= 10
     assert kinds["Sat"] >= 20 and kinds["Unsat"] >= 10, kinds
+
+
+def test_boolean_loops_agree_with_the_oracle_seeded():
+    """Loops that flip and set a boolean as they move a counter, under both
+    loops: a Sat bound lies between the truth and beta, an Unsat mass
+    between beta and the truth.  A run may time out or stay inconclusive;
+    those are counted and printed, not failed."""
+
+    def strike(signum, frame):
+        raise _RunTimedOut
+
+    previous = signal.signal(signal.SIGALRM, strike)
+    rng = random.Random(3)
+    kinds = dict.fromkeys(["Sat", "Unsat", "Inconclusive", "timeout"], 0)
+    try:
+        for _ in range(30):
+            text = random_boolean_loop(rng)
+            program, spec = parse(text)
+            p = to_pcfa(program)
+            lo, hi = exact_violation_probability(p, spec)
+            assert lo == hi, text  # every run stops within two rounds
+            for loop in (verify, verify_refutational):
+                signal.setitimer(signal.ITIMER_REAL, 2.0)
+                try:
+                    verdict = loop(p, spec, solver=Solver(), max_iters=60)
+                except _RunTimedOut:
+                    kinds["timeout"] += 1
+                    continue
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                kinds[type(verdict).__name__] += 1
+                if isinstance(verdict, Sat):
+                    assert hi <= verdict.upper_bound <= spec.beta, (text, verdict)
+                elif isinstance(verdict, Unsat):
+                    cex = verdict.counterexample
+                    assert spec.beta < cex.total_vp <= lo, (text, verdict)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    print(f"runs by outcome: {kinds}")
+    assert kinds["Sat"] >= 15 and kinds["Unsat"] >= 15, kinds
 
 
 def test_nondeterministic_choice_is_worst_cased(solver):

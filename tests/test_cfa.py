@@ -36,7 +36,6 @@ from probtrace.cfa import (
     trace_key,
     trace_tree,
     trim,
-    union,
 )
 from probtrace.formula import as_term, bvar, for_, ge, ivar, le
 from probtrace.lang import parse, parse_label, to_pcfa
@@ -52,6 +51,7 @@ from helpers import (
     reference_label_key,
     reference_merged_pcfa,
     shortest_accepted_trace,
+    union,
 )
 
 X = ivar("X")

@@ -385,6 +385,47 @@ def test_check_certificate_with_bad_beta(tmp_path, capsys):
         assert "beta" in capsys.readouterr().err
 
 
+_EVERY_COMMAND = [
+    ["verify", PROG],
+    ["oracle", PROG],
+    ["check", PROG, CERT],
+    ["bench", str(BENCH_DIR)],
+]
+
+
+@pytest.mark.parametrize("beta", [["--beta", "3/2"], ["--beta=-1/2"]])
+@pytest.mark.parametrize("command", _EVERY_COMMAND, ids=lambda c: c[0])
+def test_a_threshold_flag_outside_the_unit_interval_is_an_input_error(command, beta, capsys):
+    # as `@beta 3/2` is a parse error
+    assert main(command + beta) == EXIT_ERROR
+    assert "outside [0,1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND, ids=lambda c: c[0])
+def test_a_config_threshold_outside_the_unit_interval_is_an_input_error(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 2\n")
+    assert main(command + ["--config", str(cfg)]) == EXIT_ERROR
+    assert "outside [0,1]" in capsys.readouterr().err
+
+
+def test_a_certificate_threshold_outside_the_unit_interval_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cert"
+    bad.write_text((DATA_DIR / "motivating.cert").read_text().replace("beta 1/2", "beta 3/2"))
+    assert main(["check", PROG, str(bad)]) == EXIT_ERROR
+    assert "outside [0,1]" in capsys.readouterr().err
+
+
+def test_the_thresholds_zero_and_one_are_accepted(capsys):
+    counter = str(BENCH_DIR / "counter.prob")
+    assert main(["verify", counter, "--beta", "0"]) == EXIT_UNSAT
+    assert main(["verify", counter, "--beta", "1"]) == EXIT_SAT
+    assert main(["check", PROG, CERT, "--beta", "1"]) == EXIT_SAT
+    assert main(["check", PROG, CERT, "--beta", "0"]) == EXIT_UNSAT
+    assert main(["oracle", PROG, "--beta", "1"]) == EXIT_SAT
+    capsys.readouterr()
+
+
 def test_check_certificate_without_a_module_section(tmp_path, capsys):
     # no module section is the empty violating module, whose bound is 0
     prog = tmp_path / "assign.prob"

@@ -9,6 +9,7 @@ from graphlib import CycleError, TopologicalSorter
 import pytest
 
 from probtrace import evidence
+from probtrace.cegar import verify
 from probtrace.cfa import (
     PCFA,
     Pb,
@@ -31,12 +32,21 @@ from probtrace.evidence import (
 )
 from probtrace.formula import FALSE, eq, fand, ge, ivar, le
 from probtrace.hoare import check_floyd_hoare
-from probtrace.lang import Specification
+from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.semantics import weight
 from probtrace.solver import Solver
 from probtrace.theory import is_empty, mdp_upper_bound, minimize, normalize
 
-from helpers import bounded_language, enumerate_traces, load_program, random_cfmdp, simplify
+from helpers import (
+    BENCH_DIR,
+    DATA_DIR,
+    bounded_language,
+    enumerate_traces,
+    load_program,
+    random_boolean_loop,
+    random_cfmdp,
+    simplify,
+)
 
 C = ivar("C")
 
@@ -106,7 +116,7 @@ def test_examine_schedule_to_counterexample(setting, solver):
     C = 2 mainstream of three traces crosses the threshold."""
     P, spec, module = setting
     events = []
-    outcome, cover, q_new = examine(
+    outcome, cells, q_new = examine(
         module, spec, Fraction(3, 10), solver, events=events
     )
 
@@ -155,8 +165,8 @@ def test_examine_schedule_to_counterexample(setting, solver):
     assert ok, reasons
     # no fakes were found, so no new certified automata
     assert not q_new
-    # the cover still contains every counterexample trace
-    assert all(cover.accepts(tr) for tr in cex.traces)
+    # the returned cells still cover every counterexample trace
+    assert all(any(c.accepts(tr) for c in cells) for tr in cex.traces)
 
 
 def test_examine_verifies_under_bounded_precondition(setting, solver):
@@ -191,16 +201,15 @@ def test_examine_exhausts_tiny_trace_budget(setting, solver):
     assert "trace budget" in outcome.reason
 
 
-def test_examine_exhausts_round_cap(setting, solver):
+def test_examine_exhausts_round_cap(setting, solver, monkeypatch):
     _, spec, module = setting
+    monkeypatch.setattr(evidence, "_ROUND_CAP", 1)
     bounded = Specification(
         pre=simplify(fand(ge(C, 0), le(C, 3))),
         post=spec.post,
         beta=Fraction(47, 100),
     )
-    outcome, _, _ = examine(
-        module, bounded, Fraction(47, 100), solver, round_cap=1
-    )
+    outcome, _, _ = examine(module, bounded, Fraction(47, 100), solver)
     assert isinstance(outcome, Exhausted)
     assert "round cap" in outcome.reason
 
@@ -313,40 +322,63 @@ def _coin_free_acyclic(a: PCFA) -> bool:
     return True
 
 
-def _weight_batches_weighing_the_batch_again(stream, budget):
-    """Reference: the grouping that weighed ``batch[0]`` again for every
-    trace."""
-    batch, used = [], 0
-    for tr in stream:
-        if batch and weight(tr) != weight(batch[0]):
-            yield batch
-            batch = []
-        batch.append(tr)
-        used += 1
-        if used >= budget:
-            break
-    if batch:
-        yield batch
+def _stream_rounds(programs, monkeypatch):
+    """Run `verify` on each program text, recording for every round of
+    `examine` the traces its stream yielded, the traces it weighed, its
+    events, p and beta."""
+    rounds = []
+    events: list = []
+    real_enumerate = evidence.enumerate_by_weight
+
+    def recording(sub):
+        got = []
+        rounds.append({"yielded": got, "weighed": []})
+        for tr in real_enumerate(sub):
+            got.append(tr)
+            yield tr
+
+    def weighing(tr):
+        # validating a counterexample weighs its traces again, outside the loop
+        if not (events and events[-1][0] == "counterexample"):
+            rounds[-1]["weighed"].append(tr)
+        return weight(tr)
+
+    monkeypatch.setattr(evidence, "enumerate_by_weight", recording)
+    monkeypatch.setattr(evidence, "weight", weighing)
+    for text in programs:
+        program, spec = parse(text)
+        events.clear()
+        first = len(rounds)
+        verify(to_pcfa(program), spec, solver=Solver(), max_iters=40, events=events)
+        starts = [i for i, e in enumerate(events) if e[0] == "round"]
+        assert len(starts) == len(rounds) - first
+        for r, lo, hi in zip(rounds[first:], starts, starts[1:] + [len(events)]):
+            r["events"], r["p"], r["beta"] = events[lo + 1 : hi], events[lo][2], spec.beta
+    return rounds
 
 
-def test_weight_batches_weigh_each_trace_once_seeded(monkeypatch):
-    rng = random.Random(2727)
-    weighed = []
-    monkeypatch.setattr(evidence, "weight", lambda tr: weighed.append(tr) or weight(tr))
-    checked = split = 0
-    while checked < 40:
-        a = trim(random_cfmdp(rng))
-        if is_empty(a) or not _coin_free_acyclic(a):
-            continue
-        traces = list(itertools.islice(enumerate_by_weight(a), 30))
-        budget = rng.randint(1, 35)
-        weighed.clear()
-        got = list(evidence._weight_batches(iter(traces), budget))
-        assert got == list(_weight_batches_weighing_the_batch_again(iter(traces), budget))
-        assert weighed == traces[:budget]
-        checked += 1
-        split += len(got) > 1
-    assert split >= 10
+def test_examine_reads_one_weighted_stream_per_round(monkeypatch):
+    # each round weighs every trace its stream yields once, examines them
+    # in order, and stops early only at a weight boundary once the
+    # certificate mass covers the gap p - beta, or at a counterexample
+    programs = [path.read_text() for path in sorted(BENCH_DIR.glob("*.prob"))]
+    programs.append((DATA_DIR / "motivating.prob").read_text())
+    rng = random.Random(3535)
+    programs += [random_boolean_loop(rng) for _ in range(20)]
+    rounds = _stream_rounds(programs, monkeypatch)
+    boundary = counterexample = 0
+    for r in rounds:
+        yielded = r["yielded"]
+        assert r["weighed"] == yielded
+        named = [e[1] for e in r["events"] if e[0] in ("mainstream", "incompatible", "fake")]
+        assert named in (yielded, yielded[:-1])
+        if named != yielded:
+            assert weight(yielded[-1]) < weight(yielded[-2])
+            (cert,) = [e[1] for e in r["events"] if e[0] == "certificate"]
+            assert cert.mass >= r["p"] - r["beta"]
+            boundary += 1
+        counterexample += any(e[0] == "counterexample" for e in r["events"])
+    assert boundary and counterexample
 
 
 def test_enumeration_order_is_the_sorted_bounded_language_seeded():

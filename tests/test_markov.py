@@ -21,7 +21,6 @@ from probtrace.cfa import (
     difference_all,
     empty_pcfa,
     intersect,
-    union,
 )
 from probtrace.evidence import _optimal_subcfmdp, enumerate_by_weight
 from probtrace.formula import as_term, ge, ivar, le
@@ -37,7 +36,7 @@ from probtrace.theory import (
     strategy_for_sublanguage,
 )
 
-from helpers import bounded_equal_deterministic, dump, enumerate_traces, random_cfmdp, random_sub_cfmc
+from helpers import bounded_equal_deterministic, dump, enumerate_traces, random_cfmdp, random_sub_cfmc, union
 
 X = ivar("X")
 SKIP = SkipL()

@@ -189,7 +189,9 @@ def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
 
 
 def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Every name read in `tree` outside `skip`, directly or as an attribute."""
+    """Every name read in `tree` outside `skip`: a bare name as itself, an
+    attribute as ".attr", and an attribute of a bare name also as
+    "base.attr"."""
     names = set()
     todo = [tree]
     while todo:
@@ -199,18 +201,29 @@ def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
             if isinstance(child, ast.Name):
                 names.add(child.id)
             elif isinstance(child, ast.Attribute):
-                names.add(child.attr)
+                names.add("." + child.attr)
+                if isinstance(child.value, ast.Name):
+                    names.add(f"{child.value.id}.{child.attr}")
             todo.append(child)
     return names
 
 
 def uncalled(trees: dict[str, ast.Module], module: str) -> list[str]:
     """The public functions and methods of `module` that no code in `trees`
-    names outside their own body."""
+    names outside their own body.  A function is named as a bare name or as
+    ``module.name``; a method by any name or attribute of its name, since
+    the type of the object it is read from is not known."""
+
+    def spellings(name: str) -> set[str]:
+        if "." in name:
+            method = name.split(".")[-1]
+            return {method, "." + method}
+        return {name, f"{module}.{name}"}
+
     return [
         name
         for name, node in public_definitions(trees[module])
-        if not any(name.split(".")[-1] in referenced_names(tree, node) for tree in trees.values())
+        if not any(spellings(name) & referenced_names(tree, node) for tree in trees.values())
     ]
 
 
@@ -234,6 +247,11 @@ def test_every_verifier_function_has_a_caller():
     # in `theory`
     toy = "class C:\n    def m(self):\n        return self.m()\n\ndef used():\n    return C\n\nx = used()\n"
     assert uncalled({"toy": ast.parse(toy)}, "toy") == ["C.m"]
+    # a method of another type that shares a function's name does not call it
+    toy = "def union(a, b):\n    return a\n\nx = frozenset().union({1})\n"
+    assert uncalled({"toy": ast.parse(toy)}, "toy") == ["union"]
+    user = ast.parse("from . import toy\ny = toy.union(1, 2)\n")
+    assert uncalled({"toy": ast.parse(toy), "user": user}, "toy") == []
     trees = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(SRC.glob("*.py"))
