@@ -89,13 +89,13 @@ def enumerate_by_weight(m: PCFA) -> Iterator[Trace]:
     Works for any CFMDP (in particular any CFMC): determinism makes partial
     traces identify unique paths, so the ordering is total.  Each entry
     carries its trace's ``trace_key``, extended by one ``label_key`` per
-    push, so no trace is keyed twice.
+    push, so no two entries are keyed alike and the heap never compares
+    past the key.
     """
     check_cfmdp(m)
-    counter = itertools.count()
-    heap = [(0, 0, (), next(counter), m.initial, ())]
+    heap = [(0, 0, (), m.initial, ())]
     while heap:
-        npb, length, key, _, loc, trace = heapq.heappop(heap)
+        npb, length, key, loc, trace = heapq.heappop(heap)
         if loc == m.accepting:
             yield trace
             continue
@@ -106,7 +106,6 @@ def enumerate_by_weight(m: PCFA) -> Iterator[Trace]:
                     npb + (1 if isinstance(lab, Pb) else 0),
                     length + 1,
                     key + (lab.sort_key,),
-                    next(counter),
                     tgt,
                     trace + (lab,),
                 ),

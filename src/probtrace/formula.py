@@ -16,10 +16,8 @@ comparisons on one base with it (`_absorb_cmps`), a disjunction as the
 negation of the conjunction of its negated atoms, so `for_` of comparisons
 always equals `fnot` of `fand` of their negations.  `forced_value` is the
 one test of what a set of comparisons forces on another: the constructors
-settle nested atoms with it, and the solver's search settles a comparison
-on a base that its branch has already set.  A fact is negated
-arithmetically by `negate_fact`, which agrees with `fnot` on every
-comparison.
+settle nested atoms with it.  A fact is negated arithmetically by
+`negate_fact`, which agrees with `fnot` on every comparison.
 
 Constructor output is canonical: flat, sorted and free of duplicates and
 complementary literals, its comparisons on one base absorbed, and no atom
@@ -37,15 +35,10 @@ whose two sides contradict that way is FALSE before it reaches the solver
 This module is the only one that knows the canonical form: no code
 elsewhere in the package builds a node directly (parsed programs and
 certificates both go through the constructors, and `tests/test_source.py`
-checks that no other module calls a node class by name), so every formula
-is used as built.  The one exception is the solver's branching step, which
-drops arguments from a canonical `And`/`Or`; that is sound because a
-canonical formula minus some of its arguments is canonical.  In
-particular a slice only removes context: the atoms an `And` (`Or`) keeps
-decide no more nested atoms than all of them did, so none becomes
-decidable.  The tests hold the constructors to a rebuild through them
-(``simplify`` in ``tests/helpers.py``), which returns every formula they
-built unchanged.
+checks that no other module calls a node class, by name or through
+``type``), so every formula is used as built.  The tests hold the
+constructors to a rebuild through them (``simplify`` in
+``tests/helpers.py``), which returns every formula they built unchanged.
 
 Nodes are hash-consed (`HashConsed`, which program labels share): each
 distinct formula is one live object, so `==` and `hash` are identity,

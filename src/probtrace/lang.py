@@ -504,7 +504,7 @@ def parse(text: str) -> tuple[Program, Specification]:
 
     beta_text, beta_line = headers["beta"]
     m = re.fullmatch(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?", beta_text)
-    if not m:
+    if not m or int(m.group(2) or 1) == 0:
         raise ParseError("@beta expects an exact rational p/q", beta_line, 1)
     beta = Fraction(int(m.group(1)), int(m.group(2) or 1))
     if not (0 <= beta <= 1):

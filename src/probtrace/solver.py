@@ -10,24 +10,6 @@ splinter fallback).  All arithmetic is bignum integer arithmetic, so answers
 are exact.  The eliminations fix an integer solution, read back in reverse
 order as the model of every sat answer.
 
-A branch costs only what it changes.  Setting an atom rebuilds just the
-nodes that contain it; an `And` whose changed arguments all became TRUE
-(an `Or`, FALSE) loses them from its `args` without a rebuild, which is
-sound because a canonical formula minus some of its arguments is still
-canonical.  An atom that is a conjunct of the query, or the whole query,
-is never tried false: that branch is FALSE by construction.
-
-Each comparison the search sets is also a fact on its linear base (an
-upper or lower bound, a point, an excluded point).  When the search
-reaches a comparison on a base it has already set, those facts may settle
-it through `formula.forced_value`, the test the constructors settle nested
-atoms with: facts that imply it leave only the true branch, facts that
-contradict it only the false one.  The other branch holds no integer
-solution, so skipping it changes neither the answer nor the model, while
-the subtree it cuts would have sent every closed branch to the Omega test.
-The settled comparison is still set, as before, so each cube the Omega
-test solves is the one it solved without the rule.
-
 :class:`Solver` is the caching facade the verifier asks; it always runs the
 builtin procedure.
 """
@@ -60,7 +42,6 @@ from .formula import (
     feval_bits,
     fnot,
     for_,
-    forced_value,
     int_vars,
     ivar,
     memoizing,
@@ -328,39 +309,11 @@ _UNASKED = object()  # cache miss; a cached None means unsat
 
 
 def _replace_atom(f: Formula, atom: Formula, value: bool) -> Formula:
-    """`f` with `atom` set to `value` (its complementary literal to the
-    opposite), equal to the rebuild of every node through `fand`/`for_`.
-
-    Only what changes is rebuilt.  A subformula without the atom is returned
-    as the same object.  When every changed argument of an `And` became
-    TRUE (of an `Or`, FALSE), those arguments are sliced out of `args`
-    through the node's class, the one place outside `formula` that builds a
-    node, so the slice is hash-consed too; a single survivor stands alone
-    and none gives TRUE (FALSE).  This relies
-    on a canonical formula minus some of its arguments being canonical: the
-    rest stay sorted, distinct, flat and complement-free, comparisons on
-    one linear base stay absorbed, and the atoms left decide no nested atom
-    that all of them did not, so the constructors would return the same
-    node.  Any other change goes through the constructors."""
     if isinstance(f, (And, Or)):
-        unit = TRUE if isinstance(f, And) else FALSE
-        new = []
-        kept = []
-        sliced = True
-        for a in f.args:
-            b = _replace_atom(a, atom, value)
-            new.append(b)
-            if b is a:
-                kept.append(a)
-            elif b is not unit:
-                sliced = False
-        if len(kept) == len(new):
+        new = [_replace_atom(a, atom, value) for a in f.args]
+        if all(b is a for a, b in zip(new, f.args)):
             return f
-        if not sliced:
-            return fand(*new) if unit is TRUE else for_(*new)
-        if len(kept) > 1:
-            return type(f)(tuple(kept))
-        return kept[0] if kept else unit
+        return fand(*new) if isinstance(f, And) else for_(*new)
     if f == atom:
         return TRUE if value else FALSE
     if isinstance(f, BoolLit) and isinstance(atom, BoolLit) and f.name == atom.name:
@@ -420,15 +373,6 @@ class BuiltinSolver:
         bools: dict,
         cmps: list[tuple[Cmp, bool]],
     ) -> Optional[dict]:
-        """A model of the first branch that satisfies `f`, or None.
-
-        Branches on `f.least_atom`, the atom with the least `sort_key`,
-        true before false.  The false branch of an atom that is `f` itself
-        or a conjunct of `f` is FALSE, so it is skipped.  A comparison that
-        the comparisons already set on its linear base imply (contradict) is
-        tried true (false) only: the other branch has no integer solution.
-        Either way the answer and the model stay those of the search that
-        tries both."""
         if f == FALSE:
             return None
         if f == TRUE:
@@ -436,15 +380,7 @@ class BuiltinSolver:
             model = _theory_model(cmps)
             return None if model is None else {**model, **bools}
         atom = f.least_atom
-        forced = atom is f or (isinstance(f, And) and atom in f.args)
-        values = (True,) if forced else (True, False)
-        if isinstance(atom, Cmp) and cmps:
-            settled = forced_value(atom, cmps)
-            if settled is True:
-                values = (True,)
-            elif settled is False:
-                values = () if forced else (False,)
-        for value in values:
+        for value in (True, False):
             g = _replace_atom(f, atom, value)
             if isinstance(atom, BoolLit):
                 b2 = dict(bools)

@@ -339,6 +339,20 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("beta", ["1/0", "0/0"])
+def test_a_zero_denominator_threshold_is_an_input_error(beta, tmp_path, capsys):
+    f = tmp_path / "zero.prob"
+    f.write_text(SAT_PROGRAM.replace("@beta 1/2", f"@beta {beta}"))
+    assert main(["verify", str(f)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error:" in err and "@beta" in err
+    (tmp_path / "ok.prob").write_text(SAT_PROGRAM)
+    assert main(["bench", str(tmp_path), "--json"]) == EXIT_INCONCLUSIVE
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["verdict"] for r in reports] == ["sat", "error"]
+    assert "@beta" in reports[1]["reason"]
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -33,9 +33,10 @@ def test_missing_header_rejected():
 
 
 def test_beta_must_be_exact_rational():
-    bad = MOTIVATING.replace("@beta 3/10", "@beta 0.3")
-    with pytest.raises(ParseError, match="exact rational"):
-        parse(bad)
+    for text in ("0.3", "1/0", "0/0"):
+        bad = MOTIVATING.replace("@beta 3/10", f"@beta {text}")
+        with pytest.raises(ParseError, match="@beta expects an exact rational"):
+            parse(bad)
     worse = MOTIVATING.replace("@beta 3/10", "@beta 7/2")
     with pytest.raises(ParseError, match="outside"):
         parse(worse)

@@ -44,8 +44,14 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def callers(source: str, name: str) -> list[str]:
     """The functions that call `name`, directly or as an attribute; a call
-    at module level counts as made by "<module>"."""
+    at module level counts as made by "<module>".  The name "type()" stands
+    for what ``type(...)`` returns, called as in ``type(f)(args)``."""
     found = []
+
+    def called(f):
+        if isinstance(f, ast.Call) and isinstance(f.func, ast.Name) and f.func.id == "type":
+            return "type()"
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
@@ -54,7 +60,7 @@ def callers(source: str, name: str) -> list[str]:
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                if called(f) == name:
                     found.append(where)
             visit(child, where)
 
@@ -96,8 +102,8 @@ def test_one_reading_of_a_comparison_as_a_fact():
     # `formula.cmp_fact` is the only code that reads a comparison's sign
     # and orientation as a bound on its base: the same-base rule of the
     # constructors and `forced_value`, with which the constructors settle
-    # nested atoms and the backend settles comparisons, call it, and the
-    # rule negates facts arithmetically, without building `fnot` nodes
+    # nested atoms, call it, and the rule negates facts arithmetically,
+    # without building `fnot` nodes
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = {
         (name, caller)
@@ -111,10 +117,9 @@ def test_one_reading_of_a_comparison_as_a_fact():
 def test_one_rule_for_facts_on_a_base():
     # `formula._meet_facts` is the one rule for facts on one linear base:
     # the constructors resolve comparisons with it, and `forced_value`
-    # settles a comparison with it for the constructors' nested atoms and
-    # the backend's branches; no other module spells a fact's kind, so no
-    # second copy of what a bound, a point or an excluded point allows can
-    # appear
+    # settles their nested atoms with it; no other module spells a fact's
+    # kind, so no second copy of what a bound, a point or an excluded point
+    # allows can appear, and no other code settles a comparison
     kinds = {"ub", "lb", "eq", "ne"}
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     spelled = {
@@ -130,15 +135,22 @@ def test_one_rule_for_facts_on_a_base():
         for caller in callers(source, "_meet_facts")
     }
     assert found == {("formula.py", "_absorb_cmps"), ("formula.py", "forced_value")}
+    found = {
+        (name, caller)
+        for name, source in sources.items()
+        for caller in callers(source, "forced_value")
+    }
+    assert found == {("formula.py", "settle")}  # the walk in `_settle_nested`
 
 
 def test_only_the_formula_module_builds_nodes():
     # hash-consing and the run memo of `fand`/`for_` rely on every formula
-    # being canonical as built, which only `formula.py` knows how to do; the
-    # solver's branching step slices a canonical node as `type(f)(...)`,
-    # which this check does not see and the solver's tests check
-    nodes = ("And", "Or", "Cmp", "BoolLit", "TrueF", "FalseF")
+    # being canonical as built, which only `formula.py` knows how to do; a
+    # node's class reached through `type` builds one as surely as its name
+    nodes = ("And", "Or", "Cmp", "BoolLit", "TrueF", "FalseF", "type()")
     assert callers("def f():\n    return Cmp(t, op)\ng = And\n", "Cmp") == ["f"]
+    toy = "def f(g):\n    return type(g)(g.args[1:])\nh = type(g)\n"
+    assert callers(toy, "type()") == ["f"] and callers(toy, "type") == ["f", "<module>"]
     found = {
         (path.name, name, caller)
         for path in sorted(SRC.glob("*.py"))
