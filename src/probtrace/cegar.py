@@ -69,7 +69,7 @@ from .formula import Formula, fand
 from .hoare import FloydHoareAutomaton, check_floyd_hoare, generalize_nonviolating, generalize_violating
 from .lang import ParseError, parse_formula, parse_label, to_pcfa
 from .markov import analyze_mdp, merge_traces
-from .semantics import NonViolating, classify, weight
+from .semantics import classify, weight
 from .solver import Solver, SolverUnknown
 
 
@@ -147,13 +147,13 @@ def verify(
                     return Sat(last_bound, iters)
                 iters += 1
                 events.append(("pick", iters, tau))
-                cls = classify(tau, spec, solver)
-                if isinstance(cls, NonViolating):
+                error_pre = classify(tau, spec, solver)
+                if error_pre is None:
                     fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
                     continue
                 w = weight(tau)
                 if w > beta:
-                    cex = Counterexample((tuple(tau),), cls.error_pre, w)
+                    cex = Counterexample((tuple(tau),), error_pre, w)
                     events.append(("counterexample", cex))
                     return Unsat(_checked(p, spec, beta, cex, solver), iters)
                 gv = generalize_violating(tau, spec, sigma, solver)
@@ -264,11 +264,11 @@ def verify_refutational(
                         )
                 iters += 1
                 events.append(("pick", iters, tau))
-                cls = classify(tau, spec, solver)
-                if isinstance(cls, NonViolating):
+                error_pre = classify(tau, spec, solver)
+                if error_pre is None:
                     fresh.append(generalize_nonviolating(tau, spec, sigma, solver).base)
                     continue
-                found.append((tuple(tau), cls.error_pre))
+                found.append((tuple(tau), error_pre))
                 found_mass += weight(tau)
                 cex = _greedy_counterexample(found, beta, solver)
                 if cex is not None:

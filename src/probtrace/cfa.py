@@ -145,16 +145,12 @@ def action_key(act: Action):
 def actions_at(a: PCFA, loc: int) -> dict:
     """Available actions at a location: action -> {side: target} for coins,
     action -> target for plain labels."""
-    coins: dict[int, dict[str, int]] = {}
-    plain: dict[Label, int] = {}
+    out: dict[Action, object] = {}
     for lab, tgt in a.out_edges(loc):
         if isinstance(lab, Pb):
-            coins.setdefault(lab.pid, {})[lab.side] = tgt
+            out.setdefault(lab.pid, {})[lab.side] = tgt
         else:
-            plain[lab] = tgt
-    out: dict[Action, object] = {}
-    out.update(coins)
-    out.update(plain)
+            out[lab] = tgt
     return out
 
 

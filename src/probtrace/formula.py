@@ -17,7 +17,8 @@ negation of the conjunction of its negated atoms, so `for_` of comparisons
 always equals `fnot` of `fand` of their negations.  `forced_value` is the
 one test of what a set of comparisons forces on another: the constructors
 settle nested atoms with it.  A fact is negated arithmetically by
-`negate_fact`, which agrees with `fnot` on every comparison.
+`negate_fact`, the one rule of comparison negation: `fnot` of a comparison
+negates its fact and builds the result back with `_fact_cmp`.
 
 Constructor output is canonical: flat, sorted and free of duplicates and
 complementary literals, its comparisons on one base absorbed, and no atom
@@ -690,10 +691,8 @@ def _negate(f: Formula) -> Formula:
     if isinstance(f, BoolLit):
         return BoolLit(f.name, not f.positive)
     if isinstance(f, Cmp):
-        if f.op == LE:
-            # not(t <= 0)  <=>  t >= 1  <=>  -t + 1 <= 0
-            return _cmp(-f.term + IntTerm((), 1), LE)
-        return _cmp(f.term, NE if f.op == EQ else EQ)
+        base, kind, bound = cmp_fact(f)
+        return _fact_cmp(base, *negate_fact(kind, bound))
     if isinstance(f, And):
         return for_(*(fnot(a) for a in f.args))
     if isinstance(f, Or):

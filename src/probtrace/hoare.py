@@ -2,9 +2,11 @@
 
 A Floyd-Hoare automaton pairs a plain labelled automaton with a proposition
 per location such that every edge (l, sigma, l') is a valid Hoare triple
-{lam(l)} sigma {lam(l')}.  Generalization turns one classified trace into
-such an automaton in two phases: proposition insertion along the trace,
-with one location per distinct proposition, and edge saturation.
+{lam(l)} sigma {lam(l')}.  Generalization turns one trace into such an
+automaton in two phases: proposition insertion along the trace, with one
+location per distinct proposition, and edge saturation.  Which of the two
+generalizers applies is what ``classify`` returns: None for a trace that
+satisfies the contract, its error precondition for one that violates it.
 
 Propositions come from the formula smart constructors, which build canonical
 formulas, so the chain compares them as built.  Saturation adds every valid
@@ -30,14 +32,7 @@ from typing import Iterable, Sequence
 
 from .cfa import PCFA, Label, label_key
 from .formula import FALSE, Formula, fand, fnot
-from .semantics import (
-    NonViolating,
-    Violating,
-    classify,
-    hoare_valid,
-    pre_exists,
-    pre_exists_chain,
-)
+from .semantics import classify, hoare_valid, pre_exists, pre_exists_chain
 from .solver import Solver, sequence_interpolants
 
 
@@ -147,7 +142,7 @@ def generalize_nonviolating(
     weakens an infeasible trace's chain against its own infeasibility, so a
     forward chain gives False exactly for infeasible traces.
     """
-    if not isinstance(classify(trace, spec, solver), NonViolating):
+    if classify(trace, spec, solver) is not None:
         raise ValueError("trace does not satisfy the contract")
     labels = list(trace)
     head = spec.pre
@@ -176,11 +171,13 @@ def generalize_violating(
 
     The propositions are the trace's ``pre_exists_chain``, the chain
     ``classify`` has just walked for the path condition, so every step is
-    a hit in ``solver.wp_memo``.
+    a hit in ``solver.wp_memo``; the head is the path condition
+    ``classify`` returns.
     """
-    if not isinstance(classify(trace, spec, solver), Violating):
+    error_pre = classify(trace, spec, solver)
+    if error_pre is None:
         raise ValueError("trace does not violate the contract")
     labels = list(trace)
     props = pre_exists_chain(labels, fnot(spec.post), solver)
-    props[0] = fand(spec.pre, props[0])
+    props[0] = error_pre
     return saturate_edges(_chain(props, labels), alphabet, solver)

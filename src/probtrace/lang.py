@@ -518,12 +518,8 @@ def parse(text: str) -> tuple[Program, Specification]:
 
 def to_pcfa(program: Program) -> PCFA:
     transitions: set[tuple[int, cfa.Label, int]] = set()
-    counter = [2]  # 0 = initial, 1 = accepting
+    fresh = itertools.count(2).__next__  # 0 = initial, 1 = accepting
     coins, tags = itertools.count(), itertools.count()  # emit visits choices in pre-order
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
 
     def emit(stmt: Stmt, entry: int, exit_: int) -> None:
         if isinstance(stmt, SAssign):

@@ -18,7 +18,6 @@ the verifier's memo, such as counterexample validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -117,24 +116,11 @@ def path_condition(trace: Sequence[Label], spec, solver) -> Formula:
     return fand(spec.pre, pre_exists_chain(trace, fnot(spec.post), solver)[0])
 
 
-@dataclass(frozen=True)
-class NonViolating:
-    pass
-
-
-@dataclass(frozen=True)
-class Violating:
-    error_pre: Formula
-
-
-TraceClass = object  # NonViolating | Violating
-
-
-def classify(trace: Sequence[Label], spec, solver) -> TraceClass:
+def classify(trace: Sequence[Label], spec, solver) -> Optional[Formula]:
+    """The trace's path condition when it is satisfiable, so the trace
+    violates the contract from those initial states; None otherwise."""
     pc = path_condition(trace, spec, solver)
-    if solver.is_sat(pc):
-        return Violating(pc)
-    return NonViolating()
+    return pc if solver.is_sat(pc) else None
 
 
 def hoare_valid(p: Formula, lab: Label, q: Formula, solver) -> bool:

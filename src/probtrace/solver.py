@@ -564,7 +564,7 @@ def project_int_var(f: Formula, var: str) -> Optional[Formula]:
     §7.5).  At −∞ every lower bound and equality on ``var`` is false and
     every upper bound and disequality true.
     """
-    if var not in int_vars(f):
+    if var not in f.variables:
         return f
     points: dict[IntTerm, None] = {}
 

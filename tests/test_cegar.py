@@ -32,7 +32,7 @@ from probtrace.formula import TRUE, eq, fand, ge, ivar, le
 from probtrace.hoare import FloydHoareAutomaton
 from probtrace.lang import Specification, parse, to_pcfa
 from probtrace.oracle import StateDomain, exact_violation_probability
-from probtrace.semantics import NonViolating, weight
+from probtrace.semantics import weight
 from probtrace.solver import Solver
 
 from helpers import (
@@ -840,7 +840,7 @@ def test_loops_subtract_each_automaton_and_found_trace_once(name, loop, monkeypa
         ("difference_nfa", lambda args, out: operands.append(args[1])),
         ("generalize_nonviolating", lambda args, out: made(bases, [out.base])),
         ("examine", lambda args, out: made(bases, [q.base for q in out[2]])),
-        ("classify", lambda args, out: made(found, [] if isinstance(out, NonViolating) else [tuple(args[0])])),
+        ("classify", lambda args, out: made(found, [] if out is None else [tuple(args[0])])),
         ("trace_tree", lambda args, out: trees.append(out)),
     ):
         monkeypatch.setattr(cegar, attr, _recorded(getattr(cegar, attr), record))
@@ -940,7 +940,7 @@ def test_refutational_bound_runs_only_where_it_can_answer_sat(name, monkeypatch)
         state["tau"] = out
 
     def classified(args, out):
-        if not isinstance(out, NonViolating):
+        if out is not None:
             state["found"] += weight(args[0])
 
     def bounded(args, out):

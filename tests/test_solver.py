@@ -434,12 +434,13 @@ def test_each_node_finds_its_least_atom_once_seeded():
             assert f.least_atom.sort_key <= g.least_atom.sort_key
 
 
-def test_replace_atom_slices_children_that_collapse_to_the_unit():
+def test_replace_atom_drops_children_that_become_the_unit():
     x_le, y_or, z_or = le(X, 3), for_(B, le(Y, 0)), for_(B, ge(Z, 2))
     f = fand(x_le, y_or, z_or, ge(X + Y, 0))
     g = solver_module._replace_atom(f, B, True)
     assert g == _reference_replace(f, B, True) == fand(x_le, ge(X + Y, 0))
-    # the survivors are the same objects, in the same order
+    # the survivors come back unchanged, in order: the rebuild through
+    # `fand` hands back the hash-consed nodes `f` already held
     survivors = [a for a in f.args if not isinstance(a, Or)]
     assert isinstance(g, And) and list(map(id, g.args)) == list(map(id, survivors))
     # a single survivor is returned by itself, none at all gives the unit

@@ -101,16 +101,21 @@ def test_witnesses_are_evaluated_in_one_place():
 def test_one_reading_of_a_comparison_as_a_fact():
     # `formula.cmp_fact` is the only code that reads a comparison's sign
     # and orientation as a bound on its base: the same-base rule of the
-    # constructors and `forced_value`, with which the constructors settle
-    # nested atoms, call it, and the rule negates facts arithmetically,
-    # without building `fnot` nodes
+    # constructors, `forced_value`, with which the constructors settle
+    # nested atoms, and `_negate`, the comparison case of `fnot`, call it,
+    # and the rule negates facts arithmetically, without building `fnot`
+    # nodes
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = {
         (name, caller)
         for name, source in sources.items()
         for caller in callers(source, "cmp_fact")
     }
-    assert found == {("formula.py", "_absorb_cmps"), ("formula.py", "forced_value")}
+    assert found == {
+        ("formula.py", "_absorb_cmps"),
+        ("formula.py", "forced_value"),
+        ("formula.py", "_negate"),
+    }
     assert "_absorb_cmps" not in callers(sources["formula.py"], "fnot")
 
 
